@@ -31,6 +31,7 @@ from .config import (
     write_manifest,
 )
 from .evolution import (
+    STEP_FLOOR,
     EvolutionControls,
     NonFinite,
     evolve,
@@ -145,7 +146,7 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False):
                 f"{np.max(np.abs(rec['mass'] - rec['mass'][0])) / rec['mass'][0]:.3g}, "
                 f"energy drift = {energy_drift:.3g}, "
                 f"boundary mass = {rec['boundary_mass'][-1]:.3g}")
-    return traj, [files["records"], files["snapshots"]]
+    return traj, list(files.values())
 
 
 def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
@@ -188,12 +189,18 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
         report.measure_histogram = hist
         report.records.extend(cauchy)
     if want("exterior"):
-        try:
-            report.records.extend(diag.exterior_convergence_check(
-                traj, tol.exterior_radius, params, final_frac=tol.exterior_final_frac))
-        except diag.InsufficientSnapshots as exc:
+        # strong L2(|x| >= R) convergence is a statement about blowup solutions
+        if traj.termination != STEP_FLOOR:
             report.records.append(diag.CheckRecord(
-                "exterior_cauchy", {"error": str(exc)}, float("nan"), float("nan"), False))
+                "exterior_cauchy", {"applicable": False, "termination": traj.termination},
+                float("nan"), float("nan"), passed=True))
+        else:
+            try:
+                report.records.extend(diag.exterior_convergence_check(
+                    traj, tol.exterior_radius, params, final_frac=tol.exterior_final_frac))
+            except diag.InsufficientSnapshots as exc:
+                report.records.append(diag.CheckRecord(
+                    "exterior_cauchy", {"error": str(exc)}, float("nan"), float("nan"), False))
     if want("newton"):
         from .spectral import coulomb_potential_density
 
@@ -253,26 +260,19 @@ def run_operator_check(cfg: RunConfig, quiet=False) -> dict:
         part = lab.partition_pair(grid, grid.length / 4.0, grid.length / 24.0)
         d = lab.ims_defect(grid, min(s, 0.99), part)
         add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8)
+    x = grid.x
+
+    def pbump(c, w, a):
+        dd = np.abs(x - c)
+        dd = np.minimum(dd, grid.length - dd)
+        return a * np.exp(-dd**2 / (2 * w * w))
+
     if suite in ("subcritical", "all"):
-        x = grid.x
-
-        def pbump(c, w, a):
-            dd = np.abs(x - c)
-            dd = np.minimum(dd, grid.length - dd)
-            return a * np.exp(-dd**2 / (2 * w * w))
-
         fam = lab.SequenceFamily(
             [pbump(grid.length / 2 + 0.5 * k, grid.length / 24.0, 1.0) for k in range(8)])
         out = lab.subcritical_check(grid, fam, s, grid.length / 8.0, tol.c_cal_subcritical)
         add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"], out["pass"])
     if suite in ("profiles", "all"):
-        x = grid.x
-
-        def pbump(c, w, a):
-            dd = np.abs(x - c)
-            dd = np.minimum(dd, grid.length - dd)
-            return a * np.exp(-dd**2 / (2 * w * w))
-
         wdt = grid.length / 200.0
         sep = grid.length / 60.0
         members = [pbump(grid.length / 2 - sep * k, wdt, 1.0)

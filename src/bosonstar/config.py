@@ -31,7 +31,7 @@ __all__ = [
     "ARTIFACT_VERSION",
 ]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 class ParseError(ValueError):

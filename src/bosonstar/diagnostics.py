@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectral import (
     Field,
@@ -420,6 +419,8 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
 
 def _j1_zeros(count: int) -> np.ndarray:
     """First zeros of the spherical Bessel function j1 (roots of tan x = x)."""
+    from scipy.optimize import brentq
+
     f = lambda x: np.sin(x) - x * np.cos(x)
     return np.array([brentq(f, i * np.pi + 1e-9, (i + 1) * np.pi - 1e-9)
                      for i in range(1, count + 1)])

@@ -27,8 +27,6 @@ from .spectral import (
     RadialGrid,
     boundary_mass,
     coulomb_potential_density,
-    field_from_json,
-    field_to_json,
     mass,
     radial_transform,
     inverse_radial_transform,
@@ -363,7 +361,11 @@ def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
 # --- persistence -------------------------------------------------------------
 
 def save_trajectory(traj: Trajectory, out_dir) -> dict:
-    """Write records as CSV and snapshots as JSON; returns the file map."""
+    """Write records as CSV, snapshot metadata as JSON and snapshot fields as .npy.
+
+    `snapshots.npy` holds one complex128 row per snapshot, in the order of the
+    `snapshots` list in `snapshots.json`; returns the file map.
+    """
     os.makedirs(out_dir, exist_ok=True)
     rec_path = os.path.join(out_dir, "records.csv")
     cols = ("t", "dt", "mass", "energy", "h_half", "boundary_mass")
@@ -389,14 +391,17 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
             {
                 "t": s.t, "record_index": s.record_index, "width": s.width,
                 "resolved": s.resolved, "h_half_jump": s.h_half_jump,
-                "field": field_to_json(s.field),
             }
             for s in traj.snapshots
         ],
     }
     with open(snap_path, "w") as fh:
         json.dump(payload, fh)
-    return {"records": rec_path, "snapshots": snap_path}
+    fields_path = os.path.join(out_dir, "snapshots.npy")
+    fields = np.array([s.field.values for s in traj.snapshots], dtype=np.complex128)
+    np.save(fields_path, fields.reshape(len(traj.snapshots), traj.grid.n_points),
+            allow_pickle=False)
+    return {"records": rec_path, "snapshots": snap_path, "fields": fields_path}
 
 
 def load_trajectory(out_dir) -> Trajectory:
@@ -408,12 +413,20 @@ def load_trajectory(out_dir) -> Trajectory:
     rows = np.loadtxt(os.path.join(out_dir, "records.csv"), delimiter=",", skiprows=1, ndmin=2)
     cols = ("t", "dt", "mass", "energy", "h_half", "boundary_mass")
     records = {c: rows[:, i] for i, c in enumerate(cols)}
+    fields_path = os.path.join(out_dir, "snapshots.npy")
+    if not os.path.isfile(fields_path):
+        raise ValueError(f"{fields_path} is missing (snapshots.json holds metadata only)")
+    fields = np.load(fields_path, allow_pickle=False)
+    expected = (len(payload["snapshots"]), grid.n_points)
+    if fields.dtype != np.complex128 or fields.shape != expected:
+        raise ValueError(f"{fields_path} holds {fields.dtype} {fields.shape}, "
+                         f"expected complex128 {expected}")
     snapshots = [
         Snapshot(
-            t=s["t"], field=field_from_json(s["field"]), record_index=s["record_index"],
+            t=s["t"], field=Field(grid, values), record_index=s["record_index"],
             width=s["width"], resolved=s["resolved"], h_half_jump=s["h_half_jump"],
         )
-        for s in payload["snapshots"]
+        for s, values in zip(payload["snapshots"], fields)
     ]
     return Trajectory(grid=grid, params=params, controls=controls,
                       records=records, snapshots=snapshots, termination=payload["termination"])

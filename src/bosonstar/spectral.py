@@ -4,8 +4,9 @@ A radial function u(|x|) on R^3 is represented through g(r) = r*u(r) with odd
 extension, so the 3D Fourier transform reduces to a type-I discrete sine
 transform of g.  All Fourier multipliers (sqrt(-Delta + m^2), fractional
 Sobolev weights, the free propagator) act diagonally in that basis, and the
-attractive Coulomb potential |x|^-1 * |u|^2 is computed from Newton's shell
-formula by cumulative trapezoid sums.
+attractive Coulomb potential |x|^-1 * |u|^2 comes from solving the radial
+Poisson equation in the same sine basis (Newton's shell formula by cumulative
+trapezoid sums is kept as a cross-check).
 
 Grid convention: n_points samples at r_j = j*dr (j = 1..n), r_max = n*dr,
 frequencies k_m = m*pi/r_max.  The sine basis vanishes at r = 0 and r = r_max,
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "RadialGrid",
@@ -210,6 +210,8 @@ def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid,
     dr = grid.dr
     rho = np.asarray(rho, dtype=np.float64)
     if method == "trapezoid":
+        from scipy.integrate import cumulative_trapezoid
+
         inner = cumulative_trapezoid(rho * r * r, r, initial=0.0)
         inner += 0.5 * dr * rho[0] * r[0] ** 2  # [0, r_1] segment, integrand 0 at s=0
         outer_cum = cumulative_trapezoid(rho * r, r, initial=0.0)

@@ -111,8 +111,12 @@ class TestRunDispatch:
             })
             code, out_dir = run(cfg, quiet=True)
             assert code == EXIT_OK
-            digests.append((file_digest(os.path.join(out_dir, "records.csv")),
-                            file_digest(os.path.join(out_dir, "snapshots.json"))))
+            digests.append(tuple(file_digest(os.path.join(out_dir, name)) for name in
+                                 ("records.csv", "snapshots.json", "snapshots.npy")))
+            assert verify_manifest(out_dir)
+            with open(os.path.join(out_dir, "manifest.json")) as fh:
+                assert set(json.load(fh)["digests"]) == {"records.csv", "snapshots.json",
+                                                         "snapshots.npy"}
         assert digests[0] == digests[1]
 
     def test_evolve_degenerate_horizon(self, tmp_path):
@@ -200,6 +204,26 @@ class TestMainEntry:
         code = main(["evolve", "--config", str(path)])
         assert code == EXIT_VALIDATION
 
+    def test_exterior_not_applicable_without_blowup(self, tmp_path):
+        gs_json = tmp_path / "gs.json"
+        assert main(["--out-dir", str(tmp_path / "gs"), "--quiet", "ground-state",
+                     "--n", "256", "--rmax", "32", "--tol", "1e-8",
+                     "--out", str(gs_json)]) == EXIT_OK
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10, "snapshot_stride": 2},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(tmp_path / "ev")})
+        assert main(["--quiet", "evolve", "--config", ev_config]) == EXIT_OK
+        report_json = tmp_path / "report.json"
+        code = main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
+                     "--trajectory", str(tmp_path / "ev"), "--ground-state", str(gs_json),
+                     "--checks", "exterior", "--out", str(report_json)])
+        assert code == EXIT_OK
+        (rec,) = json.loads(report_json.read_text())["checks"]
+        assert rec["check"] == "exterior_cauchy" and rec["pass"]
+        assert rec["params"] == {"applicable": False, "termination": "HorizonReached"}
+
     def test_operator_check_cli(self, tmp_path):
         code = main(["--out-dir", str(tmp_path / "oc"), "--seed", "2", "--quiet",
                      "operator-check", "--suite", "ims", "--n", "64", "--s", "0.5"])
@@ -230,10 +254,15 @@ class TestSchemaStability:
         snap = json.loads(open(os.path.join(ev_dir, "snapshots.json")).read())
         assert set(schema["snapshots.json"]) <= set(snap)
         assert set(schema["snapshots.json.snapshot"]) <= set(snap["snapshots"][0])
+        assert "field" not in snap["snapshots"][0]
+        fields = np.load(os.path.join(ev_dir, "snapshots.npy"), allow_pickle=False)
+        assert fields.dtype == np.dtype(schema["snapshots.npy"]["dtype"])
+        assert fields.shape == (len(snap["snapshots"]), snap["grid"]["n_points"])
         header = open(os.path.join(ev_dir, "records.csv")).readline().strip().split(",")
         assert header == schema["records.csv.columns"]
         manifest = json.loads(open(os.path.join(ev_dir, "manifest.json")).read())
         assert set(schema["manifest.json"]) <= set(manifest)
+        assert manifest["version"] == schema["version"]
 
 
 class TestNumericalFailureExit:

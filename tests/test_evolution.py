@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -182,12 +184,33 @@ class TestTrajectoryPlumbing:
         controls = EvolutionControls(dt0=5e-3, t_end=0.2, cfl=1.0, dt_floor=1e-12,
                                      snapshot_stride=5)
         traj = evolve(f, P1, controls)
-        save_trajectory(traj, tmp_path)
+        files = save_trajectory(traj, tmp_path)
+        assert set(files) == {"records", "snapshots", "fields"}
         back = load_trajectory(tmp_path)
         assert back.termination == traj.termination
         assert np.allclose(back.records["t"], traj.records["t"], rtol=0, atol=0)
-        assert np.array_equal(back.final_field.values, traj.final_field.values)
-        assert [s.resolved for s in back.snapshots] == [s.resolved for s in traj.snapshots]
+        assert len(back.snapshots) == len(traj.snapshots) > 1
+        for s_back, s in zip(back.snapshots, traj.snapshots):
+            assert s_back.field.values.dtype == np.complex128
+            assert np.array_equal(s_back.field.values, s.field.values)
+            assert (s_back.t, s_back.record_index, s_back.resolved) == (s.t, s.record_index,
+                                                                        s.resolved)
+
+    def test_load_rejects_bad_or_missing_fields(self, tmp_path):
+        f = gaussian_field(GRID, 0.5, 2.0)
+        controls = EvolutionControls(dt0=5e-3, t_end=0.05, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=5)
+        files = save_trajectory(evolve(f, P1, controls), tmp_path)
+        fields = np.load(files["fields"])
+        np.save(files["fields"], fields[:, :-1])
+        with pytest.raises(ValueError, match="expected"):
+            load_trajectory(tmp_path)
+        np.save(files["fields"], fields.astype(np.complex64))
+        with pytest.raises(ValueError, match="expected"):
+            load_trajectory(tmp_path)
+        os.remove(files["fields"])
+        with pytest.raises(ValueError, match="missing"):
+            load_trajectory(tmp_path)
 
     def test_synthetic_trajectory(self):
         prof = gaussian_field(GRID, 1.0, 1.0)
