@@ -4,8 +4,9 @@ Subcommands: ground-state, evolve, diagnose, operator-check.  Each run writes
 its outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.
 
-Exit codes: 0 success, 2 config/validation failure, 3 numerical failure
-(non-convergence, divergence, non-finite values), 4 a diagnostic check failed.
+Exit codes: 0 success, 2 config/validation failure or unreadable input files,
+3 numerical failure (non-convergence, divergence, non-finite values), 4 a
+diagnostic check failed.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
+
+# how an operator-check statistic must relate to its bound; "<=" for unlisted checks
+_RELATION = {"localization_spectrum_low": ">=", "ims_defect": ">=", "profile_count": "=="}
+
+
+class InputError(ValueError):
+    """An input file named by the config cannot be read."""
 
 
 def _say(quiet, *args):
@@ -151,8 +159,11 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False):
 
 def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
     tol = cfg.tolerances
-    traj = load_trajectory(cfg.diagnose["trajectory"])
-    gs = load_ground_state_json(cfg.diagnose["ground_state"])
+    try:
+        traj = load_trajectory(cfg.diagnose["trajectory"])
+        gs = load_ground_state_json(cfg.diagnose["ground_state"])
+    except (ValueError, OSError) as exc:
+        raise InputError(f"cannot read diagnose inputs: {exc}") from exc
     params = ModelParams(float(cfg.params["mass"]))
     checks = cfg.diagnose.get("checks", "all")
     wanted = None if checks == "all" else set(
@@ -288,7 +299,8 @@ def run_operator_check(cfg: RunConfig, quiet=False) -> dict:
             out["profile_mass_sum"] <= out["mass_budget"] * (1 + 1e-6))
     for rec in results:
         _say(quiet, f"  [{'PASS' if rec['pass'] else 'FAIL'}] {rec['check']}: "
-                    f"statistic={rec['statistic']:.6g} bound={rec['bound']:.6g}")
+                    f"statistic={rec['statistic']:.6g} {_RELATION.get(rec['check'], '<=')} "
+                    f"bound={rec['bound']:.6g}")
     return {"suite": suite, "n": n, "s": s, "checks": results}
 
 
@@ -325,6 +337,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
     except (GroundStateError, NonFinite) as exc:
         _say(quiet, f"numerical failure: {exc}")
         return EXIT_NUMERICAL, out_dir
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION, out_dir
     write_manifest(cfg, out_dir, time.time() - t0, outputs)
     return code, out_dir
 

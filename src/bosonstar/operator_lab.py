@@ -11,7 +11,10 @@ bounded sequences into receding bumps.
 Operators are built by conjugating their diagonal Fourier symbols with the
 DFT; the scalar integral representation x^s = (sin pi s / pi) Int x/(x+t)
 t^{s-1} dt is kept as an independent quadrature route (two-panel Gauss-Jacobi
-in t, which carries the fractional endpoint weights exactly).
+in t, which carries the fractional endpoint weights exactly).  Resolvent
+quadratures run in the eigenbasis of A = 1 - Delta from one `eigh`, where
+every (A + t)^{-1} is a diagonal divide; multiplication by chi is applied
+elementwise, never as a dense diagonal matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "spectral_gradient",
     "operator_norm",
     "operator_norm_matrix",
-    "commutator",
     "commutator_norm",
     "localization_defect",
     "ims_defect",
@@ -162,14 +164,15 @@ def operator_norm(op: DenseOperator) -> float:
     return operator_norm_matrix(op.matrix)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _chi_commutator(chi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """[diag(chi), m] without forming diag(chi)."""
+    return chi[:, None] * m - m * chi[None, :]
 
 
 def commutator_norm(grid: PeriodicGrid1D, s: float, a: float, chi: np.ndarray) -> float:
-    """Operator norm of [(a-Delta)^{s/2}, chi]."""
-    op = build_fractional(grid, s / 2.0, a)
-    return operator_norm_matrix(commutator(op.matrix, np.diag(chi).astype(np.complex128)))
+    """Operator norm of [(a-Delta)^{s/2}, chi] (real: the symbol is real and even)."""
+    op = build_fractional(grid, s / 2.0, a).matrix.real
+    return operator_norm_matrix(_chi_commutator(np.asarray(chi, dtype=np.float64), op))
 
 
 # --- quadrature of the resolvent integral representation ---------------------
@@ -222,21 +225,11 @@ def scalar_power_quadrature(x, s: float, n_nodes: int = 48, t_hi: float | None =
 
 def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
                               n_nodes: int = 48) -> DenseOperator:
-    """(a-Delta)^s assembled from dense resolvents:
-    (sin pi s/pi) Int_0^inf A (A + t)^{-1} t^{s-1} dt with A = a - Delta."""
-    A = build_fractional(grid, 1.0, a).matrix.real
-    t_hi = 4.0 * max(1.0, operator_norm_matrix(A))
-    eye = np.eye(grid.n)
-    t1, w1 = _composite_t_nodes(s - 1.0, t_hi, n_nodes)
-    acc = np.zeros_like(A)
-    for t, w in zip(t1, w1):
-        acc += w * (A @ np.linalg.inv(A + t * eye))
-    # far tail t = t_hi/u: A (A + t_hi/u)^{-1} -> u A (u A + t_hi)^{-1}; with
-    # t^{s-1} dt the integrand becomes t_hi^s u^{-s} A (u A + t_hi)^{-1} du
-    u2, w2 = _jacobi01(n_nodes, -s)
-    for u, w in zip(u2, w2):
-        acc += w * t_hi**s * (A @ np.linalg.inv(u * A + t_hi * eye))
-    m = (np.sin(np.pi * s) / np.pi) * acc
+    """(a-Delta)^s as V diag(q(lam)) V^T, with A = a - Delta = V diag(lam) V^T
+    from `eigh` and q the resolvent quadrature of `scalar_power_quadrature`
+    (t_hi = 4 max(1, lam_max)); the symbol (a + k^2)^s is never evaluated."""
+    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a).matrix.real)
+    m = V @ (scalar_power_quadrature(lam, s, n_nodes)[:, None] * V.T)
     return DenseOperator(0.5 * (m + m.T), grid, f"quadrature (a-Delta)^s, s={s}")
 
 
@@ -248,74 +241,75 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
     L_chi is built from its manifestly nonnegative resolvent representation
 
         L_chi = (sin pi s/pi) Int R_t [-Delta, chi] R_t [chi, -Delta] R_t t^s dt,
-        R_t = (t + 1 - Delta)^{-1},
+        R_t = (t + 1 - Delta)^{-1}.
 
-    every quadrature node of which is PSD, so 0 <= L_chi <= 4 s ||grad
-    chi||_inf^2 holds at the discrete level.  The rearranged localization
-    formula L_chi = (1/2)[chi,[chi,(1-Delta)^s]] + (sin pi s/pi) Int R_t
-    |grad chi|^2 R_t t^s dt picks up an aliasing defect at the frequency-band
-    edge on a finite grid; its residual against the direct assembly is
-    reported (not asserted).
+    The quadrature runs in the eigenbasis of A = 1 - Delta = V diag(lam) V^T,
+    where R_t = V diag(d) V^T with d = 1/(lam + t).  With C^ = V^T [chi, A] V
+    each node term is B B^T, B = diag(d) C^ diag(d)^{1/2}: one product per
+    node, every node term PSD, so 0 <= L_chi <= 4 s ||grad chi||_inf^2 holds
+    at the discrete level.  The sum is transformed back once.  The rearranged
+    localization formula L_chi = (1/2)[chi,[chi,(1-Delta)^s]] + (sin pi s/pi)
+    Int R_t |grad chi|^2 R_t t^s dt picks up an aliasing defect at the
+    frequency-band edge on a finite grid; its residual against the direct
+    assembly is reported (not asserted).
 
     By default the t-integral covers all of (0, inf): exact fractional weights
-    at both ends and geometric Gauss-Legendre panels in between (tail estimate
-    0).  Passing t_max truncates instead; the neglected tail, bounded by
-    (sin pi s/pi) ||[-Delta,chi]||^2 t_max^{s-2}/(2-s), must stay below
-    tail_tol or QuadratureTailTooLarge is raised.
+    at both ends and geometric Gauss-Legendre panels in between up to
+    t_hi = 4 lam_max (tail estimate 0).  Passing t_max truncates instead; the
+    neglected tail, bounded by (sin pi s/pi) ||[-Delta,chi]||^2
+    t_max^{s-2}/(2-s), must stay below tail_tol or QuadratureTailTooLarge is
+    raised.
     """
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
     chi = np.asarray(chi, dtype=np.float64)
     grad = spectral_gradient(grid, chi)
     grad_inf = float(np.max(np.abs(grad)))
-    A = build_fractional(grid, 1.0, 1.0).matrix.real  # 1 - Delta
-    As = build_fractional(grid, s, 1.0).matrix.real
-    X = np.diag(chi)
-    W = np.diag(grad * grad)
-    eye = np.eye(grid.n)
-    double = commutator(X, commutator(X, As))
-    C = commutator(-(A - eye), X).real  # [-Delta, chi], antisymmetric
+    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0).matrix.real))
+    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0).matrix.real)  # 1 - Delta
+    Ch = V.T @ (chi[:, None] * V)
+    Ch *= lam - lam[:, None]  # V^T [chi, -Delta] V, antisymmetric
+    Wh = V.T @ ((grad * grad)[:, None] * V)
 
-    t_hi = 4.0 * operator_norm_matrix(A) if t_max is None else t_max
+    t_hi = 4.0 * lam[-1] if t_max is None else t_max
     tail_estimate = 0.0
     if t_max is not None:
         tail_estimate = (np.sin(np.pi * s) / np.pi) \
-            * operator_norm_matrix(C) ** 2 * t_max ** (s - 2.0) / (2.0 - s)
+            * operator_norm_matrix(Ch) ** 2 * t_max ** (s - 2.0) / (2.0 - s)
         if tail_estimate > tail_tol:
             raise QuadratureTailTooLarge(
                 f"tail estimate {tail_estimate:.3e} beyond t_max={t_max} exceeds {tail_tol:.1e}")
 
-    def _node_term(R):
-        return R @ C @ R @ C.T @ R
-
+    # columns of d: the diagonal of R_t in the eigenbasis at each quadrature node
     t1, w1 = _composite_t_nodes(s, t_hi, n_nodes)
-    acc = np.zeros_like(A)
-    reacc = np.zeros_like(A)
-    for t, w in zip(t1, w1):
-        R = np.linalg.inv(A + t * eye)
-        acc += w * _node_term(R)
-        reacc += w * (R @ W @ R)
+    d = 1.0 / (lam[:, None] + t1)
+    G = (d * w1) @ d.T  # Int R_t (.) R_t t^s dt acts entrywise: Wh * G
     if t_max is None:
         # far tail t = t_hi/u: R_t = u (uA + t_hi)^{-1}; the triple-resolvent
-        # integrand gains u^3 and t^s dt contributes t_hi^{s+1} u^{-s-2}
+        # integrand gains u^3 and t^s dt contributes t_hi^{s+1} u^{-s-2}, the
+        # double-resolvent one u^{-s}
         u2, w2 = _jacobi01(n_nodes, 1.0 - s)
-        for u, w in zip(u2, w2):
-            Ru = np.linalg.inv(u * A + t_hi * eye)
-            acc += w * t_hi ** (s + 1.0) * _node_term(Ru)
-        u3, w3 = _jacobi01(n_nodes, -s)  # the double-resolvent tail carries u^{-s}
-        for u, w in zip(u3, w3):
-            Ru = np.linalg.inv(u * A + t_hi * eye)
-            reacc += w * t_hi ** (s + 1.0) * (Ru @ W @ Ru)
+        u3, w3 = _jacobi01(n_nodes, -s)
+        d3 = 1.0 / (lam[:, None] * u3 + t_hi)
+        G += (d3 * (w3 * t_hi ** (s + 1.0))) @ d3.T
+        d = np.hstack([d, 1.0 / (lam[:, None] * u2 + t_hi)])
+        w1 = np.concatenate([w1, w2 * t_hi ** (s + 1.0)])
+    acc = np.zeros_like(Ch)
+    for dk, w in zip(d.T, w1):
+        B = Ch * np.sqrt(dk)
+        B *= (np.sqrt(w) * dk)[:, None]
+        acc += B @ B.T  # w R C R C^T R
     front = np.sin(np.pi * s) / np.pi
-    lchi = front * acc
-    lchi = 0.5 * (lchi + lchi.conj().T)
-    rearranged = 0.5 * double + front * reacc
+    lchi = front * (V @ acc @ V.T)
+    lchi = 0.5 * (lchi + lchi.T)
+    rearranged = 0.5 * double + front * (V @ (Wh * G) @ V.T)
     evals = np.linalg.eigvalsh(lchi)
     # the continuum double-commutator bound concerns the operator below the
     # aliasing edge; project out the wrapped top band before taking the norm
     proj = band_projector(grid, 2 * bandwidth_cells(grid, chi) + 1)
     return {
         "l_chi": DenseOperator(lchi, grid, f"L_chi, s={s}"),
+        "rearranged": DenseOperator(rearranged, grid, f"rearranged L_chi, s={s}"),
         "eig_min": float(evals[0]),
         "eig_max": float(evals[-1]),
         "upper_bound": 4.0 * s * grad_inf**2,
@@ -340,11 +334,11 @@ def ims_defect(grid: PeriodicGrid1D, s: float, partition: list[np.ndarray]) -> f
     acc = As.copy()
     grad_sq = np.zeros(grid.n)
     for chi in partition:
-        X = np.diag(np.asarray(chi, dtype=np.float64))
-        acc -= X @ As @ X
-        g = spectral_gradient(grid, np.asarray(chi, dtype=np.float64))
+        chi = np.asarray(chi, dtype=np.float64)
+        acc -= chi[:, None] * As * chi[None, :]
+        g = spectral_gradient(grid, chi)
         grad_sq += g * g
-    acc = 0.5 * (acc + acc.conj().T)
+    acc = 0.5 * (acc + acc.T)
     lam_min = float(np.linalg.eigvalsh(acc)[0])
     return lam_min + s * float(np.max(grad_sq))
 

@@ -224,10 +224,34 @@ class TestMainEntry:
         assert rec["check"] == "exterior_cauchy" and rec["pass"]
         assert rec["params"] == {"applicable": False, "termination": "HorizonReached"}
 
-    def test_operator_check_cli(self, tmp_path):
-        code = main(["--out-dir", str(tmp_path / "oc"), "--seed", "2", "--quiet",
+    def test_operator_check_cli(self, tmp_path, capsys):
+        code = main(["--out-dir", str(tmp_path / "oc"), "--seed", "2",
                      "operator-check", "--suite", "ims", "--n", "64", "--s", "0.5"])
         assert code == EXIT_OK
+        assert " >= bound=-1e-08" in capsys.readouterr().out  # a lower bound reads as one
+
+    @pytest.mark.parametrize("damage", ["nonexistent", "missing_fields", "wrong_dtype"])
+    def test_unreadable_trajectory_exit_code(self, tmp_path, capsys, damage):
+        traj_dir = tmp_path / "ev"
+        if damage == "nonexistent":
+            traj_dir = tmp_path / "absent"
+        else:
+            code, _ = run(config_from_dict({
+                "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+                "controls": {"dt0": 1e-2, "t_end": 0.0, "dt_floor": 1e-10},
+                "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+                "out_dir": str(traj_dir)}), quiet=True)
+            assert code == EXIT_OK
+            fields = traj_dir / "snapshots.npy"
+            if damage == "missing_fields":
+                fields.unlink()
+            else:
+                np.save(fields, np.load(fields).real)
+        code = main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
+                     "--trajectory", str(traj_dir), "--ground-state", str(tmp_path / "gs.json")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and "\n" not in err
 
 
 class TestSchemaStability:

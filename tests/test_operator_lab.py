@@ -9,7 +9,6 @@ from bosonstar.operator_lab import (
     QuadratureTailTooLarge,
     SequenceFamily,
     build_fractional,
-    commutator,
     commutator_norm,
     fractional_via_quadrature,
     highest_local_mass,
@@ -29,8 +28,38 @@ from bosonstar.operator_lab import (
     subcritical_check,
     tanh_bump,
 )
+from bosonstar.operator_lab import _composite_t_nodes, _jacobi01
 
 GRID = PeriodicGrid1D(128, 32.0)
+
+
+def dense_localization(grid, s, chi, t_max=None, n_nodes=48):
+    """Reference L_chi and rearranged formula from dense resolvents (A + t)^{-1}."""
+    A = build_fractional(grid, 1.0, 1.0).matrix.real
+    As = build_fractional(grid, s, 1.0).matrix.real
+    X = np.diag(chi)
+    grad = spectral_gradient(grid, chi)
+    W = np.diag(grad * grad)
+    eye = np.eye(grid.n)
+    C = X @ A - A @ X
+    inner = X @ As - As @ X
+    double = X @ inner - inner @ X
+    t_hi = 4.0 * operator_norm_matrix(A) if t_max is None else t_max
+    acc = np.zeros_like(A)
+    reacc = np.zeros_like(A)
+    for t, w in zip(*_composite_t_nodes(s, t_hi, n_nodes)):
+        R = np.linalg.inv(A + t * eye)
+        acc += w * (R @ C @ R @ C.T @ R)
+        reacc += w * (R @ W @ R)
+    if t_max is None:
+        for u, w in zip(*_jacobi01(n_nodes, 1.0 - s)):
+            R = np.linalg.inv(u * A + t_hi * eye)
+            acc += w * t_hi ** (s + 1.0) * (R @ C @ R @ C.T @ R)
+        for u, w in zip(*_jacobi01(n_nodes, -s)):
+            R = np.linalg.inv(u * A + t_hi * eye)
+            reacc += w * t_hi ** (s + 1.0) * (R @ W @ R)
+    front = np.sin(np.pi * s) / np.pi
+    return front * acc, 0.5 * double + front * reacc
 
 
 def periodic_bump(grid, center, width, amp=1.0):
@@ -99,6 +128,15 @@ class TestCommutator:
             for s in (0.5, 1.0):
                 assert commutator_norm(GRID, s, 1.0, chi) <= c_cal * gi
 
+    def test_real_svd_matches_complex(self):
+        rng = np.random.default_rng(12)
+        for s in (0.5, 1.0):
+            chi = random_smooth_chi(GRID, rng)
+            op = build_fractional(GRID, s / 2.0, 1.0).matrix
+            X = np.diag(chi).astype(np.complex128)
+            ref = np.linalg.norm(op @ X - X @ op, 2)
+            assert abs(commutator_norm(GRID, s, 1.0, chi) - ref) <= 1e-13 * ref
+
 
 class TestLocalization:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -116,6 +154,15 @@ class TestLocalization:
         chi = random_smooth_chi(GRID, rng)
         out = localization_defect(GRID, s, chi)
         assert out["double_commutator_norm"] <= out["double_commutator_bound"]
+
+    @pytest.mark.parametrize("t_max", [None, 1e9])
+    def test_eigenbasis_matches_dense_resolvents(self, t_max):
+        g = PeriodicGrid1D(32, 16.0)
+        chi = random_smooth_chi(g, np.random.default_rng(5))
+        out = localization_defect(g, 0.5, chi, t_max=t_max)
+        lchi, rearranged = dense_localization(g, 0.5, chi, t_max)
+        for got, ref in ((out["l_chi"].matrix, lchi), (out["rearranged"].matrix, rearranged)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_constant_chi_gives_zero(self):
         out = localization_defect(GRID, 0.5, np.full(GRID.n, 0.4))
