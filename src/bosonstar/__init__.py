@@ -8,11 +8,9 @@ from .spectral import (  # noqa: F401
     RadialGrid,
     SpectralField,
     apply_multiplier,
-    coulomb_potential,
     energy,
     hs_norm,
     inverse_radial_transform,
     mass,
-    massless_energy,
     radial_transform,
 )

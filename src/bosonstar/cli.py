@@ -4,8 +4,9 @@ Subcommands: ground-state, evolve, diagnose, operator-check.  Each run writes
 its outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.
 
-Exit codes: 0 success, 2 config/validation failure or unreadable input files,
-3 numerical failure (non-convergence, divergence, non-finite values), 4 a
+Exit codes: 0 success, 2 config/validation failure, unreadable input files or
+an evolve that cannot start (invalid controls, unresolved datum), 3 numerical
+failure (non-convergence, divergence, non-finite values), 4 a
 diagnostic check failed.
 """
 
@@ -37,6 +38,7 @@ from .evolution import (
     NonFinite,
     evolve,
     load_trajectory,
+    require_resolved,
     save_trajectory,
 )
 from .ground_state import (
@@ -67,7 +69,7 @@ _RELATION = {"localization_spectrum_low": ">=", "ims_defect": ">=", "profile_cou
 
 
 class InputError(ValueError):
-    """An input file named by the config cannot be read."""
+    """An input named by the config cannot be read or cannot be run from."""
 
 
 def _say(quiet, *args):
@@ -142,8 +144,12 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False):
     params = ModelParams(float(cfg.params["mass"]))
     ctrl_kwargs = dict(cfg.controls)
     ctrl_kwargs.setdefault("resolved_width_cells", cfg.tolerances.resolved_width_cells)
-    controls = EvolutionControls(**ctrl_kwargs)
-    u0 = _make_u0(cfg, grid)
+    try:
+        controls = EvolutionControls(**ctrl_kwargs)
+        u0 = _make_u0(cfg, grid)
+        require_resolved(u0)
+    except (ValueError, TypeError, OSError) as exc:
+        raise InputError(f"cannot start evolve: {exc}") from exc
     traj = evolve(u0, params, controls)
     files = save_trajectory(traj, out_dir)
     rec = traj.records
@@ -162,7 +168,9 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
     try:
         traj = load_trajectory(cfg.diagnose["trajectory"])
         gs = load_ground_state_json(cfg.diagnose["ground_state"])
-    except (ValueError, OSError) as exc:
+    except KeyError as exc:
+        raise InputError(f"cannot read diagnose inputs: missing key {exc}") from exc
+    except (ValueError, TypeError, OSError) as exc:
         raise InputError(f"cannot read diagnose inputs: {exc}") from exc
     params = ModelParams(float(cfg.params["mass"]))
     checks = cfg.diagnose.get("checks", "all")
@@ -196,7 +204,8 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
                 report.concentration_trace = rec.params["trace"]
     if want("measure"):
         hist, cauchy = diag.blowup_measure(traj, int(cfg.diagnose.get("bins", tol.histogram_bins)),
-                                           cutoffs=bank, c_cal=tol.c_cal_propagation)
+                                           cutoffs=bank, c_cal=tol.c_cal_propagation,
+                                           pad=tol.cauchy_pad)
         report.measure_histogram = hist
         report.records.extend(cauchy)
     if want("exterior"):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 __all__ = [
     "Tolerances",
     "RunConfig",
-    "RunManifest",
     "ParseError",
     "ValidationError",
     "load_config",
@@ -224,14 +223,6 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config: dict
-    version: str
-    wall_clock: float
-    digests: dict
 
 
 def write_manifest(cfg: RunConfig, out_dir, wall_clock: float, outputs: list) -> str:

@@ -22,12 +22,9 @@ from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
-    SpectralField,
-    coulomb_potential_density,
     homogeneous_half_sq,
-    inverse_radial_transform,
+    kernel,
     mass,
-    radial_transform,
 )
 
 __all__ = [
@@ -306,13 +303,14 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
 # --- blowup measure -----------------------------------------------------------
 
 def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
-                   c_cal: float | None = None, window: int = 5) -> tuple[dict, list[CheckRecord]]:
+                   c_cal: float | None = None, window: int = 5,
+                   pad: float = 1e-6) -> tuple[dict, list[CheckRecord]]:
     """Radial mass histograms over time plus the Cauchy oscillation report.
 
     The histogram sequence is the grid approximant of the limiting measure of
     |u(t)|^2; for each bank cutoff the oscillation of M_chi over the final
     snapshot window must be controlled by the propagation constant times the
-    window length.
+    window length, plus the additive pad (Tolerances.cauchy_pad).
     """
     g = traj.grid
     edges = np.linspace(0.0, g.r_max, bins + 1)
@@ -337,7 +335,7 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
             for chi in cutoffs:
                 ms = [localized_mass(s.field, chi) for s in tail]
                 osc = float(np.max(ms) - np.min(ms))
-                bound = c_cal * chi.grad_inf * span + 1e-6
+                bound = c_cal * chi.grad_inf * span + pad
                 records.append(CheckRecord(
                     check="measure_cauchy",
                     params={"kind": chi.kind, "radius": chi.radius, "window": span},
@@ -388,22 +386,19 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
 
     zeta = _zeta_exterior(g, R)
     zeta_half = _zeta_exterior(g, R / 2.0)
-    k = g.frequencies
-    omega = np.sqrt(k * k + params.mass**2)
+    kern = kernel(g, params)
     sup_vzeta = 0.0
     sup_vur = 0.0
     sup_fr = 0.0
     for s in window:
         u = s.field
-        v = coulomb_potential_density(np.abs(u.values) ** 2, g)
+        v = kern.potential(np.abs(u.values) ** 2)
         sup_vzeta = max(sup_vzeta, float(np.max(v * zeta_half)))
         ur = zeta * u.values
         vur = float(np.sqrt(g.weight * np.sum((v * np.abs(ur)) ** 2 * g.r**2)))
         sup_vur = max(sup_vur, vur)
-        c = radial_transform(u).coefficients
-        au = inverse_radial_transform(SpectralField(g, omega * c)).values
-        azu = inverse_radial_transform(
-            SpectralField(g, omega * radial_transform(Field(g, ur)).coefficients)).values
+        au = kern.inverse(kern.omega * kern.forward(u.values))
+        azu = kern.inverse(kern.omega * kern.forward(ur))
         fr = zeta * au - azu
         sup_fr = max(sup_fr, float(np.sqrt(g.weight * np.sum(np.abs(fr) ** 2 * g.r**2))))
     rec_pot = CheckRecord(

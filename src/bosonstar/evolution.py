@@ -19,18 +19,15 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    RadialKernel,
     boundary_mass,
-    coulomb_potential_density,
+    kernel,
     mass,
-    radial_transform,
-    inverse_radial_transform,
-    SpectralField,
 )
 
 __all__ = [
@@ -40,6 +37,8 @@ __all__ = [
     "NonFinite",
     "step",
     "evolve",
+    "require_resolved",
+    "trajectory_from_snapshots",
     "free_evolution",
     "h_minus1_rhs_bound",
     "half_max_width",
@@ -53,6 +52,8 @@ HORIZON_REACHED = "HorizonReached"
 STEP_FLOOR = "StepFloor"
 NORM_CAP = "NormCap"
 DIVERGED = "Diverged"
+
+RECORD_COLUMNS = ("t", "dt", "mass", "energy", "h_half", "boundary_mass")
 
 
 class NonFinite(ArithmeticError):
@@ -140,84 +141,75 @@ def step(u: Field, dt: float, params: ModelParams, potential: np.ndarray | None 
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = u.grid
-    k = grid.frequencies
-    phase_half = np.exp(-0.5j * dt * np.sqrt(k * k + params.mass**2))
-    c = radial_transform(u).coefficients * phase_half
-    mid = inverse_radial_transform(SpectralField(grid, c))
-    if potential is None:
-        v = coulomb_potential_density(np.abs(mid.values) ** 2, grid)
-    else:
-        v = np.asarray(potential, dtype=np.float64)
-    rotated = mid.values * np.exp(1j * dt * v)
-    c = radial_transform(Field(grid, rotated)).coefficients * phase_half
-    out = inverse_radial_transform(SpectralField(grid, c))
+    kern = kernel(u.grid, params)
+    if potential is not None:
+        potential = np.asarray(potential, dtype=np.float64)
+    c, _ = kern.strang(kern.forward(u.values), dt, potential)
+    out = Field(u.grid, kern.inverse(c))
     if not np.all(np.isfinite(out.values)):
         raise NonFinite(f"non-finite values after step of size {dt}")
     return out
 
 
-def _interaction_from_density_transform(rho_tilde: np.ndarray, total: float, grid: RadialGrid) -> float:
-    """D(rho, rho) from the sine coefficients of r*rho (Parseval form of the Poisson solve)."""
-    k = grid.frequencies[:-1]
-    return float(grid.weight * 4.0 * np.pi * np.sum(rho_tilde**2 / (k * k)) + total * total / grid.r_max)
-
-
-def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
-    """Integrate from u0 with adaptive Strang stepping and per-step conservation records."""
-    grid = u0.grid
+def require_resolved(u0: Field) -> None:
+    """Raise ValueError unless u0 carries at most 1e-6 of its mass beyond 0.9 r_max."""
     m0 = mass(u0)
     if m0 > 0 and boundary_mass(u0) > 1e-6 * m0:
         raise ValueError("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
 
-    k = grid.frequencies
-    omega = np.sqrt(k * k + params.mass**2)
-    r = grid.r
-    scale = np.sqrt(grid.weight)
-    interior_r = r[:-1]
-    bnd_sel = r >= 0.9 * grid.r_max
 
-    def fwd(vals):
-        out = np.empty(grid.n_points, dtype=np.complex128)
-        g = interior_r * vals[:-1]
-        out[:-1] = scale * (dst(g.real, type=1, norm="ortho") + 1j * dst(g.imag, type=1, norm="ortho"))
-        out[-1] = 0.0
-        return out
+def _state_record(kern: RadialKernel, u_vals: np.ndarray, c_vals: np.ndarray,
+                  nonlinear: bool) -> tuple:
+    """(mass, energy, h_half, boundary_mass) of one state from its samples and coefficients.
 
-    def inv(c):
-        g = c[:-1] / scale
-        out = np.empty(grid.n_points, dtype=np.complex128)
-        out[:-1] = (idst(g.real, type=1, norm="ortho") + 1j * idst(g.imag, type=1, norm="ortho")) / interior_r
-        out[-1] = 0.0
-        return out
+    Mass, kinetic energy and the H^{1/2} norm are sums over the coefficients;
+    the interaction takes only the density transform (Parseval form).
+    """
+    grid = kern.grid
+    rho = np.abs(u_vals) ** 2
+    power = np.abs(c_vals) ** 2
+    kin = float(np.sum(kern.omega * power))
+    dd = kern.interaction(rho) if nonlinear else 0.0
+    outer = kern.r >= 0.9 * grid.r_max
+    return (float(np.sum(power)), 0.5 * kin - 0.25 * dd,
+            float(np.sqrt(np.sum(kern.h_half_weight * power))),
+            float(grid.weight * np.sum(rho[outer] * kern.r[outer] ** 2)))
 
-    def poisson(rho):
-        # sine-basis radial Poisson solve; returns (V, rho_tilde, total mass of rho)
-        total = grid.weight * float(np.sum(rho * r * r))
-        rho_tilde = dst(rho[:-1] * interior_r, type=1, norm="ortho")
-        h0 = np.empty(grid.n_points)
-        h0[:-1] = idst(4.0 * np.pi * rho_tilde / (k[:-1] ** 2), type=1, norm="ortho")
-        h0[-1] = 0.0
-        return h0 / r + total / grid.r_max, rho_tilde, total
 
-    cols = {name: [] for name in ("t", "dt", "mass", "energy", "h_half", "boundary_mass")}
+def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls,
+                cols: dict, snapshots: list, termination: str) -> Trajectory:
+    """Package record columns and (t, values, record index) snapshots as a Trajectory."""
+    records = {name: np.asarray(vals) for name, vals in cols.items()}
+    built = []
+    prev_h = None
+    for t, vals, rec_idx in snapshots:
+        f = Field(grid, vals)
+        w = half_max_width(f)
+        h = records["h_half"][rec_idx]
+        jump = 0.0 if prev_h is None else abs(h - prev_h) / prev_h
+        prev_h = h
+        built.append(Snapshot(
+            t=t, field=f, record_index=rec_idx, width=w,
+            resolved=bool(w >= controls.resolved_width_cells * grid.dr),
+            h_half_jump=float(jump),
+        ))
+    return Trajectory(grid=grid, params=params, controls=controls,
+                      records=records, snapshots=built, termination=termination)
+
+
+def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
+    """Integrate from u0 with adaptive Strang stepping and per-step conservation records."""
+    require_resolved(u0)
+    grid = u0.grid
+    kern = kernel(grid, params)
+    nonlinear = controls.include_nonlinearity
+    cols = {name: [] for name in RECORD_COLUMNS}
 
     def push_record(t, dt_used, u_vals, c_vals):
-        rho = np.abs(u_vals) ** 2
-        m = float(np.sum(np.abs(c_vals) ** 2))
-        kin = float(np.sum(omega * np.abs(c_vals) ** 2))
-        if controls.include_nonlinearity:
-            _, rho_tilde, total = poisson(rho)
-            dd = _interaction_from_density_transform(rho_tilde, total, grid)
-        else:
-            dd = 0.0
-        e = 0.5 * kin - 0.25 * dd
-        h_half = float(np.sqrt(np.sum(np.sqrt(1.0 + k * k) * np.abs(c_vals) ** 2)))
-        bm = float(grid.weight * np.sum(rho[bnd_sel] * r[bnd_sel] ** 2))
-        for name, val in (("t", t), ("dt", dt_used), ("mass", m), ("energy", e),
-                          ("h_half", h_half), ("boundary_mass", bm)):
+        row = (t, dt_used) + _state_record(kern, u_vals, c_vals, nonlinear)
+        for name, val in zip(RECORD_COLUMNS, row):
             cols[name].append(val)
-        return h_half
+        return cols["h_half"][-1]
 
     snapshots: list[tuple[float, np.ndarray, int]] = []
 
@@ -228,19 +220,19 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
             snapshots[:keep_from] = snapshots[:keep_from:2]
 
     u = u0.values.copy()
-    c = fwd(u)
+    c = kern.forward(u)
     c_init = c.copy()
     h_half = push_record(0.0, 0.0, u, c)
     push_snapshot(0.0, u, 0)
 
     t = 0.0
     termination = HORIZON_REACHED
-    v_ctrl, _, _ = poisson(np.abs(u) ** 2) if controls.include_nonlinearity else (np.zeros_like(r), None, 0.0)
+    v_ctrl = kern.potential(np.abs(u) ** 2) if nonlinear else None
     steps_accepted = 0
 
     while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
-        h_hom_sq = float(np.sum(k * np.abs(c) ** 2))
-        rate = max(h_hom_sq, float(np.max(v_ctrl)) if controls.include_nonlinearity else 0.0, 1e-300)
+        h_hom_sq = float(np.sum(kern.k * np.abs(c) ** 2))
+        rate = max(h_hom_sq, float(np.max(v_ctrl)) if nonlinear else 0.0, 1e-300)
         dt = min(controls.dt0, controls.cfl / rate)
         if dt < controls.dt_floor:
             termination = STEP_FLOOR
@@ -248,17 +240,13 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
         if t + 1.05 * dt >= controls.t_end:
             dt = controls.t_end - t  # absorb the float remainder into the last step
 
-        if controls.include_nonlinearity:
-            phase_half = np.exp(-0.5j * dt * omega)
-            u_mid = inv(phase_half * c)
-            v_ctrl, _, _ = poisson(np.abs(u_mid) ** 2)
-            u_post = u_mid * np.exp(1j * dt * v_ctrl)
-            c_new = phase_half * fwd(u_post)
+        if nonlinear:
+            c_new, v_ctrl = kern.strang(c, dt)
         else:
             # free flow: splitting with V = 0 is the exact multiplier flow, so
             # exponentiate from the initial coefficients (no rounding build-up)
-            c_new = np.exp(-1j * (t + dt) * omega) * c_init
-        u_new = inv(c_new)
+            c_new = np.exp(-1j * (t + dt) * kern.omega) * c_init
+        u_new = kern.inverse(c_new)
 
         if not np.all(np.isfinite(c_new)):
             termination = DIVERGED
@@ -276,70 +264,37 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
 
     if not snapshots or snapshots[-1][0] < t:
         push_snapshot(t, u, len(cols["t"]) - 1)
-
-    records = {name: np.asarray(vals) for name, vals in cols.items()}
-
-    built = []
-    prev_h = None
-    dr = grid.dr
-    for (ts, vals, rec_idx) in snapshots:
-        f = Field(grid, vals)
-        w = half_max_width(f)
-        h = records["h_half"][rec_idx]
-        jump = 0.0 if prev_h is None else abs(h - prev_h) / prev_h
-        prev_h = h
-        built.append(Snapshot(
-            t=ts, field=f, record_index=rec_idx, width=w,
-            resolved=bool(w >= controls.resolved_width_cells * dr),
-            h_half_jump=float(jump),
-        ))
-
-    return Trajectory(grid=grid, params=params, controls=controls,
-                      records=records, snapshots=built, termination=termination)
+    return _trajectory(grid, params, controls, cols, snapshots, termination)
 
 
 def trajectory_from_snapshots(fields, times, params: ModelParams,
                               termination: str = HORIZON_REACHED,
                               controls: EvolutionControls | None = None) -> Trajectory:
     """Package explicitly constructed fields as a Trajectory (synthetic runs,
-    exact free flows); records are computed from the snapshots themselves."""
-    from .spectral import energy, hs_norm
-
+    exact free flows); records are computed from the snapshots as evolve computes them."""
     if len(fields) != len(times) or len(fields) < 1:
         raise ValueError("need matching, nonempty fields and times")
     grid = fields[0].grid
     if controls is None:
         controls = EvolutionControls(dt0=1.0, t_end=float(times[-1]) if times[-1] > 0 else 1.0)
-    cols = {name: [] for name in ("t", "dt", "mass", "energy", "h_half", "boundary_mass")}
+    kern = kernel(grid, params)
+    cols = {name: [] for name in RECORD_COLUMNS}
+    snapshots = []
     prev_t = 0.0
-    for t, f in zip(times, fields):
-        cols["t"].append(float(t))
-        cols["dt"].append(float(t - prev_t))
-        prev_t = t
-        cols["mass"].append(mass(f))
-        cols["energy"].append(energy(f, params))
-        cols["h_half"].append(hs_norm(f, 0.5))
-        cols["boundary_mass"].append(boundary_mass(f))
-    records = {name: np.asarray(vals) for name, vals in cols.items()}
-    snaps = []
-    prev_h = None
     for i, (t, f) in enumerate(zip(times, fields)):
-        w = half_max_width(f)
-        h = records["h_half"][i]
-        jump = 0.0 if prev_h is None else abs(h - prev_h) / prev_h
-        prev_h = h
-        snaps.append(Snapshot(t=float(t), field=f, record_index=i, width=w,
-                              resolved=bool(w >= controls.resolved_width_cells * grid.dr),
-                              h_half_jump=float(jump)))
-    return Trajectory(grid=grid, params=params, controls=controls,
-                      records=records, snapshots=snaps, termination=termination)
+        row = (float(t), float(t - prev_t)) + _state_record(
+            kern, f.values, kern.forward(f.values), controls.include_nonlinearity)
+        for name, val in zip(RECORD_COLUMNS, row):
+            cols[name].append(val)
+        snapshots.append((float(t), f.values, i))
+        prev_t = t
+    return _trajectory(grid, params, controls, cols, snapshots, termination)
 
 
 def free_evolution(u0: Field, params: ModelParams, t: float) -> Field:
     """Exact free flow exp(-i t sqrt(-Delta+m^2)) u0 via a single multiplier."""
-    k = u0.grid.frequencies
-    c = radial_transform(u0).coefficients * np.exp(-1j * t * np.sqrt(k * k + params.mass**2))
-    return inverse_radial_transform(SpectralField(u0.grid, c))
+    kern = kernel(u0.grid, params)
+    return Field(u0.grid, kern.inverse(kern.forward(u0.values) * np.exp(-1j * t * kern.omega)))
 
 
 def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
@@ -349,13 +304,10 @@ def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
     form of the a-priori bound on |d/dt u| that drives the weak-limit
     construction.
     """
-    grid = u.grid
-    k = grid.frequencies
-    c = radial_transform(u).coefficients
-    v = coulomb_potential_density(np.abs(u.values) ** 2, grid)
-    nl = radial_transform(Field(grid, v * u.values)).coefficients
-    rhs = np.sqrt(k * k + params.mass**2) * c - nl
-    return float(np.sqrt(np.sum(np.abs(rhs) ** 2 / (1.0 + k * k))))
+    kern = kernel(u.grid, params)
+    v = kern.potential(np.abs(u.values) ** 2)
+    rhs = kern.omega * kern.forward(u.values) - kern.forward(v * u.values)
+    return float(np.sqrt(np.sum(np.abs(rhs / kern.h_half_weight) ** 2)))
 
 
 # --- persistence -------------------------------------------------------------
@@ -368,11 +320,10 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     rec_path = os.path.join(out_dir, "records.csv")
-    cols = ("t", "dt", "mass", "energy", "h_half", "boundary_mass")
     with open(rec_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
         for i in range(len(traj.records["t"])):
-            fh.write(",".join(repr(float(traj.records[c][i])) for c in cols) + "\n")
+            fh.write(",".join(repr(float(traj.records[c][i])) for c in RECORD_COLUMNS) + "\n")
     snap_path = os.path.join(out_dir, "snapshots.json")
     payload = {
         "grid": {"n_points": traj.grid.n_points, "r_max": traj.grid.r_max},
@@ -411,8 +362,7 @@ def load_trajectory(out_dir) -> Trajectory:
     params = ModelParams(payload["params"]["mass"])
     controls = EvolutionControls(**payload["controls"])
     rows = np.loadtxt(os.path.join(out_dir, "records.csv"), delimiter=",", skiprows=1, ndmin=2)
-    cols = ("t", "dt", "mass", "energy", "h_half", "boundary_mass")
-    records = {c: rows[:, i] for i, c in enumerate(cols)}
+    records = {c: rows[:, i] for i, c in enumerate(RECORD_COLUMNS)}
     fields_path = os.path.join(out_dir, "snapshots.npy")
     if not os.path.isfile(fields_path):
         raise ValueError(f"{fields_path} is missing (snapshots.json holds metadata only)")

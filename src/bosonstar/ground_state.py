@@ -22,16 +22,14 @@ from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    RadialKernel,
     energy,
-    coulomb_potential_density,
     gaussian_field,
     homogeneous_half_sq,
     interaction_energy,
-    inverse_radial_transform,
+    kernel,
     mass,
-    radial_transform,
     sech_field,
-    SpectralField,
 )
 
 __all__ = [
@@ -83,13 +81,11 @@ class GroundState:
     equation_residual: float
 
 
-def _iterate(coeffs: np.ndarray, grid: RadialGrid, gamma: float):
+def _iterate(coeffs: np.ndarray, kern: RadialKernel, gamma: float):
     """One Petviashvili sweep on spectral coefficients; returns (new coeffs, S_n)."""
-    k = grid.frequencies
-    q = inverse_radial_transform(SpectralField(grid, coeffs)).values.real
-    rho = q * q
-    nonlin = coulomb_potential_density(rho, grid) * q
-    nl_coeffs = radial_transform(Field(grid, nonlin)).coefficients
+    k = kern.k
+    q = kern.inverse(coeffs).real
+    nl_coeffs = kern.forward(kern.potential(q * q) * q)
     num = float(np.sum((k + 1.0) * np.abs(coeffs) ** 2))
     den = float(np.real(np.sum(np.conj(coeffs) * nl_coeffs)))
     if den <= 0:
@@ -114,13 +110,13 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
             seed = sech_field(grid)
         else:
             raise ValueError(f"unknown seed profile {seed!r}")
-    k = grid.frequencies
-    coeffs = radial_transform(seed).coefficients.real.astype(np.complex128)
+    kern = kernel(grid)
+    coeffs = kern.forward(seed.values).real.astype(np.complex128)
     update = np.inf
     for it in range(1, max_iter + 1):
-        new_coeffs, s = _iterate(coeffs, grid, gamma)
-        wold = np.sqrt(np.sum(np.sqrt(1.0 + k * k) * np.abs(coeffs) ** 2))
-        wdiff = np.sqrt(np.sum(np.sqrt(1.0 + k * k) * np.abs(new_coeffs - coeffs) ** 2))
+        new_coeffs, s = _iterate(coeffs, kern, gamma)
+        wold = np.sqrt(np.sum(kern.h_half_weight * np.abs(coeffs) ** 2))
+        wdiff = np.sqrt(np.sum(kern.h_half_weight * np.abs(new_coeffs - coeffs) ** 2))
         update = wdiff / wold
         coeffs = new_coeffs
         norm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
@@ -131,8 +127,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
     else:
         raise NonConvergence(f"update {update:.3e} > tol {tol:.3e} after {max_iter} sweeps", max_iter)
 
-    q = inverse_radial_transform(SpectralField(grid, coeffs))
-    q = Field(grid, np.abs(q.values.real).astype(np.complex128))  # positivity of the profile
+    q = Field(grid, np.abs(kern.inverse(coeffs).real).astype(np.complex128))  # positivity of the profile
     m_c = mass(q)
     return GroundState(
         q=q,
@@ -147,14 +142,11 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
 
 def equation_residual(q: Field) -> float:
     """Relative L2 residual ||sqrt(-Delta) Q + Q - V_Q Q||_2 / ||Q||_2."""
-    grid = q.grid
-    k = grid.frequencies
-    c = radial_transform(q).coefficients
-    lin = inverse_radial_transform(SpectralField(grid, (k + 1.0) * c)).values
+    kern = kernel(q.grid)
+    lin = kern.inverse((kern.k + 1.0) * kern.forward(q.values))
     qv = q.values.real
-    v = coulomb_potential_density(qv * qv, grid)
-    res = lin - v * q.values
-    return float(np.linalg.norm(res * grid.r) / np.linalg.norm(q.values * grid.r))
+    res = lin - kern.potential(qv * qv) * q.values
+    return float(np.linalg.norm(res * kern.r) / np.linalg.norm(q.values * kern.r))
 
 
 def pohozaev_residual(q: Field) -> float:

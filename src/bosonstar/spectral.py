@@ -6,7 +6,8 @@ transform of g.  All Fourier multipliers (sqrt(-Delta + m^2), fractional
 Sobolev weights, the free propagator) act diagonally in that basis, and the
 attractive Coulomb potential |x|^-1 * |u|^2 comes from solving the radial
 Poisson equation in the same sine basis (Newton's shell formula by cumulative
-trapezoid sums is kept as a cross-check).
+trapezoid sums is kept as a cross-check).  One RadialKernel per (grid, params)
+does all of this; it is the only user of scipy.fft in the package.
 
 Grid convention: n_points samples at r_j = j*dr (j = 1..n), r_max = n*dr,
 frequencies k_m = m*pi/r_max.  The sine basis vanishes at r = 0 and r = r_max,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dst, idst
@@ -29,17 +31,16 @@ __all__ = [
     "Field",
     "SpectralField",
     "ModelParams",
+    "RadialKernel",
+    "kernel",
     "radial_transform",
     "inverse_radial_transform",
     "apply_multiplier",
-    "coulomb_potential",
     "coulomb_potential_density",
     "mass",
     "boundary_mass",
     "interaction_energy",
-    "interaction_bilinear",
     "energy",
-    "massless_energy",
     "kinetic_energy",
     "hs_norm",
     "homogeneous_half_sq",
@@ -51,8 +52,7 @@ __all__ = [
     "rescale_field",
     "field_to_json",
     "field_from_json",
-    "field_to_csv",
-    "field_from_csv",
+    "load_field_json",
 ]
 
 
@@ -138,42 +138,114 @@ class SpectralField:
         object.__setattr__(self, "coefficients", c)
 
 
-def radial_transform(f: Field) -> SpectralField:
-    """Forward transform: DST-I of g = r*u on the interior samples.
+class RadialKernel:
+    """The spectral kernel of one (grid, params): every sine-basis operation.
 
-    Carries the 4*pi factor of the radial volume element folded into the
-    coefficients, so sum |c_m|^2 = mass(f) for resolved fields.
+    Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale and the
+    H^{1/2} weight sqrt(1 + k^2), computed once, and offers the DST-I pair
+    on raw arrays, the Poisson solve, the Coulomb interaction and one Strang
+    step.  Obtain it through `kernel`, which caches one per (grid, params).
     """
-    grid = f.grid
-    g = grid.r[:-1] * f.values[:-1]
-    scale = np.sqrt(grid.weight)
-    c = np.empty(grid.n_points, dtype=np.complex128)
-    c[:-1] = scale * (dst(g.real, type=1, norm="ortho")
-                      + 1j * dst(g.imag, type=1, norm="ortho"))
-    c[-1] = 0.0
-    return SpectralField(grid, c)
+
+    def __init__(self, grid: RadialGrid, params: ModelParams):
+        self.grid = grid
+        self.r = grid.r
+        self.k = grid.frequencies
+        self.omega = np.sqrt(self.k * self.k + params.mass**2)
+        self.h_half_weight = np.sqrt(1.0 + self.k * self.k)
+        self.scale = np.sqrt(grid.weight)
+        self._k2 = self.k[:-1] * self.k[:-1]
+        for a in (self.r, self.k, self.omega, self.h_half_weight, self._k2):
+            a.setflags(write=False)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the samples u(r_j): DST-I of g = r*u on the interior samples.
+
+        Carries the 4*pi factor of the radial volume element folded into the
+        coefficients, so sum |c_m|^2 = mass for resolved fields.
+        """
+        g = self.r[:-1] * values[:-1]
+        c = np.empty(self.grid.n_points, dtype=np.complex128)
+        c[:-1] = self.scale * (dst(g.real, type=1, norm="ortho")
+                               + 1j * dst(g.imag, type=1, norm="ortho"))
+        c[-1] = 0.0
+        return c
+
+    def inverse(self, coefficients: np.ndarray) -> np.ndarray:
+        """Samples of the field with these coefficients; the boundary sample is zero."""
+        g = coefficients[:-1] / self.scale
+        v = np.empty(self.grid.n_points, dtype=np.complex128)
+        v[:-1] = (idst(g.real, type=1, norm="ortho")
+                  + 1j * idst(g.imag, type=1, norm="ortho")) / self.r[:-1]
+        v[-1] = 0.0
+        return v
+
+    def density_transform(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        """(sine coefficients of r*rho on the interior, total mass of rho)."""
+        r = self.r
+        total = self.grid.weight * float(np.sum(rho * r * r))
+        return dst(rho[:-1] * r[:-1], type=1, norm="ortho"), total
+
+    def potential(self, rho: np.ndarray) -> np.ndarray:
+        """Newton potential |x|^-1 * rho by the sine-basis Poisson solve.
+
+        With h0 = r*V - M*r/r_max one has h0'' = -4*pi*r*rho and h0 vanishes
+        at both ends, so h0_m = 4*pi*(r*rho)^_m / k_m^2 termwise and the exact
+        exterior monopole M/r is restored by the linear ramp.
+        """
+        rho_tilde, total = self.density_transform(rho)
+        h0 = np.empty(self.grid.n_points)
+        h0[:-1] = idst(4.0 * np.pi * rho_tilde / self._k2, type=1, norm="ortho")
+        h0[-1] = 0.0
+        return h0 / self.r + total / self.grid.r_max
+
+    def interaction(self, rho: np.ndarray) -> float:
+        """D(rho, rho) = 4*pi int (|x|^-1 * rho) rho r^2 dr, in the Parseval form of the Poisson solve."""
+        rho_tilde, total = self.density_transform(rho)
+        return float(self.grid.weight * 4.0 * np.pi * np.sum(rho_tilde**2 / self._k2)
+                     + total * total / self.grid.r_max)
+
+    def strang(self, c: np.ndarray, dt: float,
+               potential: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """One Strang step on coefficients; returns (new coefficients, V).
+
+        Free half step, exact rotation exp(+i dt V) in physical space, free
+        half step.  V is the self-consistent potential of the half-stepped
+        field unless `potential` forces it.
+        """
+        phase_half = np.exp(-0.5j * dt * self.omega)
+        u_mid = self.inverse(phase_half * c)
+        v = self.potential(np.abs(u_mid) ** 2) if potential is None else potential
+        return phase_half * self.forward(u_mid * np.exp(1j * dt * v)), v
+
+
+@lru_cache(maxsize=8)
+def _cached_kernel(grid: RadialGrid, params: ModelParams) -> RadialKernel:
+    return RadialKernel(grid, params)
+
+
+def kernel(grid: RadialGrid, params: ModelParams | None = None) -> RadialKernel:
+    """The cached RadialKernel of (grid, params); params default to m = 0."""
+    return _cached_kernel(grid, ModelParams() if params is None else params)
+
+
+def radial_transform(f: Field) -> SpectralField:
+    """Forward transform of a Field (see RadialKernel.forward)."""
+    return SpectralField(f.grid, kernel(f.grid).forward(f.values))
 
 
 def inverse_radial_transform(sf: SpectralField) -> Field:
-    grid = sf.grid
-    scale = np.sqrt(grid.weight)
-    c = sf.coefficients[:-1] / scale
-    g = idst(c.real, type=1, norm="ortho") + 1j * idst(c.imag, type=1, norm="ortho")
-    v = np.empty(grid.n_points, dtype=np.complex128)
-    v[:-1] = g / grid.r[:-1]
-    v[-1] = 0.0
-    return Field(grid, v)
+    return Field(sf.grid, kernel(sf.grid).inverse(sf.coefficients))
 
 
 def apply_multiplier(f: Field, symbol, params: ModelParams | None = None) -> Field:
     """Apply a Fourier multiplier symbol(k) (or symbol(k, params)) diagonally."""
-    sf = radial_transform(f)
-    k = f.grid.frequencies
-    sym = symbol(k) if params is None else symbol(k, params)
+    kern = kernel(f.grid)
+    sym = symbol(kern.k) if params is None else symbol(kern.k, params)
     sym = np.asarray(sym)
     if not np.all(np.isfinite(sym)):
         raise ValueError("multiplier symbol must be finite on all grid frequencies")
-    return inverse_radial_transform(SpectralField(f.grid, sf.coefficients * sym))
+    return Field(f.grid, kern.inverse(kern.forward(f.values) * sym))
 
 
 def mass(f: Field) -> float:
@@ -193,11 +265,8 @@ def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid,
                               method: str = "spectral") -> np.ndarray:
     """Newton potential |x|^-1 * rho of a radial density rho >= 0.
 
-    method="spectral" (default) solves the radial Poisson equation in the sine
-    basis: with h0 = r*V - M*r/r_max one has h0'' = -4*pi*r*rho and h0 vanishes
-    at both ends, so h0_m = 4*pi*(r*rho)^_m / k_m^2 termwise and the exact
-    exterior monopole M/r is restored by the linear ramp.  Spectrally accurate
-    for resolved densities.
+    method="spectral" (default) is the sine-basis Poisson solve of
+    RadialKernel.potential, spectrally accurate for resolved densities.
 
     method="trapezoid" evaluates Newton's shell formula
     V(r) = 4*pi [ (1/r) int_0^r rho s^2 ds + int_r^rmax rho s ds ] by
@@ -206,51 +275,30 @@ def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid,
     interval [0, dr] uses the fact that rho*s^2 vanishes at s = 0, so no 1/r
     singularity is ever evaluated.
     """
-    r = grid.r
-    dr = grid.dr
     rho = np.asarray(rho, dtype=np.float64)
     if method == "trapezoid":
         from scipy.integrate import cumulative_trapezoid
 
+        r = grid.r
         inner = cumulative_trapezoid(rho * r * r, r, initial=0.0)
-        inner += 0.5 * dr * rho[0] * r[0] ** 2  # [0, r_1] segment, integrand 0 at s=0
+        inner += 0.5 * grid.dr * rho[0] * r[0] ** 2  # [0, r_1] segment, integrand 0 at s=0
         outer_cum = cumulative_trapezoid(rho * r, r, initial=0.0)
         outer = outer_cum[-1] - outer_cum
         return 4.0 * np.pi * (inner / r + outer)
     if method != "spectral":
         raise ValueError(f"unknown Coulomb method {method!r}")
-    total = grid.weight * np.sum(rho * r * r)
-    src = dst((rho[:-1] * r[:-1]), type=1, norm="ortho")
-    k = grid.frequencies[:-1]
-    h0 = np.empty(grid.n_points)
-    h0[:-1] = idst(4.0 * np.pi * src / (k * k), type=1, norm="ortho")
-    h0[-1] = 0.0
-    return h0 / r + total / grid.r_max
-
-
-def coulomb_potential(f: Field, method: str = "spectral") -> Field:
-    """Potential |x|^-1 * |u|^2 generated by the field's own density."""
-    rho = np.abs(f.values) ** 2
-    return Field(f.grid, coulomb_potential_density(rho, f.grid, method=method))
-
-
-def interaction_bilinear(rho1: np.ndarray, rho2: np.ndarray, grid: RadialGrid) -> float:
-    """Bilinear Coulomb form 4*pi int (|x|^-1 * rho1) rho2 r^2 dr."""
-    v1 = coulomb_potential_density(rho1, grid)
-    return float(grid.weight * np.sum(v1 * np.asarray(rho2) * grid.r**2))
+    return kernel(grid).potential(rho)
 
 
 def interaction_energy(f: Field) -> float:
-    """Quartic interaction functional of |u|^2 (the self-Coulomb energy, twice)."""
-    rho = np.abs(f.values) ** 2
-    return interaction_bilinear(rho, rho, f.grid)
+    """Quartic interaction functional D(|u|^2, |u|^2) (the self-Coulomb energy, twice)."""
+    return kernel(f.grid).interaction(np.abs(f.values) ** 2)
 
 
 def kinetic_energy(f: Field, params: ModelParams) -> float:
     """Quadratic form <u, sqrt(-Delta + m^2) u>."""
-    c = radial_transform(f).coefficients
-    k = f.grid.frequencies
-    return float(np.sum(np.sqrt(k * k + params.mass**2) * np.abs(c) ** 2))
+    kern = kernel(f.grid, params)
+    return float(np.sum(kern.omega * np.abs(kern.forward(f.values)) ** 2))
 
 
 def energy(f: Field, params: ModelParams) -> float:
@@ -258,22 +306,17 @@ def energy(f: Field, params: ModelParams) -> float:
     return 0.5 * kinetic_energy(f, params) - 0.25 * interaction_energy(f)
 
 
-def massless_energy(f: Field) -> float:
-    """Energy with the mass constant set to zero (scaling-covariant part)."""
-    return energy(f, ModelParams(mass=0.0))
-
-
 def hs_norm(f: Field, s: float) -> float:
     """Inhomogeneous Sobolev norm ||(1+k^2)^{s/2} u^||_2 for s in [-1, 1]."""
-    c = radial_transform(f).coefficients
-    k = f.grid.frequencies
-    return float(np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2)))
+    kern = kernel(f.grid)
+    c = kern.forward(f.values)
+    return float(np.sqrt(np.sum((1.0 + kern.k * kern.k) ** s * np.abs(c) ** 2)))
 
 
 def homogeneous_half_sq(f: Field) -> float:
     """Squared homogeneous H^{1/2} seminorm: sum k |c_k|^2 = || |grad|^{1/2} u ||_2^2."""
-    c = radial_transform(f).coefficients
-    return float(np.sum(f.grid.frequencies * np.abs(c) ** 2))
+    kern = kernel(f.grid)
+    return float(np.sum(kern.k * np.abs(kern.forward(f.values)) ** 2))
 
 
 # --- constructors -----------------------------------------------------------
@@ -333,28 +376,6 @@ def field_from_json(obj: dict) -> Field:
     grid = RadialGrid(int(obj["grid"]["n_points"]), float(obj["grid"]["r_max"]))
     vals = np.array([complex(re, im) for re, im in obj["values"]])
     return Field(grid, vals)
-
-
-def field_to_csv(f: Field, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,re,im\n")
-        for r, v in zip(f.grid.r, f.values):
-            fh.write(f"{float(r)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def field_from_csv(path) -> Field:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    r = rows[:, 0]
-    dr = r[0]
-    grid = RadialGrid(len(r), float(r[-1]))
-    if not np.allclose(np.diff(r), dr, rtol=1e-10):
-        raise ValueError("CSV radii are not a uniform grid starting at dr")
-    return Field(grid, rows[:, 1] + 1j * rows[:, 2])
-
-
-def save_field_json(f: Field, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_json(f), fh)
 
 
 def load_field_json(path) -> Field:

@@ -230,9 +230,11 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert " >= bound=-1e-08" in capsys.readouterr().out  # a lower bound reads as one
 
-    @pytest.mark.parametrize("damage", ["nonexistent", "missing_fields", "wrong_dtype"])
+    @pytest.mark.parametrize("damage", ["nonexistent", "missing_fields", "wrong_dtype",
+                                        "ground_state_missing_key"])
     def test_unreadable_trajectory_exit_code(self, tmp_path, capsys, damage):
         traj_dir = tmp_path / "ev"
+        gs_json = tmp_path / "gs.json"
         if damage == "nonexistent":
             traj_dir = tmp_path / "absent"
         else:
@@ -245,13 +247,59 @@ class TestMainEntry:
             fields = traj_dir / "snapshots.npy"
             if damage == "missing_fields":
                 fields.unlink()
-            else:
+            elif damage == "wrong_dtype":
                 np.save(fields, np.load(fields).real)
+            else:  # the trajectory is fine; the ground state parses but lacks its profile
+                gs_json.write_text(json.dumps({"critical_mass": 2.69}))
         code = main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
-                     "--trajectory", str(traj_dir), "--ground-state", str(tmp_path / "gs.json")])
+                     "--trajectory", str(traj_dir), "--ground-state", str(gs_json)])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip()
         assert err.startswith("input error:") and "\n" not in err
+
+    @pytest.mark.parametrize("bad", [
+        {"controls": {"dt0": 1e-3, "t_end": 0.1, "dt_floor": 1e-3}},
+        {"grid": {"n_points": 256, "r_max": 8.0},
+         "u0": {"kind": "gaussian", "amplitude": 1.0, "width": 5.0}},
+    ], ids=["dt0_not_above_floor", "unresolved_datum"])
+    def test_evolve_that_cannot_start_exit_code(self, tmp_path, capsys, bad):
+        out_dir = tmp_path / "ev"
+        config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(out_dir), **bad})
+        assert main(["--quiet", "evolve", "--config", config]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and "\n" not in err
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_cauchy_pad_moves_measure_bounds(self, tmp_path):
+        gs_json = tmp_path / "gs.json"
+        assert main(["--out-dir", str(tmp_path / "gs"), "--quiet", "ground-state",
+                     "--n", "256", "--rmax", "32", "--tol", "1e-8",
+                     "--out", str(gs_json)]) == EXIT_OK
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10, "snapshot_stride": 2},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(tmp_path / "ev")})
+        assert main(["--quiet", "evolve", "--config", ev_config]) == EXIT_OK
+        bounds = {}
+        for pad in (1e-6, 3e-4):
+            cfg = config_from_dict({
+                "command": "diagnose", "tolerances": {"cauchy_pad": pad},
+                "diagnose": {"trajectory": str(tmp_path / "ev"), "ground_state": str(gs_json),
+                             "checks": "measure"},
+                "out_dir": str(tmp_path / f"dg{pad}")})
+            code, out_dir = run(cfg, quiet=True)
+            assert code == EXIT_OK
+            with open(os.path.join(out_dir, "report.json")) as fh:
+                bounds[pad] = [r["bound"] for r in json.load(fh)["checks"]
+                               if r["check"] == "measure_cauchy"]
+        assert len(bounds[1e-6]) == 8  # bump and exterior at each of the four bank radii
+        for lo, hi in zip(bounds[1e-6], bounds[3e-4]):
+            assert hi - lo == pytest.approx(3e-4 - 1e-6, rel=1e-9)
 
 
 class TestSchemaStability:

@@ -221,6 +221,23 @@ class TestTrajectoryPlumbing:
         m = traj.records["mass"]
         assert np.max(np.abs(m - m[0])) < 1e-12 * m[0]
 
+    def test_snapshot_records_match_evolve(self):
+        # the same record code: rebuilding from the snapshots reproduces evolve's rows
+        f = gaussian_field(GRID, 0.8, 1.5)
+        controls = EvolutionControls(dt0=5e-3, t_end=0.5, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=7)
+        traj = evolve(f, P1, controls)
+        rebuilt = trajectory_from_snapshots([s.field for s in traj.snapshots],
+                                            [s.t for s in traj.snapshots], P1,
+                                            controls=controls)
+        idx = [s.record_index for s in traj.snapshots]
+        assert len(idx) > 5
+        for name in ("mass", "energy", "h_half", "boundary_mass"):
+            np.testing.assert_allclose(rebuilt.records[name], traj.records[name][idx],
+                                       rtol=1e-12, atol=0, err_msg=name)
+        assert [s.h_half_jump for s in rebuilt.snapshots] == pytest.approx(
+            [s.h_half_jump for s in traj.snapshots], rel=1e-9, abs=1e-12)
+
     def test_half_max_width(self):
         f = gaussian_field(GRID, 2.0, 1.0)
         w = half_max_width(f)

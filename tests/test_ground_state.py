@@ -19,7 +19,6 @@ from bosonstar.spectral import (
     gaussian_field,
     homogeneous_half_sq,
     mass,
-    massless_energy,
     random_smooth_field,
     rescale_field,
     zero_field,
@@ -146,7 +145,7 @@ class TestEnergyThreshold:
             assert energy(f, p) > 0
 
     def test_massless_energy_of_ground_state_vanishes(self, gs):
-        assert abs(massless_energy(gs.q)) < 1e-5 * homogeneous_half_sq(gs.q)
+        assert abs(energy(gs.q, ModelParams(0.0))) < 1e-5 * homogeneous_half_sq(gs.q)
 
     def test_residual_functions_match_solver_report(self, gs):
         assert equation_residual(gs.q) == pytest.approx(gs.equation_residual, rel=1e-10)

@@ -10,27 +10,27 @@ from bosonstar.spectral import (
     SpectralField,
     apply_multiplier,
     boundary_mass,
-    coulomb_potential,
     coulomb_potential_density,
     energy,
-    field_from_csv,
     field_from_json,
     field_from_profile,
-    field_to_csv,
     field_to_json,
     gaussian_field,
     homogeneous_half_sq,
     hs_norm,
-    interaction_bilinear,
     inverse_radial_transform,
+    kernel,
     mass,
-    massless_energy,
     radial_transform,
     random_smooth_field,
     zero_field,
 )
 
 GRID = RadialGrid(2048, 64.0)
+
+
+def potential(f, method="spectral"):
+    return coulomb_potential_density(np.abs(f.values) ** 2, f.grid, method=method)
 
 
 def sine_mode(grid, m):
@@ -89,6 +89,35 @@ class TestTransform:
             assert abs(np.sum(np.abs(c) ** 2) - mass(f)) < 1e-10 * mass(f)
 
 
+class TestKernel:
+    def test_cached_per_grid_and_params(self):
+        assert kernel(GRID) is kernel(RadialGrid(2048, 64.0))
+        assert kernel(GRID) is kernel(GRID, ModelParams(0.0))
+        assert kernel(GRID, ModelParams(1.0)) is not kernel(GRID)
+        assert np.array_equal(kernel(GRID, ModelParams(1.0)).omega,
+                              np.sqrt(GRID.frequencies**2 + 1.0))
+
+    def test_only_spectral_imports_scipy_fft(self):
+        # every DST in the package goes through the one kernel in spectral.py
+        import ast
+        import pathlib
+
+        import bosonstar
+
+        offenders = []
+        for path in pathlib.Path(bosonstar.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
+                    offenders.append(path.name)
+        assert offenders == ["spectral.py"]
+
+
 class TestMultiplier:
     def test_identity_symbol(self):
         rng = np.random.default_rng(0)
@@ -135,14 +164,14 @@ class TestMultiplier:
 
 class TestCoulomb:
     def test_zero_density(self):
-        v = coulomb_potential(zero_field(GRID)).values.real
+        v = potential(zero_field(GRID))
         assert np.allclose(v, 0.0)
 
     def test_uniform_ball_exterior(self):
         R, M = 4.0, 2.5
         rho0 = M / (4.0 / 3.0 * np.pi * R**3)
         f = Field(GRID, np.sqrt(np.where(GRID.r <= R, rho0, 0.0)).astype(complex))
-        v = coulomb_potential(f).values.real
+        v = potential(f)
         sel = GRID.r >= R + 4 * GRID.dr
         err = np.max(np.abs(v[sel] - mass(f) / GRID.r[sel])) / (mass(f) / R)
         assert err < 10.0 * (GRID.dr / R) ** 2
@@ -155,7 +184,7 @@ class TestCoulomb:
             return (2 * np.pi) ** -1.5 * np.exp(-(r**2) / 2)
 
         f = field_from_profile(g, lambda r: np.sqrt(rho(r)))
-        v = coulomb_potential(f).values.real
+        v = potential(f)
         # independent oracle: adaptive quadrature of the two Newton integrals
         for rr in (0.5, 1.0, 2.0, 5.0, 10.0):
             inner = quad(lambda s: rho(s) * s * s, 0, rr)[0]
@@ -170,13 +199,13 @@ class TestCoulomb:
         # the documented O(dr^2) shell rule is the cross-check of the spectral solve
         g = RadialGrid(8192, 32.0)
         f = gaussian_field(g, 0.8, 1.3)
-        vs = coulomb_potential(f).values.real
-        vt = coulomb_potential(f, method="trapezoid").values.real
+        vs = potential(f)
+        vt = potential(f, method="trapezoid")
         assert np.max(np.abs(vs - vt)) < 50.0 * g.dr**2 * np.max(vs)
 
     def test_monotone_beyond_support(self):
         f = gaussian_field(GRID, 1.0, 1.0)
-        v = coulomb_potential(f).values.real
+        v = potential(f)
         tail = GRID.r > 10.0
         assert np.all(np.diff(v[tail]) <= 1e-14)
 
@@ -184,18 +213,18 @@ class TestCoulomb:
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = random_smooth_field(GRID, rng)
-            v = coulomb_potential(f).values.real
+            v = potential(f)
             slack = mass(f) * (1.0 + 5.0 * GRID.dr / GRID.r_max)
             assert np.max(GRID.r * v) <= slack
 
-    def test_bilinear_symmetry(self):
+    def test_kernel_interaction_matches_quadrature(self):
+        # the Parseval form equals the quadrature 4 pi dr sum V rho r^2 of the solved V
         rng = np.random.default_rng(4)
+        kern = kernel(GRID)
         for _ in range(10):
-            r1 = np.abs(random_smooth_field(GRID, rng).values) ** 2
-            r2 = np.abs(random_smooth_field(GRID, rng).values) ** 2
-            d12 = interaction_bilinear(r1, r2, GRID)
-            d21 = interaction_bilinear(r2, r1, GRID)
-            assert abs(d12 - d21) < 1e-12 * abs(d12)
+            rho = np.abs(random_smooth_field(GRID, rng).values) ** 2
+            quadrature = GRID.weight * np.sum(kern.potential(rho) * rho * GRID.r**2)
+            assert abs(kern.interaction(rho) - quadrature) < 1e-13 * quadrature
 
 
 class TestFunctionals:
@@ -213,12 +242,12 @@ class TestFunctionals:
         g = RadialGrid(8192, 64.0)
         base = 2.0
         f = field_from_profile(g, lambda r: 1.3 * np.exp(-(r**2) / (2 * base**2)))
-        e1 = massless_energy(f)
+        e1 = energy(f, ModelParams(0.0))
         for lam in (0.5, 2.0):
             w = base / lam
             flam = field_from_profile(
                 g, lambda r: lam**1.5 * 1.3 * np.exp(-(r**2) / (2 * w**2)))
-            assert abs(massless_energy(flam) - lam * e1) < 1e-6 * abs(lam * e1)
+            assert abs(energy(flam, ModelParams(0.0)) - lam * e1) < 1e-6 * abs(lam * e1)
 
     def test_hs_norm_s0_equals_l2(self):
         rng = np.random.default_rng(5)
@@ -257,15 +286,6 @@ class TestSerialization:
         g = field_from_json(field_to_json(f))
         assert g.grid == f.grid
         assert np.array_equal(g.values, f.values)
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        f = random_smooth_field(RadialGrid(128, 16.0), rng)
-        path = tmp_path / "field.csv"
-        field_to_csv(f, path)
-        g = field_from_csv(path)
-        assert g.grid.n_points == f.grid.n_points
-        assert np.allclose(g.values, f.values, rtol=0, atol=0)
 
     def test_field_length_validated(self):
         with pytest.raises(ValueError):
