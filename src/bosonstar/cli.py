@@ -5,9 +5,9 @@ its outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.
 
 Exit codes: 0 success, 2 config/validation failure, unreadable input files or
-an evolve that cannot start (invalid controls, unresolved datum), 3 numerical
-failure (non-convergence, divergence, non-finite values), 4 a
-diagnostic check failed.
+an evolve that cannot start (invalid controls, unresolved datum, a u0 file on
+another grid), 3 numerical failure (non-convergence, divergence, non-finite
+values), 4 a diagnostic check failed.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ def _make_u0(cfg: RunConfig, grid: RadialGrid) -> Field:
     kind = spec["kind"]
     if kind == "file":
         u0 = load_field_json(spec["file"])
+        if u0.grid != grid:
+            raise ValueError(f"u0 file grid ({u0.grid.n_points}, {u0.grid.r_max}) differs "
+                             f"from the config grid ({grid.n_points}, {grid.r_max})")
     elif kind == "gaussian":
         u0 = gaussian_field(grid, spec.get("amplitude", 1.0), spec.get("width", 1.0))
     elif kind == "sech":
@@ -172,7 +175,6 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
         raise InputError(f"cannot read diagnose inputs: missing key {exc}") from exc
     except (ValueError, TypeError, OSError) as exc:
         raise InputError(f"cannot read diagnose inputs: {exc}") from exc
-    params = ModelParams(float(cfg.params["mass"]))
     checks = cfg.diagnose.get("checks", "all")
     wanted = None if checks == "all" else set(
         checks.split(",") if isinstance(checks, str) else checks)
@@ -217,7 +219,7 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
         else:
             try:
                 report.records.extend(diag.exterior_convergence_check(
-                    traj, tol.exterior_radius, params, final_frac=tol.exterior_final_frac))
+                    traj, tol.exterior_radius, traj.params, final_frac=tol.exterior_final_frac))
             except diag.InsufficientSnapshots as exc:
                 report.records.append(diag.CheckRecord(
                     "exterior_cauchy", {"error": str(exc)}, float("nan"), float("nan"), False))
@@ -234,7 +236,7 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
     if want("virial"):
         try:
             report.records.append(diag.virial_check(
-                traj, params, tol.virial_envelope_slack, tol.virial_residual))
+                traj, traj.params, tol.virial_envelope_slack, tol.virial_residual))
         except diag.InsufficientSnapshots as exc:
             report.records.append(diag.CheckRecord(
                 "virial_envelope", {"error": str(exc)}, float("nan"), float("nan"), False))
@@ -244,7 +246,8 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
     return report
 
 
-def run_operator_check(cfg: RunConfig, quiet=False) -> dict:
+def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list[diag.CheckRecord]]:
+    """Run the dense operator suite; returns (report JSON, check records)."""
     tol = cfg.tolerances
     op = cfg.operator_check
     suite = op["suite"]
@@ -253,26 +256,23 @@ def run_operator_check(cfg: RunConfig, quiet=False) -> dict:
     s = float(op["s"])
     grid = lab.PeriodicGrid1D(n, length)
     rng = np.random.default_rng(cfg.seed)
-    results = []
+    records = []
 
     def add(check, params, stat, bound, passed):
-        results.append({"check": check, "params": params, "statistic": float(stat),
-                        "bound": float(bound), "pass": bool(passed)})
+        records.append(diag.CheckRecord(check, params, stat, bound, bool(passed)))
 
     if suite in ("commutator", "all"):
         for _ in range(5):
             chi = lab.random_smooth_chi(grid, rng)
-            gi = float(np.max(np.abs(lab.spectral_gradient(grid, chi))))
             cn = lab.commutator_norm(grid, s, 1.0, chi)
-            add("commutator_norm", {"s": s}, cn, tol.c_cal_commutator * gi,
-                cn <= tol.c_cal_commutator * gi)
+            bound = tol.c_cal_commutator * float(np.max(np.abs(lab.spectral_gradient(grid, chi))))
+            add("commutator_norm", {"s": s}, cn, bound, cn <= bound)
     if suite in ("localization", "all"):
         chi = lab.random_smooth_chi(grid, rng)
         out = lab.localization_defect(grid, min(s, 0.99), chi)
-        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8,
-            out["eig_min"] >= -1e-8)
-        add("localization_spectrum_high", {"s": s}, out["eig_max"],
-            out["upper_bound"] * (1 + 1e-6), out["eig_max"] <= out["upper_bound"] * (1 + 1e-6))
+        high = out["upper_bound"] * (1 + 1e-6)
+        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8)
+        add("localization_spectrum_high", {"s": s}, out["eig_max"], high, out["eig_max"] <= high)
         add("double_commutator", {"s": s}, out["double_commutator_norm"],
             out["double_commutator_bound"],
             out["double_commutator_norm"] <= out["double_commutator_bound"])
@@ -301,16 +301,16 @@ def run_operator_check(cfg: RunConfig, quiet=False) -> dict:
         m1 = lab.l2_norm(grid, members[-1]) ** 2
         out = lab.profile_decompose(grid, lab.SequenceFamily(members), s,
                                     eps=0.02 * m1, r0=grid.length / 64.0)
-        masses = [p["mass"] for p in out["profiles"]]
-        add("profile_count", {}, len(masses), 2, len(masses) == 2)
-        add("profile_mass_budget", {}, out["profile_mass_sum"],
-            out["mass_budget"] * (1 + 1e-6),
-            out["profile_mass_sum"] <= out["mass_budget"] * (1 + 1e-6))
-    for rec in results:
-        _say(quiet, f"  [{'PASS' if rec['pass'] else 'FAIL'}] {rec['check']}: "
-                    f"statistic={rec['statistic']:.6g} {_RELATION.get(rec['check'], '<=')} "
-                    f"bound={rec['bound']:.6g}")
-    return {"suite": suite, "n": n, "s": s, "checks": results}
+        count = len(out["profiles"])
+        budget = out["mass_budget"] * (1 + 1e-6)
+        add("profile_count", {}, count, 2, count == 2)
+        add("profile_mass_budget", {}, out["profile_mass_sum"], budget,
+            out["profile_mass_sum"] <= budget)
+    for rec in records:
+        _say(quiet, f"  [{'PASS' if rec.passed else 'FAIL'}] {rec.check}: "
+                    f"statistic={rec.statistic:.6g} {_RELATION.get(rec.check, '<=')} "
+                    f"bound={rec.bound:.6g}")
+    return {"suite": suite, "n": n, "s": s, "checks": [r.to_dict() for r in records]}, records
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
@@ -329,19 +329,16 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
         elif cfg.command == "evolve":
             _, files = run_evolve(cfg, out_dir, quiet)
             outputs.extend(files)
-        elif cfg.command == "diagnose":
-            report = run_diagnose(cfg, quiet)
-            path = os.path.join(out_dir, "report.json")
-            _write_json(path, report.to_json())
-            outputs.append(path)
-            if not report.all_passed():
-                code = EXIT_CHECK_FAILED
-        elif cfg.command == "operator-check":
-            result = run_operator_check(cfg, quiet)
+        elif cfg.command in ("diagnose", "operator-check"):
+            if cfg.command == "diagnose":
+                report = run_diagnose(cfg, quiet)
+                result, records = report.to_json(), report.records
+            else:
+                result, records = run_operator_check(cfg, quiet)
             path = os.path.join(out_dir, "report.json")
             _write_json(path, result)
             outputs.append(path)
-            if not all(r["pass"] for r in result["checks"]):
+            if not all(r.passed for r in records):
                 code = EXIT_CHECK_FAILED
     except (GroundStateError, NonFinite) as exc:
         _say(quiet, f"numerical failure: {exc}")

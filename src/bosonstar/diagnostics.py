@@ -135,9 +135,6 @@ class DiagnosticsReport:
             out["concentration_trace"] = self.concentration_trace
         return out
 
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
 
 # --- localized mass and propagation ------------------------------------------
 
@@ -412,57 +409,18 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
 
 # --- virial -------------------------------------------------------------------
 
-def _j1_zeros(count: int) -> np.ndarray:
-    """First zeros of the spherical Bessel function j1 (roots of tan x = x)."""
-    from scipy.optimize import brentq
-
-    f = lambda x: np.sin(x) - x * np.cos(x)
-    return np.array([brentq(f, i * np.pi + 1e-9, (i + 1) * np.pi - 1e-9)
-                     for i in range(1, count + 1)])
-
-
-_VIRIAL_CACHE: dict = {}
-
-
-def _virial_basis(r_max: float, m: float, coarse_n: int, n_modes: int):
-    key = (r_max, m, coarse_n, n_modes)
-    if key not in _VIRIAL_CACHE:
-        alphas = _j1_zeros(n_modes)
-        rc = r_max * (np.arange(1, coarse_n + 1)) / coarse_n
-        x = np.outer(alphas / r_max, rc)
-        j1 = np.sin(x) / x**2 - np.cos(x) / x
-        # ||j1(alpha r/R)||^2_{L2(r^2 dr)} = (R^3/2) j2(alpha)^2 at zeros of j1
-        j2_at = (3.0 / alphas**2 - 1.0) * np.sin(alphas) / alphas - 3.0 * np.cos(alphas) / alphas**2
-        norms = np.sqrt(r_max**3 / 2.0) * np.abs(j2_at)
-        phi = j1 / norms[:, None]  # orthonormal modes in L2(r^2 dr), rows
-        w = np.full(coarse_n, r_max / coarse_n)
-        w[-1] *= 0.5  # trapezoid end correction at r = r_max
-        quad = phi * (w * rc**2)[None, :]
-        omegas = np.sqrt((alphas / r_max) ** 2 + m * m)
-        _VIRIAL_CACHE[key] = (rc, quad, omegas)
-    return _VIRIAL_CACHE[key]
-
-
-def virial_weight(u: Field, params: ModelParams, coarse_n: int = 768, n_modes: int = 512) -> float:
+def virial_weight(u: Field, params: ModelParams) -> float:
     """Weighted norm W = sum_j <u, x_j sqrt(-Delta+m^2) x_j u>.
 
-    For radial u the three components x_j u live in the ell = 1 sector, whose
-    radial operator is diagonalized by the spherical Bessel modes j1(alpha_i
-    r/R); W is assembled from that dense coarse-grid expansion (positive by
-    construction).
+    Computed on the full grid by RadialKernel.virial_weight: for radial u,
+    W = 8 int sqrt(k^2+m^2) |C(k) - S(k)/k|^2 dk with the sine transform S of
+    r*u and the cosine transform C of r^2*u (nonnegative by construction).
     """
-    g = u.grid
-    rc, quad, omegas = _virial_basis(g.r_max, params.mass, coarse_n, n_modes)
-    re = np.interp(rc, g.r, u.values.real, left=u.values.real[0], right=0.0)
-    im = np.interp(rc, g.r, u.values.imag, left=u.values.imag[0], right=0.0)
-    gtil = rc * (re + 1j * im)
-    coeff = quad @ gtil
-    return float(4.0 * np.pi * np.sum(omegas * np.abs(coeff) ** 2))
+    return kernel(u.grid, params).virial_weight(u.values)
 
 
 def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
-                 residual_tol: float = 0.05, coarse_n: int = 768,
-                 n_modes: int = 512) -> CheckRecord:
+                 residual_tol: float = 0.05) -> CheckRecord:
     """Quadratic envelope W(t) <= 2 E[u0] t^2 + C1 t + C2 on a blowup run.
 
     Fits W over the resolved snapshots; the leading coefficient must not
@@ -473,7 +431,7 @@ def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
     if len(res) < 4:
         raise InsufficientSnapshots("need at least 4 resolved snapshots for a quadratic fit")
     ts = np.array([s.t for s in res])
-    ws = np.array([virial_weight(s.field, params, coarse_n, n_modes) for s in res])
+    ws = np.array([virial_weight(s.field, params) for s in res])
     wscale = float(np.max(np.abs(ws)))
     if np.any(ws < -1e-10 * wscale):
         raise NegativeWeight("virial weight became negative: discretization failure")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst, idst
+from scipy.fft import dct, dst, idst
 
 __all__ = [
     "RadialGrid",
@@ -143,8 +143,9 @@ class RadialKernel:
 
     Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale and the
     H^{1/2} weight sqrt(1 + k^2), computed once, and offers the DST-I pair
-    on raw arrays, the Poisson solve, the Coulomb interaction and one Strang
-    step.  Obtain it through `kernel`, which caches one per (grid, params).
+    on raw arrays, the Poisson solve, the Coulomb interaction, one Strang
+    step and the virial weight.  Obtain it through `kernel`, which caches one
+    per (grid, params).
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
@@ -204,6 +205,20 @@ class RadialKernel:
         rho_tilde, total = self.density_transform(rho)
         return float(self.grid.weight * 4.0 * np.pi * np.sum(rho_tilde**2 / self._k2)
                      + total * total / self.grid.r_max)
+
+    def virial_weight(self, values: np.ndarray) -> float:
+        """W = sum_j <x_j u, omega(D) x_j u> of the radial samples u(r_j).
+
+        In Fourier variables x_j is i d/dxi_j, so W = 8 int omega |C - S/k|^2 dk
+        with S(k) = int r u sin(kr) dr, the forward DST rescaled, and
+        C(k) = int r^2 u cos(kr) dr, one DCT-I of r^2 u over r_0 = 0 .. r_max
+        (trapezoid end at r_max); the integral is the sum over k_m times pi/r_max.
+        """
+        dr, n = self.grid.dr, self.grid.n_points
+        s = self.forward(values) * (dr * np.sqrt(n / 2.0) / self.scale)
+        c = 0.5 * dr * dct(np.concatenate(([0.0], self.r * self.r * values)), type=1)[1:]
+        return float(8.0 * np.pi / self.grid.r_max
+                     * np.sum(self.omega * np.abs(c - s / self.k) ** 2))
 
     def strang(self, c: np.ndarray, dt: float,
                potential: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

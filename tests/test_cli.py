@@ -24,6 +24,9 @@ from bosonstar.config import (
     load_config,
     verify_manifest,
 )
+from bosonstar.diagnostics import virial_check
+from bosonstar.evolution import load_trajectory
+from bosonstar.spectral import RadialGrid, field_to_json, gaussian_field
 
 
 def write_config(path, data):
@@ -129,8 +132,6 @@ class TestRunDispatch:
         })
         code, out_dir = run(cfg, quiet=True)
         assert code == EXIT_OK
-        from bosonstar.evolution import load_trajectory
-
         traj = load_trajectory(out_dir)
         assert traj.termination == "HorizonReached"
         assert len(traj.snapshots) == 1
@@ -261,9 +262,14 @@ class TestMainEntry:
         {"controls": {"dt0": 1e-3, "t_end": 0.1, "dt_floor": 1e-3}},
         {"grid": {"n_points": 256, "r_max": 8.0},
          "u0": {"kind": "gaussian", "amplitude": 1.0, "width": 5.0}},
-    ], ids=["dt0_not_above_floor", "unresolved_datum"])
+        {"u0": {"kind": "file", "file": "u0.json"}},
+    ], ids=["dt0_not_above_floor", "unresolved_datum", "file_grid_mismatch"])
     def test_evolve_that_cannot_start_exit_code(self, tmp_path, capsys, bad):
         out_dir = tmp_path / "ev"
+        if bad.get("u0", {}).get("kind") == "file":  # a resolved datum on another grid
+            u0_json = tmp_path / bad["u0"]["file"]
+            u0_json.write_text(json.dumps(field_to_json(gaussian_field(RadialGrid(128, 16.0)))))
+            bad = {"u0": {"kind": "file", "file": str(u0_json)}}
         config = write_config(tmp_path / "ev.json", {
             "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
             "controls": {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10},
@@ -273,6 +279,32 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip()
         assert err.startswith("input error:") and "\n" not in err
         assert not (out_dir / "manifest.json").exists()
+
+    def test_diagnose_uses_the_trajectory_mass(self, tmp_path):
+        # evolved at m = 1; diagnose gets no config, so its params.mass is the default 0
+        gs_json = tmp_path / "gs.json"
+        assert main(["--out-dir", str(tmp_path / "gs"), "--quiet", "ground-state",
+                     "--n", "256", "--rmax", "32", "--tol", "1e-8",
+                     "--out", str(gs_json)]) == EXIT_OK
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "params": {"mass": 1.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10, "snapshot_stride": 2},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(tmp_path / "ev")})
+        assert main(["--quiet", "evolve", "--config", ev_config]) == EXIT_OK
+        report_json = tmp_path / "report.json"
+        assert main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
+                     "--trajectory", str(tmp_path / "ev"), "--ground-state", str(gs_json),
+                     "--checks", "virial", "--out", str(report_json)]) == EXIT_OK
+        (rec,) = json.loads(report_json.read_text())["checks"]
+        traj = load_trajectory(str(tmp_path / "ev"))
+        assert traj.params.mass == 1.0
+        tol = Tolerances()
+        expected = virial_check(traj, traj.params, tol.virial_envelope_slack,
+                                tol.virial_residual)
+        assert rec["check"] == "virial_envelope"
+        assert rec["statistic"] == expected.statistic
 
     def test_cauchy_pad_moves_measure_bounds(self, tmp_path):
         gs_json = tmp_path / "gs.json"

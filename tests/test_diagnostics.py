@@ -35,6 +35,7 @@ from bosonstar.spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    RadialKernel,
     field_from_profile,
     gaussian_field,
     mass,
@@ -253,7 +254,7 @@ class TestVirial:
     def test_gaussian_oracle_massless(self):
         g = RadialGrid(2048, 32.0)
         f = gaussian_field(g, 1.0, 1.0)
-        w = virial_weight(f, P0, coarse_n=1024, n_modes=700)
+        w = virial_weight(f, P0)
         assert w == pytest.approx(4 * np.pi, rel=1e-6)
 
     def test_gaussian_oracle_massive(self):
@@ -261,8 +262,25 @@ class TestVirial:
         f = gaussian_field(g, 1.0, 1.0)
         oracle = 4 * np.pi * quad(
             lambda k: np.sqrt(k * k + 1.0) * k**4 * np.exp(-(k**2)), 0, np.inf)[0]
-        w = virial_weight(f, P1, coarse_n=1024, n_modes=700)
+        w = virial_weight(f, P1)
         assert w == pytest.approx(oracle, rel=1e-6)
+
+    @staticmethod
+    def unit_symbol_identity(u):
+        # with omega = 1 the weight is ||x u||^2 = 4 pi int r^4 |u|^2 dr, by Parseval
+        kern = RadialKernel(u.grid, P0)
+        kern.omega = np.ones_like(kern.k)
+        g = u.grid
+        return kern.virial_weight(u.values), g.weight * np.sum(g.r**4 * np.abs(u.values) ** 2)
+
+    def test_unit_symbol_identity_gaussian(self):
+        w, second_moment = self.unit_symbol_identity(gaussian_field(RadialGrid(2048, 32.0)))
+        assert w == pytest.approx(second_moment, rel=1e-13)
+
+    def test_unit_symbol_identity_collapsed_core(self, blowup_traj):
+        # the last resolved blowup snapshot: the collapsed core at the grid's resolution limit
+        w, second_moment = self.unit_symbol_identity(blowup_traj.resolved_snapshots()[-1].field)
+        assert w == pytest.approx(second_moment, rel=1e-13)
 
     def test_stationary_input_constant(self):
         traj = stationary_traj(n_snaps=6)

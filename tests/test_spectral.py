@@ -98,13 +98,14 @@ class TestKernel:
                               np.sqrt(GRID.frequencies**2 + 1.0))
 
     def test_only_spectral_imports_scipy_fft(self):
-        # every DST in the package goes through the one kernel in spectral.py
+        # every DST and DCT in the package goes through the one kernel in
+        # spectral.py, and no check carries a root-finding basis of its own
         import ast
         import pathlib
 
         import bosonstar
 
-        offenders = []
+        offenders, optimize_users = [], []
         for path in pathlib.Path(bosonstar.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
@@ -115,7 +116,10 @@ class TestKernel:
                     continue
                 if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
                     offenders.append(path.name)
+                if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
+                    optimize_users.append(path.name)
         assert offenders == ["spectral.py"]
+        assert optimize_users == []
 
 
 class TestMultiplier:
