@@ -1,18 +1,21 @@
 """Command-line entry point and run dispatcher.
 
-Subcommands: ground-state, evolve, diagnose, operator-check.  Each run writes
-its outputs plus a manifest with content digests into the output directory;
+Subcommands: ground-state, evolve, diagnose, operator-check.  This module
+parses flags into one RunConfig (a flag overrides its config key only when it
+is given), calls one function per command, prints, and writes each run's
+outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.
 
-Exit codes: 0 success, 2 config/validation failure, unreadable input files or
-an evolve that cannot start (invalid controls, unresolved datum, a u0 file on
-another grid), 3 numerical failure (non-convergence, divergence, non-finite
-values), 4 a diagnostic check failed.
+Exit codes: 0 success, 2 config/validation failure, unreadable input files, a
+trajectory that does not match its manifest, or an evolve that cannot start
+(invalid controls, unresolved datum, a u0 file on another grid), 3 numerical
+failure (non-convergence, divergence, non-finite values), 4 a check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,10 +33,10 @@ from .config import (
     config_from_dict,
     config_to_dict,
     load_config,
+    verify_manifest,
     write_manifest,
 )
 from .evolution import (
-    STEP_FLOOR,
     EvolutionControls,
     NonFinite,
     evolve,
@@ -42,6 +45,7 @@ from .evolution import (
     save_trajectory,
 )
 from .ground_state import (
+    GroundState,
     GroundStateError,
     gn_ratio,
     solve_ground_state,
@@ -50,7 +54,6 @@ from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
-    boundary_mass,
     field_from_json,
     field_to_json,
     gaussian_field,
@@ -64,8 +67,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
-# how an operator-check statistic must relate to its bound; "<=" for unlisted checks
-_RELATION = {"localization_spectrum_low": ">=", "ims_defect": ">=", "profile_count": "=="}
+# the GroundState fields stored in ground_state.json next to its profile
+_GS_SCALARS = tuple(f.name for f in dataclasses.fields(GroundState) if f.name != "q")
 
 
 class InputError(ValueError):
@@ -95,18 +98,17 @@ def _make_u0(cfg: RunConfig, grid: RadialGrid) -> Field:
             raise ValueError(f"u0 file grid ({u0.grid.n_points}, {u0.grid.r_max}) differs "
                              f"from the config grid ({grid.n_points}, {grid.r_max})")
     elif kind == "gaussian":
-        u0 = gaussian_field(grid, spec.get("amplitude", 1.0), spec.get("width", 1.0))
+        u0 = gaussian_field(grid, spec["amplitude"], spec["width"])
     elif kind == "sech":
-        u0 = sech_field(grid, spec.get("amplitude", 1.0), spec.get("width", 1.0))
+        u0 = sech_field(grid, spec["amplitude"], spec["width"])
     else:
         raise ValidationError(["u0.kind"])
-    if "mass" in spec and spec["mass"] is not None:
-        target = float(spec["mass"])
-        u0 = Field(u0.grid, u0.values * np.sqrt(target / mass(u0)))
+    if spec.get("mass") is not None:
+        u0 = Field(u0.grid, u0.values * np.sqrt(float(spec["mass"]) / mass(u0)))
     return u0
 
 
-def run_ground_state(cfg: RunConfig, quiet=False) -> dict:
+def run_ground_state(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     grid = _make_grid(cfg)
     seed = cfg.ground_state["seed_profile"]
     if isinstance(seed, str) and seed.startswith("file:"):
@@ -117,38 +119,24 @@ def run_ground_state(cfg: RunConfig, quiet=False) -> dict:
                             seed=seed)
     _say(quiet, f"converged in {gs.iterations} sweeps: M_c = {gs.critical_mass:.12g}, "
                 f"residual = {gs.equation_residual:.3g}, pohozaev = {gs.pohozaev_residual:.3g}")
-    return {
-        "critical_mass": gs.critical_mass,
-        "c_opt": gs.c_opt,
-        "pohozaev_residual": gs.pohozaev_residual,
-        "equation_residual": gs.equation_residual,
-        "iterations": gs.iterations,
-        "final_update_norm": gs.final_update_norm,
-        "gn_ratio": gn_ratio(gs.q),
-        "profile": field_to_json(gs.q),
-    }
+    return {**{name: getattr(gs, name) for name in _GS_SCALARS},
+            "gn_ratio": gn_ratio(gs.q), "profile": field_to_json(gs.q)}, []
 
 
-def load_ground_state_json(path):
-    from .ground_state import GroundState
-
+def load_ground_state_json(path) -> GroundState:
     with open(path) as fh:
         data = json.load(fh)
-    q = field_from_json(data["profile"])
-    return GroundState(q=q, critical_mass=data["critical_mass"], c_opt=data["c_opt"],
-                       pohozaev_residual=data["pohozaev_residual"],
-                       iterations=data["iterations"],
-                       final_update_norm=data["final_update_norm"],
-                       equation_residual=data["equation_residual"])
+    return GroundState(q=field_from_json(data["profile"]),
+                       **{name: data[name] for name in _GS_SCALARS})
 
 
-def run_evolve(cfg: RunConfig, out_dir, quiet=False):
+def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
+    """Evolve, save the trajectory into out_dir and return its file paths."""
     grid = _make_grid(cfg)
     params = ModelParams(float(cfg.params["mass"]))
-    ctrl_kwargs = dict(cfg.controls)
-    ctrl_kwargs.setdefault("resolved_width_cells", cfg.tolerances.resolved_width_cells)
     try:
-        controls = EvolutionControls(**ctrl_kwargs)
+        controls = EvolutionControls(**cfg.controls,
+                                     resolved_width_cells=cfg.tolerances.resolved_width_cells)
         u0 = _make_u0(cfg, grid)
         require_resolved(u0)
     except (ValueError, TypeError, OSError) as exc:
@@ -163,154 +151,37 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False):
                 f"{np.max(np.abs(rec['mass'] - rec['mass'][0])) / rec['mass'][0]:.3g}, "
                 f"energy drift = {energy_drift:.3g}, "
                 f"boundary mass = {rec['boundary_mass'][-1]:.3g}")
-    return traj, list(files.values())
+    return list(files.values())
 
 
-def run_diagnose(cfg: RunConfig, quiet=False) -> diag.DiagnosticsReport:
-    tol = cfg.tolerances
+def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     try:
-        traj = load_trajectory(cfg.diagnose["trajectory"])
+        traj_dir = cfg.diagnose["trajectory"]
+        if not verify_manifest(traj_dir):
+            raise ValueError(f"{traj_dir} does not match the digests of its manifest.json")
+        traj = load_trajectory(traj_dir)
         gs = load_ground_state_json(cfg.diagnose["ground_state"])
     except KeyError as exc:
         raise InputError(f"cannot read diagnose inputs: missing key {exc}") from exc
     except (ValueError, TypeError, OSError) as exc:
         raise InputError(f"cannot read diagnose inputs: {exc}") from exc
-    checks = cfg.diagnose.get("checks", "all")
-    wanted = None if checks == "all" else set(
-        checks.split(",") if isinstance(checks, str) else checks)
-
-    def want(name):
-        return wanted is None or name in wanted
-
-    report = diag.DiagnosticsReport()
-    bank_radii = [r for r in tol.bank_radii if r < 0.9 * traj.grid.r_max]
-    bank = diag.cutoff_bank(traj.grid, bank_radii)
-    if want("propagation"):
-        for chi in bank:
-            report.records.append(
-                diag.propagation_bound_check(traj, chi, tol.c_cal_propagation))
-    if want("tightness"):
-        try:
-            r_star = diag.tightness_check(traj, 0.01 * traj.initial_mass)
-            report.records.append(diag.CheckRecord(
-                "tightness", {"eps_fraction": 0.01}, r_star, traj.grid.r_max,
-                passed=bool(r_star < traj.grid.r_max)))
-        except diag.NotTightOnGrid:
-            report.records.append(diag.CheckRecord(
-                "tightness", {"eps_fraction": 0.01}, float("inf"), traj.grid.r_max, False))
-    if want("concentration"):
-        report.records.extend(diag.minimal_concentration_check(
-            traj, gs, tol.conc_mass_fraction, center_cells=tol.conc_center_cells))
-        for rec in report.records:
-            if rec.check == "minimal_concentration" and rec.params.get("trace"):
-                report.concentration_trace = rec.params["trace"]
-    if want("measure"):
-        hist, cauchy = diag.blowup_measure(traj, int(cfg.diagnose.get("bins", tol.histogram_bins)),
-                                           cutoffs=bank, c_cal=tol.c_cal_propagation,
-                                           pad=tol.cauchy_pad)
-        report.measure_histogram = hist
-        report.records.extend(cauchy)
-    if want("exterior"):
-        # strong L2(|x| >= R) convergence is a statement about blowup solutions
-        if traj.termination != STEP_FLOOR:
-            report.records.append(diag.CheckRecord(
-                "exterior_cauchy", {"applicable": False, "termination": traj.termination},
-                float("nan"), float("nan"), passed=True))
-        else:
-            try:
-                report.records.extend(diag.exterior_convergence_check(
-                    traj, tol.exterior_radius, traj.params, final_frac=tol.exterior_final_frac))
-            except diag.InsufficientSnapshots as exc:
-                report.records.append(diag.CheckRecord(
-                    "exterior_cauchy", {"error": str(exc)}, float("nan"), float("nan"), False))
-    if want("newton"):
-        from .spectral import coulomb_potential_density
-
-        worst = 0.0
-        for s in traj.snapshots:
-            v = coulomb_potential_density(np.abs(s.field.values) ** 2, traj.grid)
-            worst = max(worst, float(np.max(traj.grid.r * v)))
-        report.records.append(diag.CheckRecord(
-            "newton_bound", {}, worst, traj.initial_mass * (1.0 + tol.newton_slack),
-            passed=bool(worst <= traj.initial_mass * (1.0 + tol.newton_slack))))
-    if want("virial"):
-        try:
-            report.records.append(diag.virial_check(
-                traj, traj.params, tol.virial_envelope_slack, tol.virial_residual))
-        except diag.InsufficientSnapshots as exc:
-            report.records.append(diag.CheckRecord(
-                "virial_envelope", {"error": str(exc)}, float("nan"), float("nan"), False))
-    for rec in report.records:
-        _say(quiet, f"  [{'PASS' if rec.passed else 'FAIL'}] {rec.check}: "
-                    f"statistic={rec.statistic:.6g} bound={rec.bound:.6g}")
-    return report
+    report = diag.run_checks(traj, gs, cfg.tolerances, cfg.diagnose["checks"])
+    return report.to_json(), report.records
 
 
-def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list[diag.CheckRecord]]:
-    """Run the dense operator suite; returns (report JSON, check records)."""
-    tol = cfg.tolerances
+def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     op = cfg.operator_check
-    suite = op["suite"]
-    n = int(op["n"])
-    length = float(op.get("length", 32.0))
-    s = float(op["s"])
-    grid = lab.PeriodicGrid1D(n, length)
-    rng = np.random.default_rng(cfg.seed)
-    records = []
+    n, s = int(op["n"]), float(op["s"])
+    records = lab.run_suite(op["suite"], lab.PeriodicGrid1D(n, float(op["length"])), s,
+                            cfg.tolerances, cfg.seed)
+    return {"suite": op["suite"], "n": n, "s": s, "checks": [r.to_dict() for r in records]}, records
 
-    def add(check, params, stat, bound, passed):
-        records.append(diag.CheckRecord(check, params, stat, bound, bool(passed)))
 
-    if suite in ("commutator", "all"):
-        for _ in range(5):
-            chi = lab.random_smooth_chi(grid, rng)
-            cn = lab.commutator_norm(grid, s, 1.0, chi)
-            bound = tol.c_cal_commutator * float(np.max(np.abs(lab.spectral_gradient(grid, chi))))
-            add("commutator_norm", {"s": s}, cn, bound, cn <= bound)
-    if suite in ("localization", "all"):
-        chi = lab.random_smooth_chi(grid, rng)
-        out = lab.localization_defect(grid, min(s, 0.99), chi)
-        high = out["upper_bound"] * (1 + 1e-6)
-        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8)
-        add("localization_spectrum_high", {"s": s}, out["eig_max"], high, out["eig_max"] <= high)
-        add("double_commutator", {"s": s}, out["double_commutator_norm"],
-            out["double_commutator_bound"],
-            out["double_commutator_norm"] <= out["double_commutator_bound"])
-    if suite in ("ims", "all"):
-        part = lab.partition_pair(grid, grid.length / 4.0, grid.length / 24.0)
-        d = lab.ims_defect(grid, min(s, 0.99), part)
-        add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8)
-    x = grid.x
-
-    def pbump(c, w, a):
-        dd = np.abs(x - c)
-        dd = np.minimum(dd, grid.length - dd)
-        return a * np.exp(-dd**2 / (2 * w * w))
-
-    if suite in ("subcritical", "all"):
-        fam = lab.SequenceFamily(
-            [pbump(grid.length / 2 + 0.5 * k, grid.length / 24.0, 1.0) for k in range(8)])
-        out = lab.subcritical_check(grid, fam, s, grid.length / 8.0, tol.c_cal_subcritical)
-        add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"], out["pass"])
-    if suite in ("profiles", "all"):
-        wdt = grid.length / 200.0
-        sep = grid.length / 60.0
-        members = [pbump(grid.length / 2 - sep * k, wdt, 1.0)
-                   + pbump(grid.length / 2 + sep * k, wdt, 1.0 / np.sqrt(2.0))
-                   for k in range(2, 14)]
-        m1 = lab.l2_norm(grid, members[-1]) ** 2
-        out = lab.profile_decompose(grid, lab.SequenceFamily(members), s,
-                                    eps=0.02 * m1, r0=grid.length / 64.0)
-        count = len(out["profiles"])
-        budget = out["mass_budget"] * (1 + 1e-6)
-        add("profile_count", {}, count, 2, count == 2)
-        add("profile_mass_budget", {}, out["profile_mass_sum"], budget,
-            out["profile_mass_sum"] <= budget)
-    for rec in records:
-        _say(quiet, f"  [{'PASS' if rec.passed else 'FAIL'}] {rec.check}: "
-                    f"statistic={rec.statistic:.6g} {_RELATION.get(rec.check, '<=')} "
-                    f"bound={rec.bound:.6g}")
-    return {"suite": suite, "n": n, "s": s, "checks": [r.to_dict() for r in records]}, records
+# the JSON file and the runner of each command but evolve; a runner returns
+# (file contents, check records)
+_REPORTS = {"ground-state": ("ground_state.json", run_ground_state),
+            "diagnose": ("report.json", run_diagnose),
+            "operator-check": ("report.json", run_operator_check)}
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
@@ -318,44 +189,33 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
-    outputs = []
-    code = EXIT_OK
     try:
-        if cfg.command == "ground-state":
-            result = run_ground_state(cfg, quiet)
-            path = os.path.join(out_dir, "ground_state.json")
-            _write_json(path, result)
-            outputs.append(path)
-        elif cfg.command == "evolve":
-            _, files = run_evolve(cfg, out_dir, quiet)
-            outputs.extend(files)
-        elif cfg.command in ("diagnose", "operator-check"):
-            if cfg.command == "diagnose":
-                report = run_diagnose(cfg, quiet)
-                result, records = report.to_json(), report.records
-            else:
-                result, records = run_operator_check(cfg, quiet)
-            path = os.path.join(out_dir, "report.json")
-            _write_json(path, result)
-            outputs.append(path)
-            if not all(r.passed for r in records):
-                code = EXIT_CHECK_FAILED
+        if cfg.command == "evolve":
+            outputs, records = run_evolve(cfg, out_dir, quiet), []
+        else:
+            name, runner = _REPORTS[cfg.command]
+            result, records = runner(cfg, quiet)
+            outputs = [os.path.join(out_dir, name)]
+            _write_json(outputs[0], result)
     except (GroundStateError, NonFinite) as exc:
         _say(quiet, f"numerical failure: {exc}")
         return EXIT_NUMERICAL, out_dir
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, out_dir
+    for rec in records:
+        _say(quiet, rec.line())
     write_manifest(cfg, out_dir, time.time() - t0, outputs)
-    return code, out_dir
+    return (EXIT_OK if all(r.passed for r in records) else EXIT_CHECK_FAILED), out_dir
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps a subcommand's unset globals from clobbering values that
-    # were already parsed before the subcommand name
+    # every flag defaults to SUPPRESS, so only the flags that are given reach
+    # the config, and a subcommand's unset globals keep the values parsed
+    # before the subcommand name; a dotted dest is the config key a flag sets
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="JSON run config (overridden by subcommand flags)")
-    common.add_argument("--out-dir", help="output directory")
+    common.add_argument("--config", help="JSON run config (overridden by the flags that are given)")
+    common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--seed", type=int, help="rng seed for randomized suites")
     common.add_argument("--quiet", action="store_true")
 
@@ -364,79 +224,69 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Radial laboratory for the L2-critical boson star equation")
     sub = parser.add_subparsers(dest="command")
 
-    gs = sub.add_parser("ground-state", parents=[common],
-                        help="solve the ground-state profile")
-    gs.add_argument("--n", type=int, default=4096)
-    gs.add_argument("--rmax", type=float, default=128.0)
-    gs.add_argument("--tol", type=float, default=1e-10)
-    gs.add_argument("--max-iter", type=int, default=2000)
-    gs.add_argument("--seed-profile", default="gaussian",
+    def command(name, help):
+        return sub.add_parser(name, parents=[common], help=help,
+                              argument_default=argparse.SUPPRESS)
+
+    gs = command("ground-state", "solve the ground-state profile")
+    gs.add_argument("--n", dest="grid.n_points", type=int)
+    gs.add_argument("--rmax", dest="grid.r_max", type=float)
+    gs.add_argument("--tol", dest="ground_state.tol", type=float)
+    gs.add_argument("--max-iter", dest="ground_state.max_iter", type=int)
+    gs.add_argument("--seed-profile", dest="ground_state.seed_profile",
                     help="gaussian | sech | file:<path>")
     gs.add_argument("--out", help="output JSON path (default <out-dir>/ground_state.json)")
 
-    sub.add_parser("evolve", parents=[common], help="integrate an initial datum")
+    command("evolve", "integrate an initial datum")
 
-    dg = sub.add_parser("diagnose", parents=[common], help="run checks on a stored trajectory")
-    dg.add_argument("--trajectory", required=True)
-    dg.add_argument("--ground-state", required=True)
-    dg.add_argument("--checks", default="all")
-    dg.add_argument("--out", default=None)
+    dg = command("diagnose", "run checks on a stored trajectory")
+    dg.add_argument("--trajectory", dest="diagnose.trajectory")
+    dg.add_argument("--ground-state", dest="diagnose.ground_state")
+    dg.add_argument("--checks", dest="diagnose.checks",
+                    help="all, or a comma-separated subset of " + ",".join(diag.CHECKS))
+    dg.add_argument("--out", help="output JSON path (default <out-dir>/report.json)")
 
-    oc = sub.add_parser("operator-check", parents=[common], help="dense fractional-operator suite")
-    oc.add_argument("--suite", default="all",
+    oc = command("operator-check", "dense fractional-operator suite")
+    oc.add_argument("--suite", dest="operator_check.suite",
                     choices=["commutator", "localization", "ims", "subcritical",
                              "profiles", "all"])
-    oc.add_argument("--n", type=int, default=128)
-    oc.add_argument("--s", type=float, default=0.5)
-    oc.add_argument("--out", default=None)
+    oc.add_argument("--n", dest="operator_check.n", type=int)
+    oc.add_argument("--s", dest="operator_check.s", type=float)
+    oc.add_argument("--out", help="output JSON path (default <out-dir>/report.json)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    out_dir = getattr(args, "out_dir", None)
-    seed = getattr(args, "seed", None)
-    quiet = getattr(args, "quiet", False)
-    if args.command is None:
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    config_path = args.pop("config", None)
+    quiet = args.pop("quiet", False)
+    out_override = args.pop("out", None)
+    if command is None:
         parser.print_help()
         return EXIT_VALIDATION
-    if args.command == "evolve" and not config_path:
+    if command == "evolve" and not config_path:
         print("config error: evolve requires --config <json>", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if config_path:
-            cfg = load_config(config_path)
-        else:
-            cfg = config_from_dict({"command": args.command})
-        data = config_to_dict(cfg)
-        data["command"] = args.command
-        if args.command == "ground-state":
-            data["grid"] = {"n_points": args.n, "r_max": args.rmax}
-            data["ground_state"] = {**data["ground_state"], "tol": args.tol,
-                                    "max_iter": args.max_iter,
-                                    "seed_profile": args.seed_profile}
-        elif args.command == "diagnose":
-            data["diagnose"] = {**data["diagnose"], "trajectory": args.trajectory,
-                                "ground_state": args.ground_state, "checks": args.checks}
-        elif args.command == "operator-check":
-            data["operator_check"] = {**data["operator_check"], "suite": args.suite,
-                                      "n": args.n, "s": args.s}
-        if out_dir:
-            data["out_dir"] = out_dir
-        if seed is not None:
-            data["seed"] = seed
+        data = config_to_dict(load_config(config_path) if config_path
+                              else config_from_dict({"command": command}))
+        data["command"] = command
+        for key, value in args.items():  # the flags that were given
+            section, _, name = key.rpartition(".")
+            if section:
+                data[section] = {**data[section], name: value}
+            else:
+                data[key] = value
         cfg = config_from_dict(data)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     code, run_dir = run(cfg, quiet=quiet)
-    out_override = getattr(args, "out", None)
     if out_override:
-        src = os.path.join(run_dir, "ground_state.json" if args.command == "ground-state"
-                           else "report.json")
+        src = os.path.join(run_dir, _REPORTS[command][0])
         if os.path.exists(src) and os.path.abspath(src) != os.path.abspath(out_override):
             os.makedirs(os.path.dirname(os.path.abspath(out_override)), exist_ok=True)
             with open(src) as fin, open(out_override, "w") as fout:

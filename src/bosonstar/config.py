@@ -1,8 +1,8 @@
 """Run configuration, validation, and reproducibility plumbing.
 
-Configs are strict JSON: unknown keys are rejected, every tolerance and slack
-constant used by the checks lives here with a documented default (nothing is
-hard-coded in the check implementations), and a config round-trips through
+Configs are strict JSON: unknown keys are rejected, every tolerance of the
+check functions lives here with a documented default (the suites still fix
+four slack constants, see README), and a config round-trips through
 serialization bit-exactly.  A finished run writes a manifest with SHA-256
 digests of its outputs so results can be verified on reload.
 """
@@ -84,10 +84,10 @@ class Tolerances:
 _GRID_KEYS = {"n_points", "r_max"}
 _PARAMS_KEYS = {"mass"}
 _CONTROL_KEYS = {"dt0", "t_end", "cfl", "dt_floor", "snapshot_stride", "h_half_cap",
-                 "include_nonlinearity", "max_snapshots", "resolved_width_cells"}
+                 "include_nonlinearity", "max_snapshots"}
 _GS_KEYS = {"tol", "max_iter", "gamma", "seed_profile"}
 _U0_KEYS = {"kind", "amplitude", "width", "file", "mass"}
-_DIAG_KEYS = {"trajectory", "ground_state", "checks", "bins"}
+_DIAG_KEYS = {"trajectory", "ground_state", "checks"}
 _OP_KEYS = {"suite", "n", "length", "s"}
 _TOP_KEYS = {"command", "grid", "params", "controls", "ground_state", "u0",
              "diagnose", "operator_check", "tolerances", "seed", "out_dir"}
@@ -96,6 +96,10 @@ _COMMANDS = {"ground-state", "evolve", "diagnose", "operator-check"}
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run.  These defaults are the only defaults of the run
+    settings (the controls default in evolution.EvolutionControls); the CLI
+    flags override them only when given."""
+
     command: str
     grid: dict = dc_field(default_factory=lambda: {"n_points": 4096, "r_max": 128.0})
     params: dict = dc_field(default_factory=lambda: {"mass": 0.0})
@@ -103,7 +107,7 @@ class RunConfig:
     ground_state: dict = dc_field(default_factory=lambda: {
         "tol": 1e-10, "max_iter": 2000, "gamma": 1.5, "seed_profile": "gaussian"})
     u0: dict = dc_field(default_factory=lambda: {"kind": "gaussian", "amplitude": 1.0, "width": 1.0})
-    diagnose: dict = dc_field(default_factory=lambda: {"checks": "all", "bins": 64})
+    diagnose: dict = dc_field(default_factory=lambda: {"checks": "all"})
     operator_check: dict = dc_field(default_factory=lambda: {
         "suite": "all", "n": 128, "length": 32.0, "s": 0.5})
     tolerances: Tolerances = dc_field(default_factory=Tolerances)

@@ -5,7 +5,8 @@ statements: the localized-mass propagation bound (commutator estimate), the
 tightness radius, Levy concentration functions and the minimal-mass ball at
 the blowup point, radial histograms of |u|^2 with their Cauchy-in-time
 oscillation, strong exterior convergence with its Duhamel ingredients, and
-the quadratic virial envelope.
+the quadratic virial envelope.  `run_checks` runs them as the `diagnose`
+suite.
 
 Limits t -> T^- are replaced by windows over the last resolved snapshots;
 "resolved" excludes records whose concentration width has fallen below the
@@ -18,10 +19,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .evolution import STEP_FLOOR
 from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    coulomb_potential_density,
     homogeneous_half_sq,
     kernel,
     mass,
@@ -50,6 +53,8 @@ __all__ = [
     "virial_weight",
     "virial_check",
     "local_sobolev_report",
+    "CHECKS",
+    "run_checks",
 ]
 
 
@@ -104,6 +109,11 @@ def cutoff_bank(grid: RadialGrid, radii=(2.0, 4.0, 8.0, 16.0)) -> list[Cutoff]:
     return bank
 
 
+# how a check's statistic must relate to its bound to pass; "<=" for unlisted checks
+_RELATION = {"tightness": "<", "minimal_concentration": ">=", "localization_spectrum_low": ">=",
+             "ims_defect": ">=", "profile_count": "=="}
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     check: str
@@ -111,6 +121,12 @@ class CheckRecord:
     statistic: float
     bound: float
     passed: bool
+
+    def line(self) -> str:
+        """The stdout line: verdict, statistic, and the bound with its direction."""
+        return (f"  [{'PASS' if self.passed else 'FAIL'}] {self.check}: "
+                f"statistic={self.statistic:.6g} {_RELATION.get(self.check, '<=')} "
+                f"bound={self.bound:.6g}")
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -263,8 +279,6 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
     Only applicable to runs flagged as blowup (StepFloor); the liminf is
     replaced by the min over the last n_last resolved snapshots.
     """
-    from .evolution import STEP_FLOOR
-
     if traj.termination != STEP_FLOOR:
         return [CheckRecord(check="minimal_concentration",
                             params={"applicable": False, "termination": traj.termination},
@@ -460,3 +474,79 @@ def local_sobolev_report(traj, radius: float = 1.0) -> dict:
     return {"radius": radius,
             "l2_local": float(np.sqrt(localized_mass(u, chi))),
             "h_half_local": hs_norm(windowed, 0.5)}
+
+
+# --- the diagnose suite ----------------------------------------------------------
+
+# each check of `run_checks`, in report order, with the record it reports an
+# InsufficientSnapshots error under
+CHECKS = {"propagation": "propagation_bound", "tightness": "tightness",
+          "concentration": "minimal_concentration", "measure": "measure_cauchy",
+          "exterior": "exterior_cauchy", "newton": "newton_bound", "virial": "virial_envelope"}
+
+
+def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
+    """Run the named CHECKS ("all", a comma-separated string or a list) on a
+    stored trajectory against the ground state gs, with config.Tolerances tol.
+
+    A check that lacks the snapshots it needs reports one failed record that
+    carries the error.  Exterior convergence is a statement about blowup
+    solutions: on a run that did not stop at StepFloor it reports one passed,
+    not-applicable record.
+    """
+    wanted = set(CHECKS if checks == "all" else
+                 checks.split(",") if isinstance(checks, str) else checks)
+    grid = traj.grid
+    m0 = traj.initial_mass
+    nan = float("nan")
+    report = DiagnosticsReport()
+    bank = cutoff_bank(grid, [r for r in tol.bank_radii if r < 0.9 * grid.r_max])
+
+    def tightness():
+        try:
+            r_star = tightness_check(traj, 0.01 * m0)
+        except NotTightOnGrid:
+            r_star = float("inf")
+        return [CheckRecord("tightness", {"eps_fraction": 0.01}, r_star, grid.r_max,
+                            bool(r_star < grid.r_max))]
+
+    def concentration():
+        records = minimal_concentration_check(traj, gs, tol.conc_mass_fraction,
+                                              center_cells=tol.conc_center_cells)
+        report.concentration_trace = records[0].params.get("trace", [])
+        return records
+
+    def measure():
+        report.measure_histogram, records = blowup_measure(
+            traj, tol.histogram_bins, cutoffs=bank, c_cal=tol.c_cal_propagation,
+            pad=tol.cauchy_pad)
+        return records
+
+    def exterior():
+        if traj.termination != STEP_FLOOR:
+            return [CheckRecord("exterior_cauchy",
+                                {"applicable": False, "termination": traj.termination},
+                                nan, nan, True)]
+        return exterior_convergence_check(traj, tol.exterior_radius, traj.params,
+                                          final_frac=tol.exterior_final_frac)
+
+    def newton():
+        worst = max(float(np.max(grid.r * coulomb_potential_density(
+            np.abs(s.field.values) ** 2, grid))) for s in traj.snapshots)
+        bound = m0 * (1.0 + tol.newton_slack)
+        return [CheckRecord("newton_bound", {}, worst, bound, bool(worst <= bound))]
+
+    runners = {"tightness": tightness, "concentration": concentration, "measure": measure,
+               "exterior": exterior, "newton": newton,
+               "propagation": lambda: [propagation_bound_check(traj, chi, tol.c_cal_propagation)
+                                       for chi in bank],
+               "virial": lambda: [virial_check(traj, traj.params, tol.virial_envelope_slack,
+                                               tol.virial_residual)]}
+    for name, record_name in CHECKS.items():
+        if name in wanted:
+            try:
+                report.records.extend(runners[name]())
+            except InsufficientSnapshots as exc:
+                report.records.append(
+                    CheckRecord(record_name, {"error": str(exc)}, nan, nan, False))
+    return report

@@ -14,6 +14,7 @@ Hitting dt_floor is the operational "blowup suspected" flag.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -89,6 +90,10 @@ class Snapshot:
     width: float
     resolved: bool
     h_half_jump: float  # relative H^{1/2} jump from the previous retained snapshot
+
+
+# the Snapshot fields stored in snapshots.json; the field values go to snapshots.npy
+_SNAPSHOT_META = tuple(f.name for f in dataclasses.fields(Snapshot) if f.name != "field")
 
 
 @dataclass
@@ -329,22 +334,9 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
         "grid": {"n_points": traj.grid.n_points, "r_max": traj.grid.r_max},
         "params": {"mass": traj.params.mass},
         "termination": traj.termination,
-        "controls": {
-            "dt0": traj.controls.dt0, "t_end": traj.controls.t_end,
-            "cfl": traj.controls.cfl, "dt_floor": traj.controls.dt_floor,
-            "snapshot_stride": traj.controls.snapshot_stride,
-            "h_half_cap": traj.controls.h_half_cap,
-            "include_nonlinearity": traj.controls.include_nonlinearity,
-            "max_snapshots": traj.controls.max_snapshots,
-            "resolved_width_cells": traj.controls.resolved_width_cells,
-        },
-        "snapshots": [
-            {
-                "t": s.t, "record_index": s.record_index, "width": s.width,
-                "resolved": s.resolved, "h_half_jump": s.h_half_jump,
-            }
-            for s in traj.snapshots
-        ],
+        "controls": dataclasses.asdict(traj.controls),
+        "snapshots": [{name: getattr(s, name) for name in _SNAPSHOT_META}
+                      for s in traj.snapshots],
     }
     with open(snap_path, "w") as fh:
         json.dump(payload, fh)
@@ -371,12 +363,7 @@ def load_trajectory(out_dir) -> Trajectory:
     if fields.dtype != np.complex128 or fields.shape != expected:
         raise ValueError(f"{fields_path} holds {fields.dtype} {fields.shape}, "
                          f"expected complex128 {expected}")
-    snapshots = [
-        Snapshot(
-            t=s["t"], field=Field(grid, values), record_index=s["record_index"],
-            width=s["width"], resolved=s["resolved"], h_half_jump=s["h_half_jump"],
-        )
-        for s, values in zip(payload["snapshots"], fields)
-    ]
+    snapshots = [Snapshot(field=Field(grid, values), **{name: s[name] for name in _SNAPSHOT_META})
+                 for s, values in zip(payload["snapshots"], fields)]
     return Trajectory(grid=grid, params=params, controls=controls,
                       records=records, snapshots=snapshots, termination=payload["termination"])

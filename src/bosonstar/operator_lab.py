@@ -8,13 +8,15 @@ nonnegative defect L_chi, the fractional IMS inequality, the subcritical
 estimate through the highest local mass, and the constructive splitting of
 bounded sequences into receding bumps.
 
-Operators are built by conjugating their diagonal Fourier symbols with the
-DFT; the scalar integral representation x^s = (sin pi s / pi) Int x/(x+t)
-t^{s-1} dt is kept as an independent quadrature route (two-panel Gauss-Jacobi
-in t, which carries the fractional endpoint weights exactly).  Resolvent
+Operators are real symmetric float64 matrices, built by conjugating their
+real, even Fourier symbols with the DFT; the scalar integral representation
+x^s = (sin pi s / pi) Int x/(x+t) t^{s-1} dt is kept as an independent
+quadrature route (two-panel Gauss-Jacobi in t, which carries the fractional
+endpoint weights exactly).  Resolvent
 quadratures run in the eigenbasis of A = 1 - Delta from one `eigh`, where
 every (A + t)^{-1} is a diagonal divide; multiplication by chi is applied
-elementwise, never as a dense diagonal matrix.
+elementwise, never as a dense diagonal matrix.  `run_suite` runs the checks
+as the `operator-check` suite.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
+
+from .diagnostics import CheckRecord
 
 __all__ = [
     "PeriodicGrid1D",
@@ -51,6 +55,7 @@ __all__ = [
     "highest_local_mass",
     "subcritical_check",
     "profile_decompose",
+    "run_suite",
 ]
 
 MAX_PROFILES = 32
@@ -94,12 +99,16 @@ class PeriodicGrid1D:
 
 @dataclass(frozen=True)
 class DenseOperator:
+    """A real symmetric operator on the grid, as a float64 matrix."""
+
     matrix: np.ndarray
     grid: PeriodicGrid1D
     label: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("a DenseOperator holds a real matrix")
+        m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (self.grid.n, self.grid.n):
             raise ValueError("matrix shape must match the grid")
         object.__setattr__(self, "matrix", m)
@@ -107,14 +116,13 @@ class DenseOperator:
     def hermiticity_defect(self) -> float:
         m = self.matrix
         scale = max(operator_norm_matrix(m), 1e-300)
-        return float(np.max(np.abs(m - m.conj().T)) / scale)
+        return float(np.max(np.abs(m - m.T)) / scale)
 
 
 def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray, label: str) -> DenseOperator:
     eye = np.eye(grid.n, dtype=np.complex128)
-    m = np.fft.ifft(symbol[:, None] * np.fft.fft(eye, axis=0), axis=0)
-    m = 0.5 * (m + m.conj().T)  # symbols are real and even: enforce hermiticity exactly
-    return DenseOperator(m, grid, label)
+    m = np.fft.ifft(symbol[:, None] * np.fft.fft(eye, axis=0), axis=0).real
+    return DenseOperator(0.5 * (m + m.T), grid, label)  # real, even symbol: symmetric
 
 
 def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOperator:
@@ -127,7 +135,7 @@ def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOpe
 
 
 def multiplication_operator(grid: PeriodicGrid1D, chi: np.ndarray, label: str = "chi") -> DenseOperator:
-    return DenseOperator(np.diag(np.asarray(chi, dtype=np.complex128)), grid, label)
+    return DenseOperator(np.diag(np.asarray(chi, dtype=np.float64)), grid, label)
 
 
 def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
@@ -170,8 +178,8 @@ def _chi_commutator(chi: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def commutator_norm(grid: PeriodicGrid1D, s: float, a: float, chi: np.ndarray) -> float:
-    """Operator norm of [(a-Delta)^{s/2}, chi] (real: the symbol is real and even)."""
-    op = build_fractional(grid, s / 2.0, a).matrix.real
+    """Operator norm of [(a-Delta)^{s/2}, chi]."""
+    op = build_fractional(grid, s / 2.0, a).matrix
     return operator_norm_matrix(_chi_commutator(np.asarray(chi, dtype=np.float64), op))
 
 
@@ -228,7 +236,7 @@ def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
     """(a-Delta)^s as V diag(q(lam)) V^T, with A = a - Delta = V diag(lam) V^T
     from `eigh` and q the resolvent quadrature of `scalar_power_quadrature`
     (t_hi = 4 max(1, lam_max)); the symbol (a + k^2)^s is never evaluated."""
-    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a).matrix.real)
+    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a).matrix)
     m = V @ (scalar_power_quadrature(lam, s, n_nodes)[:, None] * V.T)
     return DenseOperator(0.5 * (m + m.T), grid, f"quadrature (a-Delta)^s, s={s}")
 
@@ -265,8 +273,8 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
     chi = np.asarray(chi, dtype=np.float64)
     grad = spectral_gradient(grid, chi)
     grad_inf = float(np.max(np.abs(grad)))
-    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0).matrix.real))
-    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0).matrix.real)  # 1 - Delta
+    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0).matrix))
+    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0).matrix)  # 1 - Delta
     Ch = V.T @ (chi[:, None] * V)
     Ch *= lam - lam[:, None]  # V^T [chi, -Delta] V, antisymmetric
     Wh = V.T @ ((grad * grad)[:, None] * V)
@@ -330,7 +338,7 @@ def ims_defect(grid: PeriodicGrid1D, s: float, partition: list[np.ndarray]) -> f
     total = sum(np.asarray(chi) ** 2 for chi in partition)
     if np.max(np.abs(total - 1.0)) > 1e-10:
         raise NotAPartition("sum chi_k^2 must equal 1 pointwise to 1e-10")
-    As = build_fractional(grid, s, 1.0).matrix.real
+    As = build_fractional(grid, s, 1.0).matrix
     acc = As.copy()
     grad_sq = np.zeros(grid.n)
     for chi in partition:
@@ -348,6 +356,11 @@ def ims_defect(grid: PeriodicGrid1D, s: float, partition: list[np.ndarray]) -> f
 def circle_distance(grid: PeriodicGrid1D, center: float) -> np.ndarray:
     d = np.abs(grid.x - center)
     return np.minimum(d, grid.length - d)
+
+
+def _gaussian_bump(grid: PeriodicGrid1D, center: float, width: float,
+                   amplitude: float = 1.0) -> np.ndarray:
+    return amplitude * np.exp(-circle_distance(grid, center) ** 2 / (2 * width * width))
 
 
 def tanh_bump(grid: PeriodicGrid1D, radius: float, width: float,
@@ -455,8 +468,7 @@ def subcritical_check(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
 def _chi_eta(grid: PeriodicGrid1D, center: float, radius: float):
     """Extraction cutoffs: chi = 1 on B(c, R/2), 0 outside B(c, R);
     eta = 0 on B(c, 2R), 1 outside B(c, 4R); smooth in between."""
-    d = np.abs(grid.x - center)
-    d = np.minimum(d, grid.length - d)  # circle distance
+    d = circle_distance(grid, center)
 
     def smooth01(y):
         y = np.clip(y, 0.0, 1.0)
@@ -527,3 +539,57 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
         "mass_budget": sup_mass_sq,
         "profile_mass_sum": float(sum(p["mass"] for p in profiles)),
     }
+
+
+# --- the operator-check suite ---------------------------------------------------
+
+def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> list[CheckRecord]:
+    """The `operator-check` suite at order s: "all" or one of commutator,
+    localization, ims, subcritical and profiles, as check records.
+
+    tol (config.Tolerances) supplies c_cal_commutator and c_cal_subcritical;
+    seed draws the random cutoffs of the commutator and localization checks.
+    The lower bounds -1e-8 and the relative pads 1e-6 are rounding slack.
+    """
+    rng = np.random.default_rng(seed)
+    length = grid.length
+    records = []
+
+    def add(check, params, stat, bound, passed):
+        records.append(CheckRecord(check, params, stat, bound, bool(passed)))
+
+    if suite in ("commutator", "all"):
+        for _ in range(5):
+            chi = random_smooth_chi(grid, rng)
+            cn = commutator_norm(grid, s, 1.0, chi)
+            bound = tol.c_cal_commutator * float(np.max(np.abs(spectral_gradient(grid, chi))))
+            add("commutator_norm", {"s": s}, cn, bound, cn <= bound)
+    if suite in ("localization", "all"):
+        out = localization_defect(grid, min(s, 0.99), random_smooth_chi(grid, rng))
+        high = out["upper_bound"] * (1 + 1e-6)
+        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8)
+        add("localization_spectrum_high", {"s": s}, out["eig_max"], high, out["eig_max"] <= high)
+        add("double_commutator", {"s": s}, out["double_commutator_norm"],
+            out["double_commutator_bound"],
+            out["double_commutator_norm"] <= out["double_commutator_bound"])
+    if suite in ("ims", "all"):
+        d = ims_defect(grid, min(s, 0.99), partition_pair(grid, length / 4.0, length / 24.0))
+        add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8)
+    if suite in ("subcritical", "all"):
+        fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
+                              for k in range(8)])
+        out = subcritical_check(grid, fam, s, length / 8.0, tol.c_cal_subcritical)
+        add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"], out["pass"])
+    if suite in ("profiles", "all"):
+        wdt, sep = length / 200.0, length / 60.0
+        members = [_gaussian_bump(grid, length / 2 - sep * k, wdt)
+                   + _gaussian_bump(grid, length / 2 + sep * k, wdt, 1.0 / np.sqrt(2.0))
+                   for k in range(2, 14)]
+        m1 = l2_norm(grid, members[-1]) ** 2
+        out = profile_decompose(grid, SequenceFamily(members), s, eps=0.02 * m1, r0=length / 64.0)
+        count = len(out["profiles"])
+        budget = out["mass_budget"] * (1 + 1e-6)
+        add("profile_count", {}, count, 2, count == 2)
+        add("profile_mass_budget", {}, out["profile_mass_sum"], budget,
+            out["profile_mass_sum"] <= budget)
+    return records

@@ -35,6 +35,21 @@ def write_config(path, data):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 256-point ground state and a short 256-point trajectory, each with a manifest."""
+    base = tmp_path_factory.mktemp("small_run")
+    assert main(["--out-dir", str(base / "gs"), "--quiet", "ground-state",
+                 "--n", "256", "--rmax", "32", "--tol", "1e-8"]) == EXIT_OK
+    ev_config = write_config(base / "ev.json", {
+        "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+        "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10, "snapshot_stride": 2},
+        "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+        "out_dir": str(base / "ev")})
+    assert main(["--quiet", "evolve", "--config", ev_config]) == EXIT_OK
+    return str(base / "gs" / "ground_state.json"), str(base / "ev")
+
+
 class TestConfigValidation:
     def test_minimal_valid_config_fills_defaults(self):
         cfg = config_from_dict({"command": "ground-state"})
@@ -55,9 +70,15 @@ class TestConfigValidation:
                               "unknown_knob": 3})
         assert any("unknown_knob" in f for f in err.value.fields)
 
-    def test_unknown_nested_key_rejected(self):
-        with pytest.raises(ValidationError):
-            config_from_dict({"command": "evolve", "controls": {"dt_zero": 1e-3}})
+    @pytest.mark.parametrize("section, key", [
+        ("controls", "dt_zero"),
+        ("diagnose", "bins"),  # tolerances.histogram_bins is the one knob
+        ("controls", "resolved_width_cells"),  # tolerances.resolved_width_cells is the one knob
+    ])
+    def test_unknown_nested_key_rejected(self, section, key):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict({"command": "evolve", section: {key: 1}})
+        assert err.value.fields == [f"{section}.{key} (unknown)"]
 
     def test_all_violations_listed(self):
         with pytest.raises(ValidationError) as err:
@@ -232,10 +253,11 @@ class TestMainEntry:
         assert " >= bound=-1e-08" in capsys.readouterr().out  # a lower bound reads as one
 
     @pytest.mark.parametrize("damage", ["nonexistent", "missing_fields", "wrong_dtype",
-                                        "ground_state_missing_key"])
-    def test_unreadable_trajectory_exit_code(self, tmp_path, capsys, damage):
+                                        "ground_state_missing_key", "tampered_records",
+                                        "missing_manifest"])
+    def test_unreadable_trajectory_exit_code(self, tmp_path, capsys, small_run, damage):
         traj_dir = tmp_path / "ev"
-        gs_json = tmp_path / "gs.json"
+        gs_json = small_run[0]  # a readable ground state, unless the damage is to it
         if damage == "nonexistent":
             traj_dir = tmp_path / "absent"
         else:
@@ -250,7 +272,14 @@ class TestMainEntry:
                 fields.unlink()
             elif damage == "wrong_dtype":
                 np.save(fields, np.load(fields).real)
+            elif damage == "tampered_records":  # a repeated row: still a readable trajectory
+                records = traj_dir / "records.csv"
+                text = records.read_text()
+                records.write_text(text + text.splitlines()[-1] + "\n")
+            elif damage == "missing_manifest":
+                (traj_dir / "manifest.json").unlink()
             else:  # the trajectory is fine; the ground state parses but lacks its profile
+                gs_json = tmp_path / "gs.json"
                 gs_json.write_text(json.dumps({"critical_mass": 2.69}))
         code = main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
                      "--trajectory", str(traj_dir), "--ground-state", str(gs_json)])
@@ -332,6 +361,65 @@ class TestMainEntry:
         assert len(bounds[1e-6]) == 8  # bump and exterior at each of the four bank radii
         for lo, hi in zip(bounds[1e-6], bounds[3e-4]):
             assert hi - lo == pytest.approx(3e-4 - 1e-6, rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["ground_state", "operator_check", "diagnose",
+                                      "given_flag_wins"])
+    def test_unset_flags_keep_the_config(self, tmp_path, small_run, case):
+        gs_json, traj_dir = small_run
+        out = tmp_path / "out"
+        if case == "ground_state":
+            config = write_config(tmp_path / "c.json", {
+                "command": "ground-state", "grid": {"n_points": 256, "r_max": 32.0},
+                "ground_state": {"tol": 1e-8}})
+            assert main(["--quiet", "--out-dir", str(out), "ground-state",
+                         "--config", config]) == EXIT_OK
+            gs = load_ground_state_json(out / "ground_state.json")
+            assert (gs.q.grid.n_points, gs.q.grid.r_max) == (256, 32.0)
+            grid = json.loads((out / "manifest.json").read_text())["config"]["grid"]
+            assert grid == {"n_points": 256, "r_max": 32.0}
+            return
+        if case == "diagnose":
+            config = write_config(tmp_path / "c.json", {
+                "command": "diagnose", "diagnose": {
+                    "trajectory": traj_dir, "ground_state": gs_json, "checks": "tightness"}})
+            assert main(["--quiet", "--out-dir", str(out), "diagnose",
+                         "--config", config]) == EXIT_OK
+            checks = [r["check"] for r in json.loads((out / "report.json").read_text())["checks"]]
+            assert checks == ["tightness"]
+            return
+        config = write_config(tmp_path / "c.json", {
+            "command": "operator-check",
+            "operator_check": {"suite": "ims", "n": 64, "s": 0.25}})
+        flags = ["--n", "32"] if case == "given_flag_wins" else []
+        assert main(["--quiet", "--out-dir", str(out), "operator-check",
+                     "--config", config, *flags]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["n"] == (32 if flags else 64) and report["s"] == 0.25
+        assert [r["check"] for r in report["checks"]] == ["ims_defect"]
+
+    def test_diagnose_without_a_trajectory_exit_code(self, tmp_path, small_run, capsys):
+        gs_json, _ = small_run
+        assert main(["--quiet", "--out-dir", str(tmp_path), "diagnose",
+                     "--ground-state", gs_json]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.strip() == \
+            "input error: cannot read diagnose inputs: missing key 'trajectory'"
+
+    def test_histogram_bins_reach_the_measure(self, tmp_path, small_run):
+        gs_json, traj_dir = small_run
+        cfg = config_from_dict({
+            "command": "diagnose", "tolerances": {"histogram_bins": 16},
+            "diagnose": {"trajectory": traj_dir, "ground_state": gs_json, "checks": "measure"},
+            "out_dir": str(tmp_path)})
+        code, out_dir = run(cfg, quiet=True)
+        assert code == EXIT_OK
+        with open(os.path.join(out_dir, "report.json")) as fh:
+            assert len(json.load(fh)["measure_histogram"]["bin_edges"]) == 17
+
+    def test_diagnose_prints_the_bound_direction(self, tmp_path, small_run, capsys):
+        gs_json, traj_dir = small_run
+        assert main(["--out-dir", str(tmp_path), "diagnose", "--trajectory", traj_dir,
+                     "--ground-state", gs_json, "--checks", "tightness"]) == EXIT_OK
+        assert " < bound=" in capsys.readouterr().out  # passes while r_star < r_max
 
 
 class TestSchemaStability:

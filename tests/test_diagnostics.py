@@ -19,12 +19,14 @@ from bosonstar.diagnostics import (
     minimal_concentration_check,
     origin_ball_mass,
     propagation_bound_check,
+    run_checks,
     smooth_bump,
     smooth_exterior,
     tightness_check,
     virial_check,
     virial_weight,
 )
+from bosonstar.config import Tolerances
 from bosonstar.evolution import (
     STEP_FLOOR,
     EvolutionControls,
@@ -314,6 +316,21 @@ class TestReportPlumbing:
         rec = CheckRecord("demo", {"a": 1}, 0.5, 1.0, True)
         d = rec.to_dict()
         assert set(d) == {"check", "params", "statistic", "bound", "pass"}
+
+    @pytest.mark.parametrize("check, relation", [
+        ("minimal_concentration", " >= bound=0.9"), ("tightness", " < bound=0.9"),
+        ("propagation_bound", " <= bound=0.9")])
+    def test_line_states_the_direction(self, check, relation):
+        rec = CheckRecord(check, {}, 0.95, 0.9, check == "minimal_concentration")
+        assert relation in rec.line()
+        assert "relation" not in rec.to_dict()
+
+    def test_run_checks_reports_missing_snapshots_as_one_failed_record(self):
+        report = run_checks(stationary_traj(n_snaps=3), None, Tolerances(), "virial,tightness")
+        tight, virial = report.records  # in the order of CHECKS
+        assert (virial.check, virial.passed) == ("virial_envelope", False)
+        assert "4 resolved snapshots" in virial.params["error"]
+        assert tight.check == "tightness" and tight.passed
 
     def test_local_sobolev_report(self, blowup_traj):
         rep = local_sobolev_report(blowup_traj)

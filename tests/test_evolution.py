@@ -188,13 +188,15 @@ class TestTrajectoryPlumbing:
         assert set(files) == {"records", "snapshots", "fields"}
         back = load_trajectory(tmp_path)
         assert back.termination == traj.termination
+        assert back.controls == traj.controls
         assert np.allclose(back.records["t"], traj.records["t"], rtol=0, atol=0)
         assert len(back.snapshots) == len(traj.snapshots) > 1
         for s_back, s in zip(back.snapshots, traj.snapshots):
             assert s_back.field.values.dtype == np.complex128
             assert np.array_equal(s_back.field.values, s.field.values)
-            assert (s_back.t, s_back.record_index, s_back.resolved) == (s.t, s.record_index,
-                                                                        s.resolved)
+            assert (s_back.t, s_back.record_index, s_back.width, s_back.resolved,
+                    s_back.h_half_jump) == (s.t, s.record_index, s.width, s.resolved,
+                                            s.h_half_jump)
 
     def test_load_rejects_bad_or_missing_fields(self, tmp_path):
         f = gaussian_field(GRID, 0.5, 2.0)

@@ -376,6 +376,13 @@ class TestDenseOperatorPlumbing:
         with pytest.raises(ValueError):
             DenseOperator(np.eye(3), GRID)
 
+    def test_operators_are_real_symmetric(self):
+        op = build_fractional(GRID, 0.5, 1.0)
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matrix, op.matrix.T)
+        with pytest.raises(ValueError):
+            DenseOperator(op.matrix.astype(np.complex128), GRID)
+
     def test_multiplication_operator_diagonal(self):
         chi = tanh_bump(GRID, 8.0, 2.0)
         op = multiplication_operator(GRID, chi)
