@@ -6,10 +6,10 @@ is given), calls one function per command, prints, and writes each run's
 outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.
 
-Exit codes: 0 success, 2 config/validation failure, unreadable input files, a
-trajectory that does not match its manifest, or an evolve that cannot start
-(invalid controls, unresolved datum, a u0 file on another grid), 3 numerical
-failure (non-convergence, divergence, non-finite values), 4 a check failed.
+Exit codes: 0 success; 2 a config that fails validation, an input file that
+cannot be read or lies on another grid, a trajectory that does not match its
+manifest, or an unresolved datum; 3 numerical failure (non-convergence,
+divergence, non-finite values); 4 a check failed.
 """
 
 from __future__ import annotations
@@ -51,15 +51,14 @@ from .ground_state import (
     solve_ground_state,
 )
 from .spectral import (
+    PROFILES,
     Field,
     ModelParams,
     RadialGrid,
     field_from_json,
     field_to_json,
-    gaussian_field,
     load_field_json,
     mass,
-    sech_field,
 )
 
 EXIT_OK = 0
@@ -85,34 +84,31 @@ def _write_json(path, obj):
         fh.write(canonical_json(obj))
 
 
-def _make_grid(cfg: RunConfig) -> RadialGrid:
-    return RadialGrid(int(cfg.grid["n_points"]), float(cfg.grid["r_max"]))
+def _load_field(path, grid: RadialGrid) -> Field:
+    """The field stored at path, which must lie on grid; InputError otherwise."""
+    try:
+        f = load_field_json(path)
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise InputError(f"cannot read field {path}: {type(exc).__name__}: {exc}") from exc
+    if f.grid != grid:
+        raise InputError(f"{path} is on grid ({f.grid.n_points}, {f.grid.r_max}), not the config's")
+    return f
 
 
 def _make_u0(cfg: RunConfig, grid: RadialGrid) -> Field:
     spec = cfg.u0
-    kind = spec["kind"]
-    if kind == "file":
-        u0 = load_field_json(spec["file"])
-        if u0.grid != grid:
-            raise ValueError(f"u0 file grid ({u0.grid.n_points}, {u0.grid.r_max}) differs "
-                             f"from the config grid ({grid.n_points}, {grid.r_max})")
-    elif kind == "gaussian":
-        u0 = gaussian_field(grid, spec["amplitude"], spec["width"])
-    elif kind == "sech":
-        u0 = sech_field(grid, spec["amplitude"], spec["width"])
-    else:
-        raise ValidationError(["u0.kind"])
-    if spec.get("mass") is not None:
-        u0 = Field(u0.grid, u0.values * np.sqrt(float(spec["mass"]) / mass(u0)))
+    u0 = (_load_field(spec["file"], grid) if spec["kind"] == "file"
+          else PROFILES[spec["kind"]](grid, spec["amplitude"], spec["width"]))
+    if "mass" in spec:
+        u0 = Field(u0.grid, u0.values * np.sqrt(spec["mass"] / mass(u0)))
     return u0
 
 
 def run_ground_state(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
-    grid = _make_grid(cfg)
+    grid = RadialGrid(**cfg.grid)
     seed = cfg.ground_state["seed_profile"]
-    if isinstance(seed, str) and seed.startswith("file:"):
-        seed = load_field_json(seed[len("file:"):])
+    if seed.startswith("file:"):
+        seed = _load_field(seed[len("file:"):], grid)
     gs = solve_ground_state(grid, tol=cfg.ground_state["tol"],
                             max_iter=cfg.ground_state["max_iter"],
                             gamma=cfg.ground_state["gamma"],
@@ -132,16 +128,14 @@ def load_ground_state_json(path) -> GroundState:
 
 def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
     """Evolve, save the trajectory into out_dir and return its file paths."""
-    grid = _make_grid(cfg)
-    params = ModelParams(float(cfg.params["mass"]))
+    controls = EvolutionControls(**cfg.controls,
+                                 resolved_width_cells=cfg.tolerances.resolved_width_cells)
+    u0 = _make_u0(cfg, RadialGrid(**cfg.grid))
     try:
-        controls = EvolutionControls(**cfg.controls,
-                                     resolved_width_cells=cfg.tolerances.resolved_width_cells)
-        u0 = _make_u0(cfg, grid)
         require_resolved(u0)
-    except (ValueError, TypeError, OSError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot start evolve: {exc}") from exc
-    traj = evolve(u0, params, controls)
+    traj = evolve(u0, ModelParams(**cfg.params), controls)
     files = save_trajectory(traj, out_dir)
     rec = traj.records
     e0 = abs(rec["energy"][0])
@@ -171,10 +165,10 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
 
 def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     op = cfg.operator_check
-    n, s = int(op["n"]), float(op["s"])
-    records = lab.run_suite(op["suite"], lab.PeriodicGrid1D(n, float(op["length"])), s,
+    records = lab.run_suite(op["suite"], lab.PeriodicGrid1D(op["n"], op["length"]), op["s"],
                             cfg.tolerances, cfg.seed)
-    return {"suite": op["suite"], "n": n, "s": s, "checks": [r.to_dict() for r in records]}, records
+    return {"suite": op["suite"], "n": op["n"], "s": op["s"],
+            "checks": [r.to_dict() for r in records]}, records
 
 
 # the JSON file and the runner of each command but evolve; a runner returns
@@ -248,8 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oc = command("operator-check", "dense fractional-operator suite")
     oc.add_argument("--suite", dest="operator_check.suite",
-                    choices=["commutator", "localization", "ims", "subcritical",
-                             "profiles", "all"])
+                    choices=("all", *lab.SUITES))
     oc.add_argument("--n", dest="operator_check.n", type=int)
     oc.add_argument("--s", dest="operator_check.s", type=float)
     oc.add_argument("--out", help="output JSON path (default <out-dir>/report.json)")
@@ -270,15 +263,11 @@ def main(argv=None) -> int:
         print("config error: evolve requires --config <json>", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        data = config_to_dict(load_config(config_path) if config_path
-                              else config_from_dict({"command": command}))
+        data = config_to_dict(load_config(config_path)) if config_path else {}
         data["command"] = command
         for key, value in args.items():  # the flags that were given
             section, _, name = key.rpartition(".")
-            if section:
-                data[section] = {**data[section], name: value}
-            else:
-                data[key] = value
+            (data.setdefault(section, {}) if section else data)[name] = value
         cfg = config_from_dict(data)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

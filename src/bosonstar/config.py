@@ -1,10 +1,10 @@
 """Run configuration, validation, and reproducibility plumbing.
 
-Configs are strict JSON: unknown keys are rejected, every tolerance of the
-check functions lives here with a documented default (the suites still fix
-four slack constants, see README), and a config round-trips through
-serialization bit-exactly.  A finished run writes a manifest with SHA-256
-digests of its outputs so results can be verified on reload.
+A config is strict JSON, checked once when it is read: a key must have a
+default, its value the default's type, and its range passes the constructor
+of the object that uses it.  Every tolerance of the check functions has a
+documented default here (the suites still fix four slack constants, see
+README).  A run writes a manifest with SHA-256 digests of its outputs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field as dc_field
+
+from .diagnostics import parse_checks
+from .evolution import EvolutionControls
+from .operator_lab import SUITES, PeriodicGrid1D
+from .spectral import PROFILES, ModelParams, RadialGrid
 
 __all__ = [
     "Tolerances",
@@ -58,7 +63,6 @@ class Tolerances:
     subcritical_growth_cap: float = 5.0   # sup ||u||_{H^{1/2}} / initial, global run
     blowup_growth_min: float = 10.0       # required H^{1/2} growth of a blowup run
     monotone_tail_steps: int = 100        # accepted steps that must grow monotonically
-    boundary_mass_fraction: float = 1e-8  # resolved-datum exterior mass bound
     resolved_width_cells: float = 10.0    # width (in dr) below which records are unresolved
     conc_mass_fraction: float = 0.9       # lambda(t)-ball mass must reach this times M_c
     conc_center_cells: float = 3.0        # concentration center within this many dr of 0
@@ -80,25 +84,25 @@ class Tolerances:
     c_cal_commutator: float = 1.5         # 1.5x the max ratio over 20 random smooth chi
     c_cal_subcritical: float = 0.6        # 3x headroom over the corpus maximum ratio
 
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():  # bank_radii: one radius or more
+            values = value if name == "bank_radii" else (value,)
+            if not (values and all(v > 0 for v in values)):
+                raise ValueError(f"{name} must be positive")
+        if not isinstance(self.histogram_bins, int):
+            raise ValueError("histogram_bins must be an integer")
 
-_GRID_KEYS = {"n_points", "r_max"}
-_PARAMS_KEYS = {"mass"}
-_CONTROL_KEYS = {"dt0", "t_end", "cfl", "dt_floor", "snapshot_stride", "h_half_cap",
-                 "include_nonlinearity", "max_snapshots"}
-_GS_KEYS = {"tol", "max_iter", "gamma", "seed_profile"}
-_U0_KEYS = {"kind", "amplitude", "width", "file", "mass"}
-_DIAG_KEYS = {"trajectory", "ground_state", "checks"}
-_OP_KEYS = {"suite", "n", "length", "s"}
-_TOP_KEYS = {"command", "grid", "params", "controls", "ground_state", "u0",
-             "diagnose", "operator_check", "tolerances", "seed", "out_dir"}
-_COMMANDS = {"ground-state", "evolve", "diagnose", "operator-check"}
+
+# the keys without a default, each with a value of the type it takes
+_OPTIONAL = {"u0.file": "", "u0.mass": 0.0, "diagnose.trajectory": "", "diagnose.ground_state": ""}
+_COMMANDS = ("ground-state", "evolve", "diagnose", "operator-check")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run.  These defaults are the only defaults of the run
-    settings (the controls default in evolution.EvolutionControls); the CLI
-    flags override them only when given."""
+    """A validated run.  Its defaults, with those of EvolutionControls and
+    Tolerances, are the only defaults of the run settings and the schema of
+    the config; the CLI flags override them only when given."""
 
     command: str
     grid: dict = dc_field(default_factory=lambda: {"n_points": 4096, "r_max": 128.0})
@@ -115,94 +119,79 @@ class RunConfig:
     out_dir: str = "runs/out"
 
 
-def _check_keys(obj: dict, allowed: set, prefix: str, bad: list):
-    for key in obj:
-        if key not in allowed:
-            bad.append(f"{prefix}{key} (unknown)")
+def _checked(given: dict, schema: dict, prefix: str, bad: list) -> dict:
+    """The entries of given whose key is in schema (or _OPTIONAL) and whose value has
+    the type of the schema's, each other one going to bad.  An int passes as a float
+    (and becomes one), a list of numbers as a tuple of floats; a bool is no number."""
+    out = {}
+    for key, value in given.items():
+        name = prefix + key
+        like = schema.get(key, _OPTIONAL.get(name) if prefix else None)  # no top-level "u0.file"
+        if like is None:
+            bad.append(f"{name} (unknown)")
+        elif isinstance(like, dict) and isinstance(value, dict):
+            out[key] = _checked(value, like, name + ".", bad)
+        elif isinstance(like, float) and (isinstance(value, float) or type(value) is int):
+            out[key] = float(value)
+        elif isinstance(like, tuple) and isinstance(value, (list, tuple)) and all(
+                isinstance(v, float) or type(v) is int for v in value):
+            out[key] = tuple(map(float, value))
+        elif type(value) is type(like) and not isinstance(like, tuple):
+            out[key] = value
+        else:
+            kind = "list" if isinstance(like, tuple) else type(like).__name__
+            bad.append(f"{name} (expected {kind}, got {type(value).__name__})")
+    return out
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Validate a raw dict (strict mode) and fill defaults.
-
-    Raises ValidationError naming every violated field.
+    """Validate a raw dict (strict mode) and fill defaults; ValidationError
+    names every violated field (the first one of each object).
     """
     if not isinstance(data, dict):
         raise ParseError("config must be a JSON object")
     bad: list[str] = []
-    _check_keys(data, _TOP_KEYS, "", bad)
-    command = data.get("command")
-    if command not in _COMMANDS:
-        bad.append("command")
-    for name, keys in (("grid", _GRID_KEYS), ("params", _PARAMS_KEYS),
-                       ("controls", _CONTROL_KEYS), ("ground_state", _GS_KEYS),
-                       ("u0", _U0_KEYS), ("diagnose", _DIAG_KEYS),
-                       ("operator_check", _OP_KEYS)):
-        sub = data.get(name, {})
-        if not isinstance(sub, dict):
-            bad.append(name)
-            continue
-        _check_keys(sub, keys, name + ".", bad)
+    schema = dataclasses.asdict(RunConfig(command=""))
+    schema["controls"] = {f.name: f.default for f in dataclasses.fields(EvolutionControls)
+                          if f.name != "resolved_width_cells"}
+    given = _checked(data, schema, "", bad)
+    cfg = {name: {**default, **given.get(name, {})} if isinstance(default, dict)
+           else given.get(name, default) for name, default in schema.items()}
+    cfg["controls"] = given.get("controls", {})  # the manifest records the given controls only
+    gs, u0, op = cfg["ground_state"], cfg["u0"], cfg["operator_check"]
 
-    defaults = RunConfig(command=command if command in _COMMANDS else "ground-state")
-    grid = {**defaults.grid, **data.get("grid", {})}
-    params = {**defaults.params, **data.get("params", {})}
-    controls = {**data.get("controls", {})}
-    gs = {**defaults.ground_state, **data.get("ground_state", {})}
-    u0 = {**defaults.u0, **data.get("u0", {})}
-    diag = {**defaults.diagnose, **data.get("diagnose", {})}
-    op = {**defaults.operator_check, **data.get("operator_check", {})}
-
-    tol_data = data.get("tolerances", {})
-    if not isinstance(tol_data, dict):
-        bad.append("tolerances")
-        tol_data = {}
-    tol_fields = {f.name for f in dataclasses.fields(Tolerances)}
-    _check_keys(tol_data, tol_fields, "tolerances.", bad)
-    tol_kwargs = {k: (tuple(v) if k == "bank_radii" else v)
-                  for k, v in tol_data.items() if k in tol_fields}
-    tolerances = Tolerances(**tol_kwargs)
-
-    if not (isinstance(grid.get("n_points"), int) and grid["n_points"] >= 2):
-        bad.append("grid.n_points")
-    if not (isinstance(grid.get("r_max"), (int, float)) and grid["r_max"] > 0):
-        bad.append("grid.r_max")
-    if not (isinstance(params.get("mass"), (int, float)) and params["mass"] >= 0):
-        bad.append("params.mass")
-    if not (isinstance(gs.get("tol"), (int, float)) and gs["tol"] > 0):
-        bad.append("ground_state.tol")
-    if not (isinstance(gs.get("max_iter"), int) and gs["max_iter"] >= 1):
-        bad.append("ground_state.max_iter")
-    for name, val in (("dt0", controls.get("dt0")), ("dt_floor", controls.get("dt_floor")),
-                      ("t_end", controls.get("t_end"))):
-        if val is not None and (not isinstance(val, (int, float)) or val < 0):
-            bad.append(f"controls.{name}")
-    for fname in ("mass_drift", "energy_drift", "pohozaev_tol", "equation_residual_tol",
-                  "gn_slack", "cauchy_pad", "c_cal_propagation", "c_cal_commutator",
-                  "c_cal_subcritical"):
-        if getattr(tolerances, fname) <= 0:
-            bad.append(f"tolerances.{fname}")
-    if u0.get("kind") not in {"gaussian", "sech", "file"}:
-        bad.append("u0.kind")
-    if op.get("suite") not in {"commutator", "localization", "ims", "subcritical",
-                               "profiles", "all"}:
-        bad.append("operator_check.suite")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        bad.append("seed")
-        seed = 0
+    # the range of each setting: the constructor the run calls, whose ValueError names it first
+    for section, make, kwargs in (
+            ("grid", RadialGrid, cfg["grid"]), ("params", ModelParams, cfg["params"]),
+            ("controls", EvolutionControls, cfg["controls"]),
+            ("tolerances", Tolerances, cfg["tolerances"]),
+            ("operator_check", PeriodicGrid1D, {"n": op["n"], "length": op["length"]}),
+            ("diagnose", parse_checks, {"checks": cfg["diagnose"]["checks"]})):
+        try:
+            make(**kwargs)
+        except ValueError as exc:
+            name, _, reason = str(exc).partition(" ")
+            bad.append(f"{section}.{name} ({reason})")
+    # the settings that build no object; s is an order build_fractional takes
+    rules = [("command", cfg["command"] in _COMMANDS, "must be one of " + ", ".join(_COMMANDS)),
+             ("ground_state.tol", gs["tol"] > 0, "must be positive"),
+             ("ground_state.max_iter", gs["max_iter"] >= 1, "must be >= 1"),
+             ("ground_state.gamma", gs["gamma"] > 0, "must be positive"),
+             ("ground_state.seed_profile", gs["seed_profile"] in PROFILES
+              or gs["seed_profile"].startswith("file:"), f"must be in {tuple(PROFILES)} or file:<path>"),
+             ("u0.kind", u0["kind"] in (*PROFILES, "file"), f"must be in {tuple(PROFILES)} or file"),
+             ("u0.file", u0["kind"] != "file" or "file" in u0, "is required when u0.kind is file"),
+             ("operator_check.s", 0 < op["s"] <= 1, "must lie in (0, 1]"),
+             ("operator_check.suite", op["suite"] in ("all", *SUITES), f"must be all or in {SUITES}"),
+             ("seed", cfg["seed"] >= 0, "must be nonnegative")]
+    bad += [f"{name} ({rule})" for name, ok, rule in rules if not ok]
     if bad:
         raise ValidationError(sorted(bad))
-
-    return RunConfig(command=command, grid=grid, params=params, controls=controls,
-                     ground_state=gs, u0=u0, diagnose=diag, operator_check=op,
-                     tolerances=tolerances, seed=seed,
-                     out_dir=data.get("out_dir", defaults.out_dir))
+    return RunConfig(**{**cfg, "tolerances": Tolerances(**cfg["tolerances"])})
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["tolerances"]["bank_radii"] = list(out["tolerances"]["bank_radii"])
-    return out
+    return dataclasses.asdict(cfg)  # bank_radii stays a tuple, which JSON writes as a list
 
 
 def canonical_json(obj) -> str:

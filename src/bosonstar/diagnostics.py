@@ -54,6 +54,7 @@ __all__ = [
     "virial_check",
     "local_sobolev_report",
     "CHECKS",
+    "parse_checks",
     "run_checks",
 ]
 
@@ -485,17 +486,24 @@ CHECKS = {"propagation": "propagation_bound", "tightness": "tightness",
           "exterior": "exterior_cauchy", "newton": "newton_bound", "virial": "virial_envelope"}
 
 
+def parse_checks(checks="all") -> set:
+    """The CHECKS named by "all", a comma-separated string or a list; ValueError for others."""
+    names = set(CHECKS if checks == "all" else checks.split(",") if isinstance(checks, str) else checks)
+    if names - set(CHECKS):
+        raise ValueError(f"checks has unknown names {', '.join(sorted(names - set(CHECKS)))}")
+    return names
+
+
 def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
-    """Run the named CHECKS ("all", a comma-separated string or a list) on a
-    stored trajectory against the ground state gs, with config.Tolerances tol.
+    """Run the named CHECKS (see parse_checks) on a stored trajectory against
+    the ground state gs, with config.Tolerances tol.
 
     A check that lacks the snapshots it needs reports one failed record that
     carries the error.  Exterior convergence is a statement about blowup
     solutions: on a run that did not stop at StepFloor it reports one passed,
     not-applicable record.
     """
-    wanted = set(CHECKS if checks == "all" else
-                 checks.split(",") if isinstance(checks, str) else checks)
+    wanted = parse_checks(checks)
     grid = traj.grid
     m0 = traj.initial_mass
     nan = float("nan")

@@ -74,12 +74,18 @@ class EvolutionControls:
     resolved_width_cells: float = 10.0
 
     def __post_init__(self):
-        if not (self.dt0 > self.dt_floor > 0):
-            raise ValueError("need dt0 > dt_floor > 0")
+        if not self.dt_floor > 0:
+            raise ValueError("dt_floor must be positive")
+        if not self.dt0 > self.dt_floor:
+            raise ValueError("dt0 must exceed dt_floor")
+        if not self.t_end >= 0:
+            raise ValueError("t_end must be nonnegative")
         if not (0 < self.cfl <= 1):
             raise ValueError("cfl must lie in (0, 1]")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if self.max_snapshots < 1:
+            raise ValueError("max_snapshots must be >= 1")
 
 
 @dataclass(frozen=True)

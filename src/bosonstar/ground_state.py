@@ -19,17 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    PROFILES,
     Field,
     ModelParams,
     RadialGrid,
     RadialKernel,
     energy,
-    gaussian_field,
     homogeneous_half_sq,
     interaction_energy,
     kernel,
     mass,
-    sech_field,
 )
 
 __all__ = [
@@ -98,18 +97,15 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
                        gamma: float = 1.5, seed: Field | str = "gaussian") -> GroundState:
     """Run the normalized fixed-point iteration until the H^{1/2} update stalls below tol.
 
-    seed may be a Field or one of {"gaussian", "sech"}.  Raises NonConvergence when
+    seed may be a Field or a name in spectral.PROFILES.  Raises NonConvergence when
     max_iter is exhausted and DivergentIterate when an iterate norm passes 1e12.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(seed, str):
-        if seed == "gaussian":
-            seed = gaussian_field(grid)
-        elif seed == "sech":
-            seed = sech_field(grid)
-        else:
+        if seed not in PROFILES:
             raise ValueError(f"unknown seed profile {seed!r}")
+        seed = PROFILES[seed](grid)
     kern = kernel(grid)
     coeffs = kern.forward(seed.values).real.astype(np.complex128)
     update = np.inf

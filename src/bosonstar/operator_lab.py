@@ -55,6 +55,7 @@ __all__ = [
     "highest_local_mass",
     "subcritical_check",
     "profile_decompose",
+    "SUITES",
     "run_suite",
 ]
 
@@ -81,7 +82,7 @@ class PeriodicGrid1D:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 4:
             raise ValueError("n must be even and >= 4")
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError("length must be positive")
 
     @property
@@ -543,14 +544,20 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
 
 # --- the operator-check suite ---------------------------------------------------
 
+SUITES = ("commutator", "localization", "ims", "subcritical", "profiles")  # in report order
+
+
 def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> list[CheckRecord]:
-    """The `operator-check` suite at order s: "all" or one of commutator,
-    localization, ims, subcritical and profiles, as check records.
+    """The `operator-check` suite at order s: "all" or one of SUITES, as check
+    records; ValueError for any other name.
 
     tol (config.Tolerances) supplies c_cal_commutator and c_cal_subcritical;
     seed draws the random cutoffs of the commutator and localization checks.
     The lower bounds -1e-8 and the relative pads 1e-6 are rounding slack.
     """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"suite must be all or one of {', '.join(SUITES)}")
+    commutator, localization, ims, subcritical, profiles = (suite in (n, "all") for n in SUITES)
     rng = np.random.default_rng(seed)
     length = grid.length
     records = []
@@ -558,13 +565,13 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
     def add(check, params, stat, bound, passed):
         records.append(CheckRecord(check, params, stat, bound, bool(passed)))
 
-    if suite in ("commutator", "all"):
+    if commutator:
         for _ in range(5):
             chi = random_smooth_chi(grid, rng)
             cn = commutator_norm(grid, s, 1.0, chi)
             bound = tol.c_cal_commutator * float(np.max(np.abs(spectral_gradient(grid, chi))))
             add("commutator_norm", {"s": s}, cn, bound, cn <= bound)
-    if suite in ("localization", "all"):
+    if localization:
         out = localization_defect(grid, min(s, 0.99), random_smooth_chi(grid, rng))
         high = out["upper_bound"] * (1 + 1e-6)
         add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8)
@@ -572,15 +579,15 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
         add("double_commutator", {"s": s}, out["double_commutator_norm"],
             out["double_commutator_bound"],
             out["double_commutator_norm"] <= out["double_commutator_bound"])
-    if suite in ("ims", "all"):
+    if ims:
         d = ims_defect(grid, min(s, 0.99), partition_pair(grid, length / 4.0, length / 24.0))
         add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8)
-    if suite in ("subcritical", "all"):
+    if subcritical:
         fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
                               for k in range(8)])
         out = subcritical_check(grid, fam, s, length / 8.0, tol.c_cal_subcritical)
         add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"], out["pass"])
-    if suite in ("profiles", "all"):
+    if profiles:
         wdt, sep = length / 200.0, length / 60.0
         members = [_gaussian_bump(grid, length / 2 - sep * k, wdt)
                    + _gaussian_bump(grid, length / 2 + sep * k, wdt, 1.0 / np.sqrt(2.0))

@@ -47,6 +47,7 @@ __all__ = [
     "field_from_profile",
     "gaussian_field",
     "sech_field",
+    "PROFILES",
     "zero_field",
     "random_smooth_field",
     "rescale_field",
@@ -66,7 +67,7 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if self.r_max <= 0:
+        if not self.r_max > 0:
             raise ValueError("r_max must be positive")
 
     @property
@@ -96,7 +97,7 @@ class ModelParams:
     mass: float = 0.0
 
     def __post_init__(self):
-        if self.mass < 0:
+        if not self.mass >= 0:
             raise ValueError("mass must be nonnegative")
 
 
@@ -347,6 +348,9 @@ def gaussian_field(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0)
 
 def sech_field(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> Field:
     return field_from_profile(grid, lambda r: amplitude / np.cosh(r / width))
+
+
+PROFILES = {"gaussian": gaussian_field, "sech": sech_field}  # the named data profiles
 
 
 def zero_field(grid: RadialGrid) -> Field:

@@ -74,6 +74,7 @@ class TestConfigValidation:
         ("controls", "dt_zero"),
         ("diagnose", "bins"),  # tolerances.histogram_bins is the one knob
         ("controls", "resolved_width_cells"),  # tolerances.resolved_width_cells is the one knob
+        ("tolerances", "boundary_mass_fraction"),  # read by nothing, so no knob
     ])
     def test_unknown_nested_key_rejected(self, section, key):
         with pytest.raises(ValidationError) as err:
@@ -287,12 +288,47 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip()
         assert err.startswith("input error:") and "\n" not in err
 
+    @pytest.mark.parametrize("command, flags, bad, field", [
+        ("operator-check", ["--n", "7"], {}, "operator_check.n"),
+        ("operator-check", ["--s", "-0.5"], {}, "operator_check.s"),
+        ("operator-check", [], {"operator_check": {"length": -1}}, "operator_check.length"),
+        ("operator-check", ["--seed", "-3"], {}, "seed"),
+        ("ground-state", [], {"ground_state": {"seed_profile": "foo"}}, "ground_state.seed_profile"),
+        ("ground-state", ["--seed-profile", "foo"], {}, "ground_state.seed_profile"),
+        ("ground-state", [], {"ground_state": {"gamma": "x"}}, "ground_state.gamma"),
+        ("ground-state", [], {"tolerances": {"bank_radii": 3}}, "tolerances.bank_radii"),
+        ("ground-state", [], {"tolerances": {"cauchy_pad": "x"}}, "tolerances.cauchy_pad"),
+        ("ground-state", [], {"tolerances": {"histogram_bins": 0}}, "tolerances.histogram_bins"),
+        ("ground-state", [], {"tolerances": {"histogram_bins": 2.5}}, "tolerances.histogram_bins"),
+        ("evolve", [], {"controls": {"include_nonlinearity": "false"}},
+         "controls.include_nonlinearity"),
+        ("evolve", [], {"controls": {"max_snapshots": 0}}, "controls.max_snapshots"),
+        ("evolve", [], {"controls": {"dt_floor": 0}}, "controls.dt_floor"),
+        ("evolve", [], {"controls": {"dt0": 1e-3, "dt_floor": 1e-3}}, "controls.dt0"),
+        ("diagnose", ["--checks", "tightnes"], {}, "diagnose.checks"),
+    ], ids=["lab_n_odd", "lab_s_negative", "lab_length_negative", "seed_negative",
+            "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
+            "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
+            "histogram_bins_not_an_int", "include_nonlinearity_a_string", "max_snapshots_zero",
+            "dt_floor_zero", "dt0_not_above_floor", "unknown_check"])
+    def test_rejected_when_the_config_is_read(self, tmp_path, capsys, command, flags, bad, field):
+        out_dir = tmp_path / "out"
+        controls = {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10, **bad.pop("controls", {})}
+        config = write_config(tmp_path / "c.json", {
+            "command": command, "grid": {"n_points": 256, "r_max": 32.0}, "controls": controls,
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(out_dir), **bad})
+        assert main(["--quiet", command, "--config", config, *flags]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err
+        assert f" {field} (" in err
+        assert not out_dir.exists()  # nothing ran
+
     @pytest.mark.parametrize("bad", [
-        {"controls": {"dt0": 1e-3, "t_end": 0.1, "dt_floor": 1e-3}},
         {"grid": {"n_points": 256, "r_max": 8.0},
          "u0": {"kind": "gaussian", "amplitude": 1.0, "width": 5.0}},
         {"u0": {"kind": "file", "file": "u0.json"}},
-    ], ids=["dt0_not_above_floor", "unresolved_datum", "file_grid_mismatch"])
+    ], ids=["unresolved_datum", "file_grid_mismatch"])
     def test_evolve_that_cannot_start_exit_code(self, tmp_path, capsys, bad):
         out_dir = tmp_path / "ev"
         if bad.get("u0", {}).get("kind") == "file":  # a resolved datum on another grid
@@ -305,6 +341,23 @@ class TestMainEntry:
             "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
             "out_dir": str(out_dir), **bad})
         assert main(["--quiet", "evolve", "--config", config]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and "\n" not in err
+        assert not (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", ["same_grid", "missing", "other_grid"])
+    def test_ground_state_from_a_seed_file(self, tmp_path, capsys, seed):
+        seed_json = tmp_path / "seed.json"
+        if seed != "missing":
+            grid = RadialGrid(256, 32.0) if seed == "same_grid" else RadialGrid(128, 16.0)
+            seed_json.write_text(json.dumps(field_to_json(gaussian_field(grid))))
+        out_dir = tmp_path / "gs"
+        code = main(["--quiet", "--out-dir", str(out_dir), "ground-state", "--n", "256",
+                     "--rmax", "32", "--tol", "1e-8", "--seed-profile", f"file:{seed_json}"])
+        if seed == "same_grid":
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip()
         assert err.startswith("input error:") and "\n" not in err
         assert not (out_dir / "manifest.json").exists()
@@ -476,6 +529,21 @@ class TestTolerancesTable:
         for name in ("mass_drift", "energy_drift", "gn_slack", "pohozaev_tol",
                      "c_cal_propagation", "c_cal_commutator", "c_cal_subcritical"):
             assert getattr(tol, name) > 0
+
+    def test_every_tolerance_is_read(self):
+        # a field that no check reads is a knob that changes nothing
+        import ast
+        import dataclasses
+        import pathlib
+
+        import bosonstar
+
+        paths = [p for p in pathlib.Path(bosonstar.__file__).parent.glob("*.py")
+                 if p.name != "config.py"]
+        paths.append(pathlib.Path(__file__).parent / "test_acceptance.py")
+        read = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)}
+        assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in read] == []
 
     def test_tolerance_override_via_config(self):
         cfg = config_from_dict({"command": "ground-state",

@@ -332,6 +332,10 @@ class TestReportPlumbing:
         assert "4 resolved snapshots" in virial.params["error"]
         assert tight.check == "tightness" and tight.passed
 
+    def test_run_checks_rejects_an_unknown_check(self):
+        with pytest.raises(ValueError, match="tightnes"):
+            run_checks(stationary_traj(n_snaps=3), None, Tolerances(), "tightnes")
+
     def test_local_sobolev_report(self, blowup_traj):
         rep = local_sobolev_report(blowup_traj)
         assert rep["l2_local"] > 0 and rep["h_half_local"] > 0
