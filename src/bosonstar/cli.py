@@ -7,9 +7,9 @@ outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.
 
 Exit codes: 0 success; 2 a config that fails validation, an input file that
-cannot be read or lies on another grid, a trajectory that does not match its
-manifest, or an unresolved datum; 3 numerical failure (non-convergence,
-divergence, non-finite values); 4 a check failed.
+cannot be read, lies on another grid or has a non-finite sample, a trajectory
+that does not match its manifest, or an unresolved datum; 3 numerical failure
+(non-convergence, divergence, non-finite values); 4 a check failed.
 """
 
 from __future__ import annotations
@@ -85,13 +85,15 @@ def _write_json(path, obj):
 
 
 def _load_field(path, grid: RadialGrid) -> Field:
-    """The field stored at path, which must lie on grid; InputError otherwise."""
+    """The finite field stored at path, which must lie on grid; InputError otherwise."""
     try:
         f = load_field_json(path)
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise InputError(f"cannot read field {path}: {type(exc).__name__}: {exc}") from exc
     if f.grid != grid:
         raise InputError(f"{path} is on grid ({f.grid.n_points}, {f.grid.r_max}), not the config's")
+    if not np.all(np.isfinite(f.values)):
+        raise InputError(f"{path} has a non-finite sample")
     return f
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -119,23 +120,37 @@ class RunConfig:
     out_dir: str = "runs/out"
 
 
+def _finite(numbers) -> tuple | None:
+    """The numbers as floats, or None if one is NaN, infinite or too large for a
+    float: JSON reads NaN, Infinity, 1e400 and integers of any length."""
+    try:
+        floats = tuple(map(float, numbers))
+    except OverflowError:
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def _checked(given: dict, schema: dict, prefix: str, bad: list) -> dict:
     """The entries of given whose key is in schema (or _OPTIONAL) and whose value has
     the type of the schema's, each other one going to bad.  An int passes as a float
-    (and becomes one), a list of numbers as a tuple of floats; a bool is no number."""
+    (and becomes one), a list of numbers as a tuple of floats; a bool is no number,
+    and each float must be finite."""
     out = {}
     for key, value in given.items():
         name = prefix + key
         like = schema.get(key, _OPTIONAL.get(name) if prefix else None)  # no top-level "u0.file"
+        numbers = ([value] if isinstance(like, float) else
+                   value if isinstance(like, tuple) and isinstance(value, (list, tuple)) else None)
         if like is None:
             bad.append(f"{name} (unknown)")
         elif isinstance(like, dict) and isinstance(value, dict):
             out[key] = _checked(value, like, name + ".", bad)
-        elif isinstance(like, float) and (isinstance(value, float) or type(value) is int):
-            out[key] = float(value)
-        elif isinstance(like, tuple) and isinstance(value, (list, tuple)) and all(
-                isinstance(v, float) or type(v) is int for v in value):
-            out[key] = tuple(map(float, value))
+        elif numbers is not None and all(isinstance(v, float) or type(v) is int for v in numbers):
+            floats = _finite(numbers)
+            if floats is None:
+                bad.append(f"{name} (must be a finite number)")
+            else:
+                out[key] = floats if isinstance(like, tuple) else floats[0]
         elif type(value) is type(like) and not isinstance(like, tuple):
             out[key] = value
         else:
@@ -180,6 +195,9 @@ def config_from_dict(data: dict) -> RunConfig:
              ("ground_state.seed_profile", gs["seed_profile"] in PROFILES
               or gs["seed_profile"].startswith("file:"), f"must be in {tuple(PROFILES)} or file:<path>"),
              ("u0.kind", u0["kind"] in (*PROFILES, "file"), f"must be in {tuple(PROFILES)} or file"),
+             ("u0.amplitude", abs(u0["amplitude"]) > 0, "must be nonzero"),
+             ("u0.width", u0["width"] > 0, "must be positive"),
+             ("u0.mass", "mass" not in u0 or u0["mass"] > 0, "must be positive"),
              ("u0.file", u0["kind"] != "file" or "file" in u0, "is required when u0.kind is file"),
              ("operator_check.s", 0 < op["s"] <= 1, "must lie in (0, 1]"),
              ("operator_check.suite", op["suite"] in ("all", *SUITES), f"must be all or in {SUITES}"),

@@ -8,15 +8,15 @@ nonnegative defect L_chi, the fractional IMS inequality, the subcritical
 estimate through the highest local mass, and the constructive splitting of
 bounded sequences into receding bumps.
 
-Operators are real symmetric float64 matrices, built by conjugating their
-real, even Fourier symbols with the DFT; the scalar integral representation
+Operators are real symmetric float64 matrices: the circulant of one inverse
+FFT of their real, even Fourier symbol.  The scalar integral representation
 x^s = (sin pi s / pi) Int x/(x+t) t^{s-1} dt is kept as an independent
-quadrature route (two-panel Gauss-Jacobi in t, which carries the fractional
-endpoint weights exactly).  Resolvent
-quadratures run in the eigenbasis of A = 1 - Delta from one `eigh`, where
-every (A + t)^{-1} is a diagonal divide; multiplication by chi is applied
-elementwise, never as a dense diagonal matrix.  `run_suite` runs the checks
-as the `operator-check` suite.
+quadrature route.  Every integral over t in (0, inf) uses one node rule, whose
+Gauss-Jacobi ends carry the fractional weight at 0 and the decay at infinity
+exactly.  Resolvent quadratures run in the eigenbasis of A = 1 - Delta from
+one `eigh`, where every (A + t)^{-1} is a diagonal divide; multiplication by
+chi is applied elementwise, never as a dense diagonal matrix.  `run_suite`
+runs the checks as the `operator-check` suite.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ __all__ = [
     "PeriodicGrid1D",
     "DenseOperator",
     "SequenceFamily",
-    "QuadratureTailTooLarge",
     "NotAPartition",
     "MaxProfilesExceeded",
     "build_fractional",
     "fractional_via_quadrature",
     "scalar_power_quadrature",
-    "multiplication_operator",
     "spectral_gradient",
-    "operator_norm",
     "operator_norm_matrix",
     "commutator_norm",
     "localization_defect",
@@ -60,10 +57,6 @@ __all__ = [
 ]
 
 MAX_PROFILES = 32
-
-
-class QuadratureTailTooLarge(ValueError):
-    pass
 
 
 class NotAPartition(ValueError):
@@ -120,10 +113,11 @@ class DenseOperator:
         return float(np.max(np.abs(m - m.T)) / scale)
 
 
-def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray, label: str) -> DenseOperator:
-    eye = np.eye(grid.n, dtype=np.complex128)
-    m = np.fft.ifft(symbol[:, None] * np.fft.fft(eye, axis=0), axis=0).real
-    return DenseOperator(0.5 * (m + m.T), grid, label)  # real, even symbol: symmetric
+def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray, label: str = "") -> DenseOperator:
+    """The circulant with this real, even symbol: row i is its first column shifted by i."""
+    col = np.fft.ifft(symbol).real
+    m = col[(np.arange(grid.n)[:, None] - np.arange(grid.n)) % grid.n]
+    return DenseOperator(0.5 * (m + m.T), grid, label)
 
 
 def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOperator:
@@ -135,10 +129,6 @@ def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOpe
     return _symbol_operator(grid, (a + grid.k**2) ** s, f"(a-Delta)^s, a={a}, s={s}")
 
 
-def multiplication_operator(grid: PeriodicGrid1D, chi: np.ndarray, label: str = "chi") -> DenseOperator:
-    return DenseOperator(np.diag(np.asarray(chi, dtype=np.float64)), grid, label)
-
-
 def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
     """Projection onto modes at least margin_cells below the frequency-band edge.
 
@@ -148,7 +138,7 @@ def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
     """
     idx = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
     keep = np.where(idx <= grid.n / 2 - margin_cells, 1.0, 0.0)
-    return np.fft.ifft(keep[:, None] * np.fft.fft(np.eye(grid.n), axis=0), axis=0).real
+    return _symbol_operator(grid, keep).matrix
 
 
 def bandwidth_cells(grid: PeriodicGrid1D, chi: np.ndarray, rel_tol: float = 1e-9) -> int:
@@ -166,11 +156,6 @@ def spectral_gradient(grid: PeriodicGrid1D, chi: np.ndarray) -> np.ndarray:
 
 def operator_norm_matrix(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
-
-
-def operator_norm(op: DenseOperator) -> float:
-    """Largest singular value."""
-    return operator_norm_matrix(op.matrix)
 
 
 def _chi_commutator(chi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -192,12 +177,14 @@ def _jacobi01(n_nodes: int, beta: float):
     return 0.5 * (1.0 + x), w * 0.5 ** (beta + 1.0)
 
 
-def _composite_t_nodes(sigma: float, t_hi: float, n_nodes: int):
-    """Nodes/weights (t_i, W_i) with Int_0^{t_hi} h(t) t^sigma dt ~ sum W_i h(t_i).
+def _composite_t_nodes(sigma: float, decay: float, t_hi: float, n_nodes: int):
+    """Nodes/weights (t_i, W_i) with Int_0^inf h(t) t^sigma dt ~ sum W_i h(t_i),
+    for h analytic on (0, inf) that decays like t^-decay.
 
     The fractional weight is exact on (0, 1] (Gauss-Jacobi) and absorbed into
     the weights on geometrically growing Gauss-Legendre panels [a, 4a] up to
-    t_hi, where the resolvent integrands are analytic.
+    t_hi.  On the tail, t = t_hi/u turns h(t) t^sigma dt into an analytic
+    function times u^(decay - sigma - 2) du, again Gauss-Jacobi.
     """
     ts, ws = _jacobi01(n_nodes, sigma)
     nodes = [ts]
@@ -210,26 +197,24 @@ def _composite_t_nodes(sigma: float, t_hi: float, n_nodes: int):
         nodes.append(t)
         weights.append(0.5 * (b - a) * gl_w * t**sigma)
         a = b
+    u, w = _jacobi01(n_nodes, decay - sigma - 2.0)
+    nodes.append(t_hi / u)
+    weights.append(t_hi ** (sigma + 1.0) * w * u**-decay)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
 def scalar_power_quadrature(x, s: float, n_nodes: int = 48, t_hi: float | None = None):
     """x^s via (sin pi s/pi) Int_0^inf x/(x+t) t^{s-1} dt, numerically.
 
-    Composite rule: exact t^{s-1} weight near 0, geometric panels to t_hi, and
-    the far tail by the substitution t = t_hi/u whose u^{-s} weight is again
-    carried exactly.  Vectorized in x; the independent route to the power
-    function used to cross-check the diagonal operator construction.
+    The nodes are those of `_composite_t_nodes` with decay 1 (the integrand
+    falls off like 1/t).  Vectorized in x; the independent route to the power function used to
+    cross-check the diagonal operator construction.
     """
     x = np.asarray(x, dtype=np.float64)
     if t_hi is None:
         t_hi = max(4.0, 4.0 * float(np.max(x)))
-    t1, w1 = _composite_t_nodes(s - 1.0, t_hi, n_nodes)
-    p1 = np.sum(w1 * (x[..., None] / (x[..., None] + t1)), axis=-1)
-    # t = t_hi/u: Int_{t_hi}^inf x/(x+t) t^{s-1} dt = t_hi^s Int_0^1 x/(t_hi + x u) u^{-s} du
-    u2, w2 = _jacobi01(n_nodes, -s)
-    p2 = t_hi**s * np.sum(w2 * (x[..., None] / (t_hi + x[..., None] * u2)), axis=-1)
-    return (np.sin(np.pi * s) / np.pi) * (p1 + p2)
+    t, w = _composite_t_nodes(s - 1.0, 1.0, t_hi, n_nodes)
+    return (np.sin(np.pi * s) / np.pi) * np.sum(w * (x[..., None] / (x[..., None] + t)), axis=-1)
 
 
 def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
@@ -243,8 +228,7 @@ def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
 
 
 def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
-                        n_nodes: int = 48, t_max: float | None = None,
-                        tail_tol: float = 1e-8) -> dict:
+                        n_nodes: int = 48) -> dict:
     """Assemble the localization defect L_chi of (1-Delta)^s and report its spectrum.
 
     L_chi is built from its manifestly nonnegative resolvent representation
@@ -259,15 +243,11 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
     at the discrete level.  The sum is transformed back once.  The rearranged
     localization formula L_chi = (1/2)[chi,[chi,(1-Delta)^s]] + (sin pi s/pi)
     Int R_t |grad chi|^2 R_t t^s dt picks up an aliasing defect at the
-    frequency-band edge on a finite grid; its residual against the direct
-    assembly is reported (not asserted).
+    frequency-band edge on a finite grid; it is returned as "rearranged".
 
-    By default the t-integral covers all of (0, inf): exact fractional weights
-    at both ends and geometric Gauss-Legendre panels in between up to
-    t_hi = 4 lam_max (tail estimate 0).  Passing t_max truncates instead; the
-    neglected tail, bounded by (sin pi s/pi) ||[-Delta,chi]||^2
-    t_max^{s-2}/(2-s), must stay below tail_tol or QuadratureTailTooLarge is
-    raised.
+    Both t-integrals cover all of (0, inf) with the nodes of
+    `_composite_t_nodes` (t_hi = 4 lam_max): the triple-resolvent integrand
+    decays like t^-3, the double-resolvent one like t^-2.
     """
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
@@ -280,33 +260,16 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
     Ch *= lam - lam[:, None]  # V^T [chi, -Delta] V, antisymmetric
     Wh = V.T @ ((grad * grad)[:, None] * V)
 
-    t_hi = 4.0 * lam[-1] if t_max is None else t_max
-    tail_estimate = 0.0
-    if t_max is not None:
-        tail_estimate = (np.sin(np.pi * s) / np.pi) \
-            * operator_norm_matrix(Ch) ** 2 * t_max ** (s - 2.0) / (2.0 - s)
-        if tail_estimate > tail_tol:
-            raise QuadratureTailTooLarge(
-                f"tail estimate {tail_estimate:.3e} beyond t_max={t_max} exceeds {tail_tol:.1e}")
-
     # columns of d: the diagonal of R_t in the eigenbasis at each quadrature node
-    t1, w1 = _composite_t_nodes(s, t_hi, n_nodes)
-    d = 1.0 / (lam[:, None] + t1)
-    G = (d * w1) @ d.T  # Int R_t (.) R_t t^s dt acts entrywise: Wh * G
-    if t_max is None:
-        # far tail t = t_hi/u: R_t = u (uA + t_hi)^{-1}; the triple-resolvent
-        # integrand gains u^3 and t^s dt contributes t_hi^{s+1} u^{-s-2}, the
-        # double-resolvent one u^{-s}
-        u2, w2 = _jacobi01(n_nodes, 1.0 - s)
-        u3, w3 = _jacobi01(n_nodes, -s)
-        d3 = 1.0 / (lam[:, None] * u3 + t_hi)
-        G += (d3 * (w3 * t_hi ** (s + 1.0))) @ d3.T
-        d = np.hstack([d, 1.0 / (lam[:, None] * u2 + t_hi)])
-        w1 = np.concatenate([w1, w2 * t_hi ** (s + 1.0)])
+    t, w = _composite_t_nodes(s, 2.0, 4.0 * lam[-1], n_nodes)
+    d = 1.0 / (lam[:, None] + t)
+    G = (d * w) @ d.T  # Int R_t (.) R_t t^s dt acts entrywise: Wh * G
+    t, w = _composite_t_nodes(s, 3.0, 4.0 * lam[-1], n_nodes)
+    d = 1.0 / (lam[:, None] + t)
     acc = np.zeros_like(Ch)
-    for dk, w in zip(d.T, w1):
+    for dk, wk in zip(d.T, w):
         B = Ch * np.sqrt(dk)
-        B *= (np.sqrt(w) * dk)[:, None]
+        B *= (np.sqrt(wk) * dk)[:, None]
         acc += B @ B.T  # w R C R C^T R
     front = np.sin(np.pi * s) / np.pi
     lchi = front * (V @ acc @ V.T)
@@ -324,10 +287,7 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
         "upper_bound": 4.0 * s * grad_inf**2,
         "grad_inf": grad_inf,
         "double_commutator_norm": operator_norm_matrix(proj @ double @ proj),
-        "double_commutator_norm_raw": operator_norm_matrix(double),
         "double_commutator_bound": 8.0 * s * grad_inf**2,
-        "rearranged_residual": operator_norm_matrix(lchi - rearranged),
-        "tail_estimate": tail_estimate,
     }
 
 
@@ -492,7 +452,7 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
     extract of the last member.
 
     Returns profiles [(v_j, centers_j)], the remainder family, the radius
-    schedule, and a mass bookkeeping table.
+    schedule, the mass budget and the sum of the profile masses.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -502,32 +462,22 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
     probe = radius
     profiles = []
     schedule = []
-    bookkeeping = []
     while highest_local_mass(grid, SequenceFamily(members), probe) > eps:
         if len(profiles) >= MAX_PROFILES:
             raise MaxProfilesExceeded(f"more than {MAX_PROFILES} extraction rounds")
         centers = []
         extracts = []
         remainders = []
-        annulus_loss = []
         for u in members:
             c, _ = local_mass_sup(grid, u, radius)
             chi, eta = _chi_eta(grid, c, radius)
             v = np.roll(chi * u, -int(round(c / grid.dx)))  # recentered extract
             centers.append(c)
             extracts.append(v)
-            rem = eta * u
-            annulus_loss.append(l2_norm(grid, u) ** 2 - l2_norm(grid, v) ** 2
-                                - l2_norm(grid, rem) ** 2)
-            remainders.append(rem)
+            remainders.append(eta * u)
         limit = extracts[-1]
         profiles.append({"profile": limit, "centers": centers,
                          "mass": l2_norm(grid, limit) ** 2})
-        bookkeeping.append({
-            "round": len(profiles), "radius": radius,
-            "profile_mass": l2_norm(grid, limit) ** 2,
-            "annulus_loss_last": annulus_loss[-1],
-        })
         schedule.append(radius)
         members = remainders
         radius = min(2.0 * radius, grid.length / 5.0)
@@ -536,7 +486,6 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
         "profiles": profiles,
         "remainder": remainder_family,
         "radii": schedule,
-        "bookkeeping": bookkeeping,
         "mass_budget": sup_mass_sq,
         "profile_mass_sum": float(sum(p["mass"] for p in profiles)),
     }

@@ -306,11 +306,21 @@ class TestMainEntry:
         ("evolve", [], {"controls": {"dt_floor": 0}}, "controls.dt_floor"),
         ("evolve", [], {"controls": {"dt0": 1e-3, "dt_floor": 1e-3}}, "controls.dt0"),
         ("diagnose", ["--checks", "tightnes"], {}, "diagnose.checks"),
+        ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": 0.5, "width": 0}}, "u0.width"),
+        ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5, "mass": -1}},
+         "u0.mass"),
+        ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": float("nan"), "width": 1.5}},
+         "u0.amplitude"),
+        ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": 0, "width": 1.5}}, "u0.amplitude"),
+        ("ground-state", [], {"grid": {"n_points": 256, "r_max": 10**400}}, "grid.r_max"),
+        ("evolve", [], {"controls": {"t_end": float("inf")}}, "controls.t_end"),
     ], ids=["lab_n_odd", "lab_s_negative", "lab_length_negative", "seed_negative",
             "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
             "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
             "histogram_bins_not_an_int", "include_nonlinearity_a_string", "max_snapshots_zero",
-            "dt_floor_zero", "dt0_not_above_floor", "unknown_check"])
+            "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
+            "u0_mass_negative", "u0_amplitude_nan", "u0_amplitude_zero", "r_max_too_large",
+            "t_end_infinite"])
     def test_rejected_when_the_config_is_read(self, tmp_path, capsys, command, flags, bad, field):
         out_dir = tmp_path / "out"
         controls = {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10, **bad.pop("controls", {})}
@@ -327,13 +337,18 @@ class TestMainEntry:
     @pytest.mark.parametrize("bad", [
         {"grid": {"n_points": 256, "r_max": 8.0},
          "u0": {"kind": "gaussian", "amplitude": 1.0, "width": 5.0}},
-        {"u0": {"kind": "file", "file": "u0.json"}},
-    ], ids=["unresolved_datum", "file_grid_mismatch"])
+        {"u0": {"kind": "file", "file": "other_grid.json"}},
+        {"u0": {"kind": "file", "file": "nan.json"}},
+    ], ids=["unresolved_datum", "file_grid_mismatch", "file_nonfinite_sample"])
     def test_evolve_that_cannot_start_exit_code(self, tmp_path, capsys, bad):
         out_dir = tmp_path / "ev"
-        if bad.get("u0", {}).get("kind") == "file":  # a resolved datum on another grid
+        if bad.get("u0", {}).get("kind") == "file":  # a resolved datum on another grid, or a NaN
             u0_json = tmp_path / bad["u0"]["file"]
-            u0_json.write_text(json.dumps(field_to_json(gaussian_field(RadialGrid(128, 16.0)))))
+            nan = u0_json.name == "nan.json"
+            u0 = field_to_json(gaussian_field(RadialGrid(256, 32.0) if nan else RadialGrid(128, 16.0)))
+            if nan:
+                u0["values"][3][0] = float("nan")
+            u0_json.write_text(json.dumps(u0))
             bad = {"u0": {"kind": "file", "file": str(u0_json)}}
         config = write_config(tmp_path / "ev.json", {
             "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
