@@ -34,6 +34,7 @@ __all__ = [
     "Cutoff",
     "CheckRecord",
     "DiagnosticsReport",
+    "CheckCannotRun",
     "InsufficientSnapshots",
     "NotTightOnGrid",
     "NegativeWeight",
@@ -59,7 +60,11 @@ __all__ = [
 ]
 
 
-class InsufficientSnapshots(ValueError):
+class CheckCannotRun(ValueError):
+    """A check lacks the input it needs; `run_checks` reports it as one failed record."""
+
+
+class InsufficientSnapshots(CheckCannotRun):
     pass
 
 
@@ -142,14 +147,11 @@ class CheckRecord:
 class DiagnosticsReport:
     records: list = dc_field(default_factory=list)
     measure_histogram: dict | None = None
-    concentration_trace: list = dc_field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {"checks": [r.to_dict() for r in self.records]}
         if self.measure_histogram is not None:
             out["measure_histogram"] = self.measure_histogram
-        if self.concentration_trace:
-            out["concentration_trace"] = self.concentration_trace
         return out
 
 
@@ -322,7 +324,9 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     The histogram sequence is the grid approximant of the limiting measure of
     |u(t)|^2; for each bank cutoff the oscillation of M_chi over the final
     snapshot window must be controlled by the propagation constant times the
-    window length, plus the additive pad (Tolerances.cauchy_pad).
+    window length, plus the additive pad (Tolerances.cauchy_pad).  Raises
+    InsufficientSnapshots when cutoffs are given and the run has fewer than 2
+    snapshots.
     """
     g = traj.grid
     edges = np.linspace(0.0, g.r_max, bins + 1)
@@ -342,16 +346,17 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     records = []
     if cutoffs and c_cal is not None:
         tail = traj.snapshots[-window:]
-        if len(tail) >= 2:
-            span = tail[-1].t - tail[0].t
-            for chi in cutoffs:
-                ms = [localized_mass(s.field, chi) for s in tail]
-                osc = float(np.max(ms) - np.min(ms))
-                bound = c_cal * chi.grad_inf * span + pad
-                records.append(CheckRecord(
-                    check="measure_cauchy",
-                    params={"kind": chi.kind, "radius": chi.radius, "window": span},
-                    statistic=osc, bound=bound, passed=bool(osc <= bound)))
+        if len(tail) < 2:
+            raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
+        span = tail[-1].t - tail[0].t
+        for chi in cutoffs:
+            ms = [localized_mass(s.field, chi) for s in tail]
+            osc = float(np.max(ms) - np.min(ms))
+            bound = c_cal * chi.grad_inf * span + pad
+            records.append(CheckRecord(
+                check="measure_cauchy",
+                params={"kind": chi.kind, "radius": chi.radius, "window": span},
+                statistic=osc, bound=bound, passed=bool(osc <= bound)))
     return histogram, records
 
 
@@ -479,8 +484,8 @@ def local_sobolev_report(traj, radius: float = 1.0) -> dict:
 
 # --- the diagnose suite ----------------------------------------------------------
 
-# each check of `run_checks`, in report order, with the record it reports an
-# InsufficientSnapshots error under
+# each check of `run_checks`, in report order, with the record it reports a
+# CheckCannotRun error under
 CHECKS = {"propagation": "propagation_bound", "tightness": "tightness",
           "concentration": "minimal_concentration", "measure": "measure_cauchy",
           "exterior": "exterior_cauchy", "newton": "newton_bound", "virial": "virial_envelope"}
@@ -498,17 +503,22 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
     """Run the named CHECKS (see parse_checks) on a stored trajectory against
     the ground state gs, with config.Tolerances tol.
 
-    A check that lacks the snapshots it needs reports one failed record that
-    carries the error.  Exterior convergence is a statement about blowup
-    solutions: on a run that did not stop at StepFloor it reports one passed,
-    not-applicable record.
+    A check that lacks the snapshots or the cutoff bank it needs reports one
+    failed record that carries the error.  Exterior convergence is a statement
+    about blowup solutions: on a run that did not stop at StepFloor it reports
+    one passed, not-applicable record.
     """
     wanted = parse_checks(checks)
     grid = traj.grid
     m0 = traj.initial_mass
     nan = float("nan")
     report = DiagnosticsReport()
-    bank = cutoff_bank(grid, [r for r in tol.bank_radii if r < 0.9 * grid.r_max])
+    bank = cutoff_bank(grid, [r for r in tol.bank_radii if r < grid.boundary_radius])
+
+    def banked():
+        if not bank:
+            raise CheckCannotRun(f"no bank_radii entry lies below 0.9 r_max = {grid.boundary_radius:g}")
+        return bank
 
     def tightness():
         try:
@@ -518,15 +528,9 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
         return [CheckRecord("tightness", {"eps_fraction": 0.01}, r_star, grid.r_max,
                             bool(r_star < grid.r_max))]
 
-    def concentration():
-        records = minimal_concentration_check(traj, gs, tol.conc_mass_fraction,
-                                              center_cells=tol.conc_center_cells)
-        report.concentration_trace = records[0].params.get("trace", [])
-        return records
-
     def measure():
         report.measure_histogram, records = blowup_measure(
-            traj, tol.histogram_bins, cutoffs=bank, c_cal=tol.c_cal_propagation,
+            traj, tol.histogram_bins, cutoffs=banked(), c_cal=tol.c_cal_propagation,
             pad=tol.cauchy_pad)
         return records
 
@@ -544,17 +548,18 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
         bound = m0 * (1.0 + tol.newton_slack)
         return [CheckRecord("newton_bound", {}, worst, bound, bool(worst <= bound))]
 
-    runners = {"tightness": tightness, "concentration": concentration, "measure": measure,
-               "exterior": exterior, "newton": newton,
+    runners = {"tightness": tightness, "measure": measure, "exterior": exterior, "newton": newton,
+               "concentration": lambda: minimal_concentration_check(
+                   traj, gs, tol.conc_mass_fraction, center_cells=tol.conc_center_cells),
                "propagation": lambda: [propagation_bound_check(traj, chi, tol.c_cal_propagation)
-                                       for chi in bank],
+                                       for chi in banked()],
                "virial": lambda: [virial_check(traj, traj.params, tol.virial_envelope_slack,
                                                tol.virial_residual)]}
     for name, record_name in CHECKS.items():
         if name in wanted:
             try:
                 report.records.extend(runners[name]())
-            except InsufficientSnapshots as exc:
+            except CheckCannotRun as exc:
                 report.records.append(
                     CheckRecord(record_name, {"error": str(exc)}, nan, nan, False))
     return report

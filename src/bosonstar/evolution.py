@@ -176,15 +176,13 @@ def _state_record(kern: RadialKernel, u_vals: np.ndarray, c_vals: np.ndarray,
     Mass, kinetic energy and the H^{1/2} norm are sums over the coefficients;
     the interaction takes only the density transform (Parseval form).
     """
-    grid = kern.grid
     rho = np.abs(u_vals) ** 2
     power = np.abs(c_vals) ** 2
     kin = float(np.sum(kern.omega * power))
     dd = kern.interaction(rho) if nonlinear else 0.0
-    outer = kern.r >= 0.9 * grid.r_max
     return (float(np.sum(power)), 0.5 * kin - 0.25 * dd,
             float(np.sqrt(np.sum(kern.h_half_weight * power))),
-            float(grid.weight * np.sum(rho[outer] * kern.r[outer] ** 2)))
+            float(kern.grid.weight * np.sum(rho[kern.boundary] * kern.r[kern.boundary] ** 2)))
 
 
 def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls,
@@ -225,7 +223,7 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
     snapshots: list[tuple[float, np.ndarray, int]] = []
 
     def push_snapshot(t, u_vals, rec_idx):
-        snapshots.append((t, u_vals.copy(), rec_idx))
+        snapshots.append((t, u_vals, rec_idx))  # no copy: each step makes a new u
         if len(snapshots) > controls.max_snapshots:
             keep_from = (3 * len(snapshots)) // 4
             snapshots[:keep_from] = snapshots[:keep_from:2]
@@ -268,13 +266,13 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
         steps_accepted += 1
         h_half = push_record(t, dt, u, c)
         if steps_accepted % controls.snapshot_stride == 0:
-            push_snapshot(t, u, len(cols["t"]) - 1)
+            push_snapshot(t, u, steps_accepted)
         if h_half > controls.h_half_cap:
             termination = NORM_CAP
             break
 
     if not snapshots or snapshots[-1][0] < t:
-        push_snapshot(t, u, len(cols["t"]) - 1)
+        push_snapshot(t, u, steps_accepted)
     return _trajectory(grid, params, controls, cols, snapshots, termination)
 
 

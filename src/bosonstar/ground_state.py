@@ -81,7 +81,7 @@ class GroundState:
 
 
 def _iterate(coeffs: np.ndarray, kern: RadialKernel, gamma: float):
-    """One Petviashvili sweep on spectral coefficients; returns (new coeffs, S_n)."""
+    """One Petviashvili sweep on spectral coefficients; returns the new coefficients."""
     k = kern.k
     q = kern.inverse(coeffs).real
     nl_coeffs = kern.forward(kern.potential(q * q) * q)
@@ -89,8 +89,7 @@ def _iterate(coeffs: np.ndarray, kern: RadialKernel, gamma: float):
     den = float(np.real(np.sum(np.conj(coeffs) * nl_coeffs)))
     if den <= 0:
         raise DivergentIterate("nonlinear pairing lost positivity", 0)
-    s = num / den
-    return s**gamma * nl_coeffs / (k + 1.0), s
+    return (num / den) ** gamma * nl_coeffs / (k + 1.0)
 
 
 def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 2000,
@@ -110,7 +109,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
     coeffs = kern.forward(seed.values).real.astype(np.complex128)
     update = np.inf
     for it in range(1, max_iter + 1):
-        new_coeffs, s = _iterate(coeffs, kern, gamma)
+        new_coeffs = _iterate(coeffs, kern, gamma)
         wold = np.sqrt(np.sum(kern.h_half_weight * np.abs(coeffs) ** 2))
         wdiff = np.sqrt(np.sum(kern.h_half_weight * np.abs(new_coeffs - coeffs) ** 2))
         update = wdiff / wold

@@ -97,7 +97,6 @@ class DenseOperator:
 
     matrix: np.ndarray
     grid: PeriodicGrid1D
-    label: str = ""
 
     def __post_init__(self):
         if np.iscomplexobj(self.matrix):
@@ -113,11 +112,11 @@ class DenseOperator:
         return float(np.max(np.abs(m - m.T)) / scale)
 
 
-def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray, label: str = "") -> DenseOperator:
+def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray) -> DenseOperator:
     """The circulant with this real, even symbol: row i is its first column shifted by i."""
     col = np.fft.ifft(symbol).real
     m = col[(np.arange(grid.n)[:, None] - np.arange(grid.n)) % grid.n]
-    return DenseOperator(0.5 * (m + m.T), grid, label)
+    return DenseOperator(0.5 * (m + m.T), grid)
 
 
 def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOperator:
@@ -126,7 +125,7 @@ def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOpe
         raise ValueError("s must lie in (0, 1]")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    return _symbol_operator(grid, (a + grid.k**2) ** s, f"(a-Delta)^s, a={a}, s={s}")
+    return _symbol_operator(grid, (a + grid.k**2) ** s)
 
 
 def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
@@ -224,7 +223,7 @@ def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
     (t_hi = 4 max(1, lam_max)); the symbol (a + k^2)^s is never evaluated."""
     lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a).matrix)
     m = V @ (scalar_power_quadrature(lam, s, n_nodes)[:, None] * V.T)
-    return DenseOperator(0.5 * (m + m.T), grid, f"quadrature (a-Delta)^s, s={s}")
+    return DenseOperator(0.5 * (m + m.T), grid)
 
 
 def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
@@ -240,30 +239,21 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
     where R_t = V diag(d) V^T with d = 1/(lam + t).  With C^ = V^T [chi, A] V
     each node term is B B^T, B = diag(d) C^ diag(d)^{1/2}: one product per
     node, every node term PSD, so 0 <= L_chi <= 4 s ||grad chi||_inf^2 holds
-    at the discrete level.  The sum is transformed back once.  The rearranged
-    localization formula L_chi = (1/2)[chi,[chi,(1-Delta)^s]] + (sin pi s/pi)
-    Int R_t |grad chi|^2 R_t t^s dt picks up an aliasing defect at the
-    frequency-band edge on a finite grid; it is returned as "rearranged".
+    at the discrete level.  The sum is transformed back once.
 
-    Both t-integrals cover all of (0, inf) with the nodes of
-    `_composite_t_nodes` (t_hi = 4 lam_max): the triple-resolvent integrand
-    decays like t^-3, the double-resolvent one like t^-2.
+    The t-integral covers all of (0, inf) with the nodes of
+    `_composite_t_nodes` (t_hi = 4 lam_max); the triple-resolvent integrand
+    decays like t^-3.
     """
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
     chi = np.asarray(chi, dtype=np.float64)
-    grad = spectral_gradient(grid, chi)
-    grad_inf = float(np.max(np.abs(grad)))
-    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0).matrix))
+    grad_inf = float(np.max(np.abs(spectral_gradient(grid, chi))))
     lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0).matrix)  # 1 - Delta
     Ch = V.T @ (chi[:, None] * V)
     Ch *= lam - lam[:, None]  # V^T [chi, -Delta] V, antisymmetric
-    Wh = V.T @ ((grad * grad)[:, None] * V)
 
     # columns of d: the diagonal of R_t in the eigenbasis at each quadrature node
-    t, w = _composite_t_nodes(s, 2.0, 4.0 * lam[-1], n_nodes)
-    d = 1.0 / (lam[:, None] + t)
-    G = (d * w) @ d.T  # Int R_t (.) R_t t^s dt acts entrywise: Wh * G
     t, w = _composite_t_nodes(s, 3.0, 4.0 * lam[-1], n_nodes)
     d = 1.0 / (lam[:, None] + t)
     acc = np.zeros_like(Ch)
@@ -271,21 +261,18 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,
         B = Ch * np.sqrt(dk)
         B *= (np.sqrt(wk) * dk)[:, None]
         acc += B @ B.T  # w R C R C^T R
-    front = np.sin(np.pi * s) / np.pi
-    lchi = front * (V @ acc @ V.T)
+    lchi = (np.sin(np.pi * s) / np.pi) * (V @ acc @ V.T)
     lchi = 0.5 * (lchi + lchi.T)
-    rearranged = 0.5 * double + front * (V @ (Wh * G) @ V.T)
     evals = np.linalg.eigvalsh(lchi)
     # the continuum double-commutator bound concerns the operator below the
     # aliasing edge; project out the wrapped top band before taking the norm
     proj = band_projector(grid, 2 * bandwidth_cells(grid, chi) + 1)
+    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0).matrix))
     return {
-        "l_chi": DenseOperator(lchi, grid, f"L_chi, s={s}"),
-        "rearranged": DenseOperator(rearranged, grid, f"rearranged L_chi, s={s}"),
+        "l_chi": DenseOperator(lchi, grid),
         "eig_min": float(evals[0]),
         "eig_max": float(evals[-1]),
         "upper_bound": 4.0 * s * grad_inf**2,
-        "grad_inf": grad_inf,
         "double_commutator_norm": operator_norm_matrix(proj @ double @ proj),
         "double_commutator_bound": 8.0 * s * grad_inf**2,
     }

@@ -89,6 +89,11 @@ class RadialGrid:
         """Quadrature weight of the 3D radial integral: 4*pi*dr (times r^2)."""
         return 4.0 * np.pi * self.dr
 
+    @property
+    def boundary_radius(self) -> float:
+        """Start 0.9*r_max of the boundary zone, where mass signals domain truncation."""
+        return 0.9 * self.r_max
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -142,11 +147,11 @@ class SpectralField:
 class RadialKernel:
     """The spectral kernel of one (grid, params): every sine-basis operation.
 
-    Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale and the
-    H^{1/2} weight sqrt(1 + k^2), computed once, and offers the DST-I pair
-    on raw arrays, the Poisson solve, the Coulomb interaction, one Strang
-    step and the virial weight.  Obtain it through `kernel`, which caches one
-    per (grid, params).
+    Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale, the
+    H^{1/2} weight sqrt(1 + k^2) and the boundary-zone mask r >= 0.9*r_max,
+    computed once, and offers the DST-I pair on raw arrays, the Poisson
+    solve, the Coulomb interaction, one Strang step and the virial weight.
+    Obtain it through `kernel`, which caches one per (grid, params).
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
@@ -156,8 +161,9 @@ class RadialKernel:
         self.omega = np.sqrt(self.k * self.k + params.mass**2)
         self.h_half_weight = np.sqrt(1.0 + self.k * self.k)
         self.scale = np.sqrt(grid.weight)
+        self.boundary = self.r >= grid.boundary_radius
         self._k2 = self.k[:-1] * self.k[:-1]
-        for a in (self.r, self.k, self.omega, self.h_half_weight, self._k2):
+        for a in (self.r, self.k, self.omega, self.h_half_weight, self.boundary, self._k2):
             a.setflags(write=False)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -270,10 +276,10 @@ def mass(f: Field) -> float:
     return float(g.weight * np.sum(np.abs(f.values) ** 2 * g.r**2))
 
 
-def boundary_mass(f: Field, fraction: float = 0.9) -> float:
-    """Mass carried beyond fraction*r_max (domain-truncation monitor)."""
+def boundary_mass(f: Field) -> float:
+    """Mass carried in the boundary zone r >= 0.9*r_max (domain-truncation monitor)."""
     g = f.grid
-    sel = g.r >= fraction * g.r_max
+    sel = g.r >= g.boundary_radius
     return float(g.weight * np.sum(np.abs(f.values[sel]) ** 2 * g.r[sel] ** 2))
 
 

@@ -326,11 +326,22 @@ class TestReportPlumbing:
         assert "relation" not in rec.to_dict()
 
     def test_run_checks_reports_missing_snapshots_as_one_failed_record(self):
-        report = run_checks(stationary_traj(n_snaps=3), None, Tolerances(), "virial,tightness")
-        tight, virial = report.records  # in the order of CHECKS
+        report = run_checks(stationary_traj(n_snaps=1), None, Tolerances(),
+                            "virial,tightness,measure")
+        tight, measure, virial = report.records  # in the order of CHECKS
         assert (virial.check, virial.passed) == ("virial_envelope", False)
         assert "4 resolved snapshots" in virial.params["error"]
+        assert (measure.check, measure.passed) == ("measure_cauchy", False)
+        assert "2 snapshots" in measure.params["error"]
         assert tight.check == "tightness" and tight.passed
+
+    def test_run_checks_reports_an_empty_bank_as_one_failed_record(self):
+        # no bank radius lies below 0.9 r_max = 1.8
+        traj = stationary_traj(grid=RadialGrid(512, 2.0), width=0.2)
+        report = run_checks(traj, None, Tolerances(), "propagation,measure")
+        assert [(r.check, r.passed) for r in report.records] == [
+            ("propagation_bound", False), ("measure_cauchy", False)]
+        assert all("no bank_radii entry" in r.params["error"] for r in report.records)
 
     def test_run_checks_rejects_an_unknown_check(self):
         with pytest.raises(ValueError, match="tightnes"):
