@@ -10,7 +10,8 @@ suite.
 
 Limits t -> T^- are replaced by windows over the last resolved snapshots;
 "resolved" excludes records whose concentration width has fallen below the
-grid scale (see EvolutionControls.resolved_width_cells).
+grid scale (see EvolutionControls.resolved_width_cells).  Every check reads
+the snapshot densities |u|^2 from the rows of Trajectory.density.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .spectral import (
     coulomb_potential_density,
     homogeneous_half_sq,
     kernel,
-    mass,
 )
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "exterior_convergence_check",
     "virial_weight",
     "virial_check",
-    "local_sobolev_report",
     "CHECKS",
     "parse_checks",
     "run_checks",
@@ -129,10 +128,12 @@ class CheckRecord:
     passed: bool
 
     def line(self) -> str:
-        """The stdout line: verdict, statistic, and the bound with its direction."""
-        return (f"  [{'PASS' if self.passed else 'FAIL'}] {self.check}: "
-                f"statistic={self.statistic:.6g} {_RELATION.get(self.check, '<=')} "
-                f"bound={self.bound:.6g}")
+        """The stdout line: verdict, then the statistic and the bound with its direction,
+        or the error of a check that could not run."""
+        relation = _RELATION.get(self.check, "<=")
+        detail = self.params.get("error") or (
+            f"statistic={self.statistic:.6g} {relation} bound={self.bound:.6g}")
+        return f"  [{'PASS' if self.passed else 'FAIL'}] {self.check}: {detail}"
 
     def to_dict(self) -> dict:
         def clean(x):
@@ -157,14 +158,14 @@ class DiagnosticsReport:
 
 # --- localized mass and propagation ------------------------------------------
 
-def localized_mass(u: Field, chi: Cutoff) -> float:
-    g = u.grid
-    return float(g.weight * np.sum(chi.samples * np.abs(u.values) ** 2 * g.r**2))
+def localized_mass(rho: np.ndarray, grid: RadialGrid, chi: Cutoff) -> float:
+    """Mass of the density rho = |u|^2 weighted by chi."""
+    return float(grid.weight * np.sum(chi.samples * rho * grid.r**2))
 
 
 def localized_mass_series(traj, chi: Cutoff) -> tuple[np.ndarray, np.ndarray]:
     ts = np.array([s.t for s in traj.snapshots])
-    ms = np.array([localized_mass(s.field, chi) for s in traj.snapshots])
+    ms = np.array([localized_mass(rho, traj.grid, chi) for rho in traj.density])
     return ts, ms
 
 
@@ -221,10 +222,9 @@ def tightness_check(traj, eps: float, t_from: float = 0.0) -> float:
     g = traj.grid
     r2w = g.weight * g.r**2
     sup_ext = None
-    for s in traj.snapshots:
+    for s, rho in zip(traj.snapshots, traj.density):
         if s.t < t_from:
             continue
-        rho = np.abs(s.field.values) ** 2
         ext = np.cumsum((rho * r2w)[::-1])[::-1]  # mass in r >= r_j
         sup_ext = ext if sup_ext is None else np.maximum(sup_ext, ext)
     if sup_ext is None:
@@ -235,44 +235,55 @@ def tightness_check(traj, eps: float, t_from: float = 0.0) -> float:
     return float(g.r[idx[0]])
 
 
-def _ball_mass_profile(u: Field, center: float, radius: float) -> float:
-    """Mass of |u|^2 in the ball of given radius centered at distance `center`
-    from the origin (on the symmetry axis; radial symmetry makes this general)."""
-    g = u.grid
-    rho = np.abs(u.values) ** 2
-    r = g.r
-    if center < 1e-12 * g.r_max:
-        sel = r <= radius
-        return float(g.weight * np.sum(rho[sel] * r[sel] ** 2))
-    # fraction of the sphere of radius r_j inside the ball: cos(theta) cutoff
-    cstar = (r**2 + center**2 - radius**2) / (2.0 * r * center)
+def _ball_mass_profile(rho: np.ndarray, grid: RadialGrid, center: float, radius: float) -> float:
+    """Mass of the density rho in the radius ball centered at distance `center` from the origin
+    (on the symmetry axis; radial symmetry makes this general), summed over the shells it meets."""
+    r = kernel(grid).r
+    if center < 1e-12 * grid.r_max:
+        inside = np.searchsorted(r, radius, side="right")
+        return float(grid.weight * np.sum(rho[:inside] * r[:inside] ** 2))
+    # shells r <= radius - center lie inside the ball, and shells with
+    # |r - center| < radius meet it in the cap where cos(theta) >= cstar
+    lo = np.searchsorted(r, abs(radius - center), side="right")
+    hi = np.searchsorted(r, center + radius)
+    full = 2.0 * np.sum(rho[:lo] * r[:lo] ** 2) if radius > center else 0.0
+    rs = r[lo:hi]
+    cstar = (rs**2 + center**2 - radius**2) / (2.0 * rs * center)
     mu = 1.0 - np.clip(cstar, -1.0, 1.0)  # in [0, 2]
-    return float(2.0 * np.pi * g.dr * np.sum(rho * r**2 * mu))
+    return float(2.0 * np.pi * grid.dr * (full + np.sum(rho[lo:hi] * rs**2 * mu)))
 
 
-def origin_ball_mass(u: Field, radius: float) -> float:
-    return _ball_mass_profile(u, 0.0, radius)
+def origin_ball_mass(rho: np.ndarray, grid: RadialGrid, radius: float) -> float:
+    return _ball_mass_profile(rho, grid, 0.0, radius)
 
 
-def concentration_function(u: Field, R: float, coarse: int = 128) -> tuple[float, float]:
-    """Levy concentration: maximize the mass of the R-ball over axis centers.
+def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float,
+                           coarse: int = 128) -> tuple[float, float]:
+    """Levy concentration of the density rho: maximize the mass of the R-ball over axis centers.
 
     Coarse scan over [0, r_max], then a refinement pass at grid resolution
     around the best coarse center; ties break toward the origin.
     """
-    g = u.grid
-    if R >= g.r_max:
-        return 0.0, mass(u)
-    centers = np.linspace(0.0, g.r_max, coarse)
-    vals = np.array([_ball_mass_profile(u, d, R) for d in centers])
+    if R >= grid.r_max:
+        return 0.0, float(grid.weight * np.sum(rho * grid.r**2))
+    centers = np.linspace(0.0, grid.r_max, coarse)
+    vals = np.array([_ball_mass_profile(rho, grid, d, R) for d in centers])
     i = int(np.argmax(vals))
     step = centers[1] - centers[0]
     lo = max(0.0, centers[i] - step)
-    hi = min(g.r_max, centers[i] + step)
-    fine = np.arange(lo, hi + g.dr / 2, g.dr)
-    fvals = np.array([_ball_mass_profile(u, d, R) for d in fine])
+    hi = min(grid.r_max, centers[i] + step)
+    fine = np.arange(lo, hi + grid.dr / 2, grid.dr)
+    fvals = np.array([_ball_mass_profile(rho, grid, d, R) for d in fine])
     j = int(np.argmax(fvals))
     return float(fine[j]), float(fvals[j])
+
+
+def _last_resolved(traj, count: int) -> list:
+    """(snapshot, density row) of the last `count` resolved snapshots."""
+    res = [(s, rho) for s, rho in zip(traj.snapshots, traj.density) if s.resolved]
+    if len(res) < count:
+        raise InsufficientSnapshots(f"need {count} resolved snapshots, have {len(res)}")
+    return res[-count:]
 
 
 def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
@@ -286,17 +297,13 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
         return [CheckRecord(check="minimal_concentration",
                             params={"applicable": False, "termination": traj.termination},
                             statistic=float("nan"), bound=mass_fraction, passed=True)]
-    res = traj.resolved_snapshots()
-    if len(res) < n_last:
-        raise InsufficientSnapshots(f"need {n_last} resolved snapshots, have {len(res)}")
-    window = res[-n_last:]
     fractions = []
     centers = []
     trace = []
-    for s in window:
+    for s, rho in _last_resolved(traj, n_last):
         lam = 1.0 / np.sqrt(homogeneous_half_sq(s.field))
-        ball = origin_ball_mass(s.field, lam)
-        y, best = concentration_function(s.field, lam)
+        ball = origin_ball_mass(rho, traj.grid, lam)
+        y, best = concentration_function(rho, traj.grid, lam)
         fractions.append(ball / gs.critical_mass)
         centers.append(y)
         trace.append({"t": s.t, "lambda": lam, "origin_ball_mass": ball,
@@ -332,12 +339,7 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     edges = np.linspace(0.0, g.r_max, bins + 1)
     shell = g.weight * g.r**2
     bin_idx = np.minimum((g.r / (g.r_max / bins)).astype(int), bins - 1)
-    hists = []
-    for s in traj.snapshots:
-        rho = np.abs(s.field.values) ** 2
-        h = np.zeros(bins)
-        np.add.at(h, bin_idx, rho * shell)
-        hists.append(h)
+    hists = [np.bincount(bin_idx, weights=rho * shell, minlength=bins) for rho in traj.density]
     histogram = {
         "bin_edges": [float(e) for e in edges],
         "times": [float(s.t) for s in traj.snapshots],
@@ -350,7 +352,7 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
             raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
         span = tail[-1].t - tail[0].t
         for chi in cutoffs:
-            ms = [localized_mass(s.field, chi) for s in tail]
+            ms = [localized_mass(rho, g, chi) for rho in traj.density[-window:]]
             osc = float(np.max(ms) - np.min(ms))
             bound = c_cal * chi.grad_inf * span + pad
             records.append(CheckRecord(
@@ -385,14 +387,10 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
     term against its Newton bounds sup V_u zeta_{R/2} <= 2 mass / R and
     ||V_u u_R||_2 <= 2 mass^2 / R.
     """
-    res = traj.resolved_snapshots()
-    if len(res) < k_last:
-        raise InsufficientSnapshots(f"need {k_last} resolved snapshots, have {len(res)}")
-    window = res[-k_last:]
+    window = _last_resolved(traj, k_last)
     g = traj.grid
     m0 = traj.initial_mass
-    dists = [_exterior_l2(window[i + 1].field, window[i].field, R)
-             for i in range(len(window) - 1)]
+    dists = [_exterior_l2(b.field, a.field, R) for (a, _), (b, _) in zip(window, window[1:])]
     decreasing = bool(np.all(np.diff(dists) <= 1e-14))
     final_ok = bool(dists[-1] <= final_frac * np.sqrt(m0))
     rec_cauchy = CheckRecord(
@@ -407,16 +405,14 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
     sup_vzeta = 0.0
     sup_vur = 0.0
     sup_fr = 0.0
-    for s in window:
-        u = s.field
-        v = kern.potential(np.abs(u.values) ** 2)
+    for s, rho in window:
+        v = kern.potential(rho)
         sup_vzeta = max(sup_vzeta, float(np.max(v * zeta_half)))
-        ur = zeta * u.values
+        ur = zeta * s.field.values
         vur = float(np.sqrt(g.weight * np.sum((v * np.abs(ur)) ** 2 * g.r**2)))
         sup_vur = max(sup_vur, vur)
-        au = kern.inverse(kern.omega * kern.forward(u.values))
-        azu = kern.inverse(kern.omega * kern.forward(ur))
-        fr = zeta * au - azu
+        fr = zeta * kern.inverse(kern.omega * kern.forward(s.field.values))
+        fr -= kern.inverse(kern.omega * kern.forward(ur))
         sup_fr = max(sup_fr, float(np.sqrt(g.weight * np.sum(np.abs(fr) ** 2 * g.r**2))))
     rec_pot = CheckRecord(
         check="newton_potential_sup", params={"R": R},
@@ -468,20 +464,6 @@ def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
         statistic=float(coeffs[0]), bound=float(bound), passed=passed)
 
 
-def local_sobolev_report(traj, radius: float = 1.0) -> dict:
-    """Local Sobolev content of the final snapshot near the origin (reported,
-    never asserted: the regularity of the limit at the origin is open)."""
-    u = traj.final_field
-    g = traj.grid
-    chi = smooth_bump(g, radius)
-    windowed = Field(g, chi.samples * u.values)
-    from .spectral import hs_norm
-
-    return {"radius": radius,
-            "l2_local": float(np.sqrt(localized_mass(u, chi))),
-            "h_half_local": hs_norm(windowed, 0.5)}
-
-
 # --- the diagnose suite ----------------------------------------------------------
 
 # each check of `run_checks`, in report order, with the record it reports a
@@ -513,12 +495,12 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
     m0 = traj.initial_mass
     nan = float("nan")
     report = DiagnosticsReport()
-    bank = cutoff_bank(grid, [r for r in tol.bank_radii if r < grid.boundary_radius])
+    radii = [r for r in tol.bank_radii if r < grid.boundary_radius]
 
     def banked():
-        if not bank:
+        if not radii:
             raise CheckCannotRun(f"no bank_radii entry lies below 0.9 r_max = {grid.boundary_radius:g}")
-        return bank
+        return cutoff_bank(grid, radii)  # built per check, so no other check holds it
 
     def tightness():
         try:
@@ -543,8 +525,8 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
                                           final_frac=tol.exterior_final_frac)
 
     def newton():
-        worst = max(float(np.max(grid.r * coulomb_potential_density(
-            np.abs(s.field.values) ** 2, grid))) for s in traj.snapshots)
+        worst = max(float(np.max(grid.r * coulomb_potential_density(rho, grid)))
+                    for rho in traj.density)
         bound = m0 * (1.0 + tol.newton_slack)
         return [CheckRecord("newton_bound", {}, worst, bound, bool(worst <= bound))]
 

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .spectral import (
     RadialGrid,
     RadialKernel,
     boundary_mass,
+    frozen,
     kernel,
     mass,
 )
@@ -84,14 +86,14 @@ class EvolutionControls:
             raise ValueError("cfl must lie in (0, 1]")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.max_snapshots < 1:
-            raise ValueError("max_snapshots must be >= 1")
+        if self.max_snapshots < 2:
+            raise ValueError("max_snapshots must be >= 2: a run keeps its first and last snapshot")
 
 
 @dataclass(frozen=True)
 class Snapshot:
     t: float
-    field: Field
+    field: Field  # a view of this snapshot's row of Trajectory.fields
     record_index: int
     width: float
     resolved: bool
@@ -104,14 +106,22 @@ _SNAPSHOT_META = tuple(f.name for f in dataclasses.fields(Snapshot) if f.name !=
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus per-accepted-step conserved-quantity records."""
+    """Time-ordered snapshots plus per-accepted-step conserved-quantity records; `fields` is
+    the read-only (snapshots, n_points) array that snapshots.npy stores, one row per snapshot."""
 
     grid: RadialGrid
     params: ModelParams
     controls: EvolutionControls
     records: dict  # columns: t, dt, mass, energy, h_half, boundary_mass
+    fields: np.ndarray
     snapshots: list
     termination: str
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """|u|^2 of every snapshot, one row each, computed on first use."""
+        rho = np.abs(self.fields)
+        return frozen(np.square(rho, out=rho))  # in place: one array the size of the densities
 
     @property
     def initial_mass(self) -> float:
@@ -120,10 +130,6 @@ class Trajectory:
     @property
     def initial_energy(self) -> float:
         return float(self.records["energy"][0])
-
-    @property
-    def final_field(self) -> Field:
-        return self.snapshots[-1].field
 
     def resolved_snapshots(self) -> list:
         return [s for s in self.snapshots if s.resolved]
@@ -169,9 +175,10 @@ def require_resolved(u0: Field) -> None:
         raise ValueError("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
 
 
-def _state_record(kern: RadialKernel, u_vals: np.ndarray, c_vals: np.ndarray,
-                  nonlinear: bool) -> tuple:
-    """(mass, energy, h_half, boundary_mass) of one state from its samples and coefficients.
+def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np.ndarray,
+                 c_vals: np.ndarray, nonlinear: bool) -> float:
+    """Append the row (t, dt, mass, energy, h_half, boundary_mass) of one state, from its
+    samples and coefficients, to the record columns cols; returns its h_half.
 
     Mass, kinetic energy and the H^{1/2} norm are sums over the coefficients;
     the interaction takes only the density transform (Parseval form).
@@ -180,30 +187,33 @@ def _state_record(kern: RadialKernel, u_vals: np.ndarray, c_vals: np.ndarray,
     power = np.abs(c_vals) ** 2
     kin = float(np.sum(kern.omega * power))
     dd = kern.interaction(rho) if nonlinear else 0.0
-    return (float(np.sum(power)), 0.5 * kin - 0.25 * dd,
-            float(np.sqrt(np.sum(kern.h_half_weight * power))),
-            float(kern.grid.weight * np.sum(rho[kern.boundary] * kern.r[kern.boundary] ** 2)))
+    h_half = float(np.sqrt(np.sum(kern.h_half_weight * power)))
+    row = (t, dt, float(np.sum(power)), 0.5 * kin - 0.25 * dd, h_half,
+           float(kern.grid.weight * np.sum(rho[kern.boundary] * kern.r[kern.boundary] ** 2)))
+    for name, val in zip(RECORD_COLUMNS, row):
+        cols[name].append(val)
+    return h_half
 
 
-def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls,
-                cols: dict, snapshots: list, termination: str) -> Trajectory:
-    """Package record columns and (t, values, record index) snapshots as a Trajectory."""
+def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls, cols: dict,
+                record_indices: list, fields: np.ndarray, termination: str) -> Trajectory:
+    """Package record columns and the snapshot rows `fields`, taken at `record_indices`."""
     records = {name: np.asarray(vals) for name, vals in cols.items()}
-    built = []
+    snapshots = []
     prev_h = None
-    for t, vals, rec_idx in snapshots:
-        f = Field(grid, vals)
+    for rec_idx, row in zip(record_indices, frozen(fields)):
+        f = Field(grid, row)
         w = half_max_width(f)
         h = records["h_half"][rec_idx]
         jump = 0.0 if prev_h is None else abs(h - prev_h) / prev_h
         prev_h = h
-        built.append(Snapshot(
-            t=t, field=f, record_index=rec_idx, width=w,
+        snapshots.append(Snapshot(
+            t=float(records["t"][rec_idx]), field=f, record_index=rec_idx, width=w,
             resolved=bool(w >= controls.resolved_width_cells * grid.dr),
             h_half_jump=float(jump),
         ))
-    return Trajectory(grid=grid, params=params, controls=controls,
-                      records=records, snapshots=built, termination=termination)
+    return Trajectory(grid=grid, params=params, controls=controls, records=records,
+                      fields=fields, snapshots=snapshots, termination=termination)
 
 
 def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
@@ -213,31 +223,26 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
     kern = kernel(grid, params)
     nonlinear = controls.include_nonlinearity
     cols = {name: [] for name in RECORD_COLUMNS}
+    snap_idx, snap_rows = [], []  # record index and samples of each kept snapshot
 
-    def push_record(t, dt_used, u_vals, c_vals):
-        row = (t, dt_used) + _state_record(kern, u_vals, c_vals, nonlinear)
-        for name, val in zip(RECORD_COLUMNS, row):
-            cols[name].append(val)
-        return cols["h_half"][-1]
-
-    snapshots: list[tuple[float, np.ndarray, int]] = []
-
-    def push_snapshot(t, u_vals, rec_idx):
-        snapshots.append((t, u_vals, rec_idx))  # no copy: each step makes a new u
-        if len(snapshots) > controls.max_snapshots:
-            keep_from = (3 * len(snapshots)) // 4
-            snapshots[:keep_from] = snapshots[:keep_from:2]
+    def push_snapshot(u_vals):
+        snap_idx.append(steps_accepted)
+        snap_rows.append(u_vals)  # no copy: each step makes a new u
+        if len(snap_rows) > controls.max_snapshots:
+            keep_from = (3 * len(snap_rows)) // 4
+            snap_idx[:keep_from] = snap_idx[:keep_from:2]
+            snap_rows[:keep_from] = snap_rows[:keep_from:2]
 
     u = u0.values.copy()
     c = kern.forward(u)
     c_init = c.copy()
-    h_half = push_record(0.0, 0.0, u, c)
-    push_snapshot(0.0, u, 0)
+    steps_accepted = 0
+    h_half = _push_record(cols, kern, 0.0, 0.0, u, c, nonlinear)
+    push_snapshot(u)
 
     t = 0.0
     termination = HORIZON_REACHED
     v_ctrl = kern.potential(np.abs(u) ** 2) if nonlinear else None
-    steps_accepted = 0
 
     while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
         h_hom_sq = float(np.sum(kern.k * np.abs(c) ** 2))
@@ -264,16 +269,16 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
         t += dt
         u, c = u_new, c_new
         steps_accepted += 1
-        h_half = push_record(t, dt, u, c)
+        h_half = _push_record(cols, kern, t, dt, u, c, nonlinear)
         if steps_accepted % controls.snapshot_stride == 0:
-            push_snapshot(t, u, steps_accepted)
+            push_snapshot(u)
         if h_half > controls.h_half_cap:
             termination = NORM_CAP
             break
 
-    if not snapshots or snapshots[-1][0] < t:
-        push_snapshot(t, u, steps_accepted)
-    return _trajectory(grid, params, controls, cols, snapshots, termination)
+    if snap_idx[-1] < steps_accepted:
+        push_snapshot(u)
+    return _trajectory(grid, params, controls, cols, snap_idx, np.stack(snap_rows), termination)
 
 
 def trajectory_from_snapshots(fields, times, params: ModelParams,
@@ -288,16 +293,11 @@ def trajectory_from_snapshots(fields, times, params: ModelParams,
         controls = EvolutionControls(dt0=1.0, t_end=float(times[-1]) if times[-1] > 0 else 1.0)
     kern = kernel(grid, params)
     cols = {name: [] for name in RECORD_COLUMNS}
-    snapshots = []
-    prev_t = 0.0
-    for i, (t, f) in enumerate(zip(times, fields)):
-        row = (float(t), float(t - prev_t)) + _state_record(
-            kern, f.values, kern.forward(f.values), controls.include_nonlinearity)
-        for name, val in zip(RECORD_COLUMNS, row):
-            cols[name].append(val)
-        snapshots.append((float(t), f.values, i))
-        prev_t = t
-    return _trajectory(grid, params, controls, cols, snapshots, termination)
+    for t, prev_t, f in zip(times, [0.0, *times[:-1]], fields):
+        _push_record(cols, kern, float(t), float(t - prev_t), f.values, kern.forward(f.values),
+                     controls.include_nonlinearity)
+    return _trajectory(grid, params, controls, cols, list(range(len(fields))),
+                       np.stack([f.values for f in fields]), termination)
 
 
 def free_evolution(u0: Field, params: ModelParams, t: float) -> Field:
@@ -322,7 +322,7 @@ def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
 # --- persistence -------------------------------------------------------------
 
 def save_trajectory(traj: Trajectory, out_dir) -> dict:
-    """Write records as CSV, snapshot metadata as JSON and snapshot fields as .npy.
+    """Write records as CSV, snapshot metadata as JSON and `traj.fields` as .npy.
 
     `snapshots.npy` holds one complex128 row per snapshot, in the order of the
     `snapshots` list in `snapshots.json`; returns the file map.
@@ -345,9 +345,7 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
     with open(snap_path, "w") as fh:
         json.dump(payload, fh)
     fields_path = os.path.join(out_dir, "snapshots.npy")
-    fields = np.array([s.field.values for s in traj.snapshots], dtype=np.complex128)
-    np.save(fields_path, fields.reshape(len(traj.snapshots), traj.grid.n_points),
-            allow_pickle=False)
+    np.save(fields_path, traj.fields, allow_pickle=False)
     return {"records": rec_path, "snapshots": snap_path, "fields": fields_path}
 
 
@@ -367,7 +365,7 @@ def load_trajectory(out_dir) -> Trajectory:
     if fields.dtype != np.complex128 or fields.shape != expected:
         raise ValueError(f"{fields_path} holds {fields.dtype} {fields.shape}, "
                          f"expected complex128 {expected}")
-    snapshots = [Snapshot(field=Field(grid, values), **{name: s[name] for name in _SNAPSHOT_META})
-                 for s, values in zip(payload["snapshots"], fields)]
-    return Trajectory(grid=grid, params=params, controls=controls,
-                      records=records, snapshots=snapshots, termination=payload["termination"])
+    snapshots = [Snapshot(field=Field(grid, row), **{name: s[name] for name in _SNAPSHOT_META})
+                 for s, row in zip(payload["snapshots"], frozen(fields))]
+    return Trajectory(grid=grid, params=params, controls=controls, records=records,
+                      fields=fields, snapshots=snapshots, termination=payload["termination"])

@@ -115,15 +115,35 @@ def _as_values(values, n):
 
 @dataclass(frozen=True)
 class Field:
-    """Complex radial function sampled on a RadialGrid; values[j] = u(r_{j+1})."""
+    """Complex radial function sampled on a RadialGrid; values[j] = u(r_{j+1}), read-only.
+
+    Values that another handle could write are copied; a row of a frozen array is kept.
+    """
 
     grid: RadialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = _as_values(self.values, self.grid.n_points).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        v = _as_values(self.values, self.grid.n_points)
+        object.__setattr__(self, "values", v if _read_only(v) else frozen(v.copy()))
+
+
+def _read_only(a) -> bool:
+    """True when neither a nor any array it views is writable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only together with every array it views."""
+    base = a
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
+    return a
 
 
 @dataclass(frozen=True)
@@ -139,9 +159,8 @@ class SpectralField:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = _as_values(self.coefficients, self.grid.n_points).copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "coefficients",
+                           frozen(_as_values(self.coefficients, self.grid.n_points).copy()))
 
 
 class RadialKernel:

@@ -253,6 +253,21 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert " >= bound=-1e-08" in capsys.readouterr().out  # a lower bound reads as one
 
+    def test_a_check_that_cannot_run_prints_its_cause(self, tmp_path, capsys, small_run):
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 512, "r_max": 2.0},
+            "controls": {"dt0": 1e-3, "t_end": 0.01, "dt_floor": 1e-10, "snapshot_stride": 2},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 0.2},
+            "out_dir": str(tmp_path / "ev")})
+        assert main(["--quiet", "evolve", "--config", ev_config]) == EXIT_OK
+        code = main(["--out-dir", str(tmp_path / "dg"), "diagnose",
+                     "--trajectory", str(tmp_path / "ev"), "--ground-state", small_run[0],
+                     "--checks", "propagation"])
+        assert code == EXIT_CHECK_FAILED
+        # every bank radius lies beyond 0.9 r_max = 1.8, so the bank is empty
+        assert capsys.readouterr().out.strip() == \
+            "[FAIL] propagation_bound: no bank_radii entry lies below 0.9 r_max = 1.8"
+
     @pytest.mark.parametrize("damage", ["nonexistent", "missing_fields", "wrong_dtype",
                                         "ground_state_missing_key", "tampered_records",
                                         "missing_manifest"])
@@ -303,6 +318,7 @@ class TestMainEntry:
         ("evolve", [], {"controls": {"include_nonlinearity": "false"}},
          "controls.include_nonlinearity"),
         ("evolve", [], {"controls": {"max_snapshots": 0}}, "controls.max_snapshots"),
+        ("evolve", [], {"controls": {"max_snapshots": 1}}, "controls.max_snapshots"),
         ("evolve", [], {"controls": {"dt_floor": 0}}, "controls.dt_floor"),
         ("evolve", [], {"controls": {"dt0": 1e-3, "dt_floor": 1e-3}}, "controls.dt0"),
         ("diagnose", ["--checks", "tightnes"], {}, "diagnose.checks"),
@@ -318,7 +334,7 @@ class TestMainEntry:
             "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
             "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
             "histogram_bins_not_an_int", "include_nonlinearity_a_string", "max_snapshots_zero",
-            "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
+            "max_snapshots_one", "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
             "u0_mass_negative", "u0_amplitude_nan", "u0_amplitude_zero", "r_max_too_large",
             "t_end_infinite"])
     def test_rejected_when_the_config_is_read(self, tmp_path, capsys, command, flags, bad, field):

@@ -13,7 +13,6 @@ from bosonstar.diagnostics import (
     cutoff_bank,
     dilation_decay_check,
     exterior_convergence_check,
-    local_sobolev_report,
     localized_mass,
     localized_mass_series,
     minimal_concentration_check,
@@ -49,6 +48,10 @@ P0 = ModelParams(0.0)
 P1 = ModelParams(1.0)
 
 
+def density(f):
+    return np.abs(f.values) ** 2
+
+
 def stationary_traj(grid=GRID, omega=2.0, n_snaps=8, width=1.5, params=P1):
     prof = gaussian_field(grid, 1.0, width)
     times = [0.2 * i for i in range(n_snaps)]
@@ -78,18 +81,18 @@ class TestLocalizedMass:
     def test_unit_cutoff_gives_mass(self):
         f = gaussian_field(GRID, 1.0, 2.0)
         one = Cutoff(kind="custom", samples=np.ones(GRID.n_points), grad_inf=0.0)
-        assert localized_mass(f, one) == pytest.approx(mass(f), rel=1e-12)
+        assert localized_mass(density(f), GRID, one) == pytest.approx(mass(f), rel=1e-12)
 
     def test_disjoint_support_gives_zero(self):
         f = field_from_profile(GRID, lambda r: np.where(r < 4.0, 1.0, 0.0))
         chi = smooth_exterior(GRID, 40.0, width=2.0)
-        assert localized_mass(f, chi) < 1e-12 * mass(f)
+        assert localized_mass(density(f), GRID, chi) < 1e-12 * mass(f)
 
     def test_partition_sums_to_mass(self):
         f = gaussian_field(GRID, 1.0, 3.0)
         b = smooth_bump(GRID, 8.0)
         e = smooth_exterior(GRID, 8.0)
-        total = localized_mass(f, b) + localized_mass(f, e)
+        total = localized_mass(density(f), GRID, b) + localized_mass(density(f), GRID, e)
         assert total == pytest.approx(mass(f), rel=1e-12)
 
 
@@ -154,13 +157,13 @@ class TestTightness:
 class TestConcentration:
     def test_whole_domain_ball(self):
         f = gaussian_field(GRID, 1.0, 2.0)
-        center, value = concentration_function(f, GRID.r_max + 1.0)
+        center, value = concentration_function(density(f), GRID, GRID.r_max + 1.0)
         assert center == 0.0
         assert value == pytest.approx(mass(f), rel=1e-12)
 
     def test_origin_bump_concentrates_at_origin(self):
         f = gaussian_field(GRID, 1.0, 0.5)
-        center, value = concentration_function(f, 1.5)
+        center, value = concentration_function(density(f), GRID, 1.5)
         assert abs(center) <= 2 * GRID.dr
         assert value > 0.99 * mass(f)
 
@@ -168,21 +171,28 @@ class TestConcentration:
         a = 6.0
         f = field_from_profile(GRID, lambda r: np.exp(-((r - a) ** 2) / 0.25))
         R = 2.0
-        center, value = concentration_function(f, R)
+        center, value = concentration_function(density(f), GRID, R)
         # oracle: exhaustive scan of every grid center
         from bosonstar.diagnostics import _ball_mass_profile
 
-        vals = np.array([_ball_mass_profile(f, d, R) for d in GRID.r])
+        vals = np.array([_ball_mass_profile(density(f), GRID, d, R) for d in GRID.r])
         best = GRID.r[int(np.argmax(vals))]
         assert abs(center - best) <= 2 * GRID.dr
         assert value >= vals.max() * (1 - 1e-9)
+        # oracle for the shell-restricted sum: the cap fraction of every shell
+        r = GRID.r
+        for d in (0.5, 1.0, 1.5, 2.0, 3.0, a, 9.0):
+            cstar = np.clip((r**2 + d**2 - R**2) / (2.0 * r * d), -1.0, 1.0)
+            all_shells = 2.0 * np.pi * GRID.dr * np.sum(density(f) * r**2 * (1.0 - cstar))
+            assert _ball_mass_profile(density(f), GRID, d, R) == pytest.approx(
+                all_shells, rel=1e-13, abs=1e-15 * vals.max())
 
     def test_origin_ball_mass_matches_direct_sum(self):
         f = gaussian_field(GRID, 1.0, 1.0)
         lam = 2.5
         direct = GRID.weight * np.sum(
             (np.abs(f.values) ** 2 * GRID.r**2)[GRID.r <= lam])
-        assert origin_ball_mass(f, lam) == pytest.approx(direct, rel=1e-14)
+        assert origin_ball_mass(density(f), GRID, lam) == pytest.approx(direct, rel=1e-14)
 
     def test_gate_on_subcritical_run(self, subcritical_traj, acceptance_gs):
         recs = minimal_concentration_check(subcritical_traj, acceptance_gs)
@@ -325,6 +335,11 @@ class TestReportPlumbing:
         assert relation in rec.line()
         assert "relation" not in rec.to_dict()
 
+    def test_line_of_a_check_that_cannot_run_states_the_error(self):
+        rec = CheckRecord("virial_envelope", {"error": "need at least 4 resolved snapshots"},
+                          float("nan"), float("nan"), False)
+        assert rec.line() == "  [FAIL] virial_envelope: need at least 4 resolved snapshots"
+
     def test_run_checks_reports_missing_snapshots_as_one_failed_record(self):
         report = run_checks(stationary_traj(n_snaps=1), None, Tolerances(),
                             "virial,tightness,measure")
@@ -346,7 +361,3 @@ class TestReportPlumbing:
     def test_run_checks_rejects_an_unknown_check(self):
         with pytest.raises(ValueError, match="tightnes"):
             run_checks(stationary_traj(n_snaps=3), None, Tolerances(), "tightnes")
-
-    def test_local_sobolev_report(self, blowup_traj):
-        rep = local_sobolev_report(blowup_traj)
-        assert rep["l2_local"] > 0 and rep["h_half_local"] > 0

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ class TestEvolve:
                                      snapshot_stride=10, include_nonlinearity=False)
         traj = evolve(f, P1, controls)
         exact = free_evolution(f, P1, 0.5)
-        err = np.linalg.norm(traj.final_field.values - exact.values) / np.linalg.norm(f.values)
+        err = np.linalg.norm(traj.fields[-1] - exact.values) / np.linalg.norm(f.values)
         assert err < 1e-12
         assert traj.termination == HORIZON_REACHED
 
@@ -97,8 +99,8 @@ class TestEvolve:
         controls = EvolutionControls(dt0=1e-3, t_end=0.05, cfl=1.0, dt_floor=1e-12,
                                      snapshot_stride=1000)
         fwd = evolve(f, P1, controls)
-        back = evolve(Field(GRID, np.conj(fwd.final_field.values)), P1, controls)
-        recovered = np.conj(back.final_field.values)
+        back = evolve(Field(GRID, np.conj(fwd.fields[-1])), P1, controls)
+        recovered = np.conj(back.fields[-1])
         assert np.linalg.norm(recovered - f.values) / np.linalg.norm(f.values) < 1e-8
 
     def test_degenerate_horizon(self):
@@ -129,6 +131,16 @@ class TestEvolve:
         assert len(traj.snapshots) <= 48
         assert traj.snapshots[0].t == 0.0
         assert traj.snapshots[-1].t == pytest.approx(2.0, abs=1e-12)
+        # thinning drops whole snapshots: each kept row is the uncapped run's row
+        full = evolve(f, P1, dataclasses.replace(controls, max_snapshots=10**6))
+        assert [s.record_index for s in full.snapshots] == list(range(len(full.records["t"])))
+        for i, s in enumerate(traj.snapshots):
+            assert traj.fields[i].tobytes() == full.fields[s.record_index].tobytes()
+
+    def test_max_snapshots_below_two_rejected(self):
+        # a run keeps its first and last snapshot, so a cap of 1 cannot be met
+        with pytest.raises(ValueError, match="first and last"):
+            EvolutionControls(max_snapshots=1)
 
     def test_strang_order_on_short_run(self):
         # halving dt cuts the energy drift by about 4 (second order)
@@ -197,6 +209,42 @@ class TestTrajectoryPlumbing:
             assert (s_back.t, s_back.record_index, s_back.width, s_back.resolved,
                     s_back.h_half_jump) == (s.t, s.record_index, s.width, s.resolved,
                                             s.h_half_jump)
+
+    @pytest.mark.parametrize("source", ["evolve", "load_trajectory", "trajectory_from_snapshots"])
+    def test_fields_are_the_snapshots_npy_array(self, tmp_path, source):
+        f = gaussian_field(GRID, 0.5, 2.0)
+        controls = EvolutionControls(dt0=5e-3, t_end=0.2, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=5)
+        traj = evolve(f, P1, controls)
+        if source == "load_trajectory":
+            save_trajectory(traj, tmp_path / "run")
+            traj = load_trajectory(tmp_path / "run")
+        elif source == "trajectory_from_snapshots":
+            traj = trajectory_from_snapshots([s.field for s in traj.snapshots],
+                                             [s.t for s in traj.snapshots], P1)
+        assert traj.fields.shape == (len(traj.snapshots), GRID.n_points) and len(traj.snapshots) > 1
+        assert not traj.fields.flags.writeable
+        with pytest.raises(ValueError):
+            traj.fields[0, 0] = 1.0
+        assert all(np.shares_memory(s.field.values, traj.fields) for s in traj.snapshots)
+        files = save_trajectory(traj, tmp_path / "saved")
+        assert np.load(files["fields"]).tobytes() == traj.fields.tobytes()
+        assert np.array_equal(traj.density, np.abs(traj.fields) ** 2)
+
+    def test_save_allocates_no_copy_of_the_fields(self, tmp_path):
+        grid = RadialGrid(4096, 64.0)
+        controls = EvolutionControls(dt0=1e-3, t_end=0.04, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=1)
+        traj = evolve(gaussian_field(grid, 0.5, 2.0), P1, controls)
+        assert len(traj.snapshots) >= 32
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            save_trajectory(traj, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < traj.fields.nbytes / 4
 
     def test_load_rejects_bad_or_missing_fields(self, tmp_path):
         f = gaussian_field(GRID, 0.5, 2.0)

@@ -296,3 +296,17 @@ class TestSerialization:
             Field(GRID, np.zeros(7))
         with pytest.raises(ValueError):
             SpectralField(GRID, np.zeros(7))
+
+    def test_field_copies_what_another_handle_can_write(self):
+        src = np.linspace(0.0, 1.0, GRID.n_points).astype(np.complex128)
+        f = Field(GRID, src)
+        src[:] = 7.0
+        assert f.values[0] == 0.0 and not f.values.flags.writeable
+        # a read-only view of a writable array is copied too
+        view = src[:]
+        view.setflags(write=False)
+        assert not np.shares_memory(Field(GRID, view).values, src)
+        # a read-only array that nothing can write is kept as it is
+        frozen = np.ones((2, GRID.n_points), dtype=np.complex128)
+        frozen.setflags(write=False)
+        assert Field(GRID, frozen[1]).values.base is frozen
