@@ -9,7 +9,8 @@ identical config and seed reproduce byte-identical numeric outputs.
 Exit codes: 0 success; 2 a config that fails validation, an input file that
 cannot be read, lies on another grid or has a non-finite sample, a trajectory
 that does not match its manifest, or an unresolved datum; 3 numerical failure
-(non-convergence, divergence, non-finite values); 4 a check failed.
+(non-convergence, a non-finite record), one line on stderr with --quiet too;
+4 a check failed.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .config import (
 from .evolution import (
     EvolutionControls,
     NonFinite,
+    Unresolved,
     evolve,
     load_trajectory,
-    require_resolved,
     save_trajectory,
 )
 from .ground_state import (
@@ -134,10 +135,9 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
                                  resolved_width_cells=cfg.tolerances.resolved_width_cells)
     u0 = _make_u0(cfg, RadialGrid(**cfg.grid))
     try:
-        require_resolved(u0)
-    except ValueError as exc:
+        traj = evolve(u0, ModelParams(**cfg.params), controls)
+    except Unresolved as exc:
         raise InputError(f"cannot start evolve: {exc}") from exc
-    traj = evolve(u0, ModelParams(**cfg.params), controls)
     files = save_trajectory(traj, out_dir)
     rec = traj.records
     e0 = abs(rec["energy"][0])
@@ -194,7 +194,7 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
             outputs = [os.path.join(out_dir, name)]
             _write_json(outputs[0], result)
     except (GroundStateError, NonFinite) as exc:
-        _say(quiet, f"numerical failure: {exc}")
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, out_dir
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ __all__ = [
     "ARTIFACT_VERSION",
 ]
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 class ParseError(ValueError):

@@ -9,13 +9,15 @@ rounding; all splitting error is commutator error, O(dt^2).
 The step size follows dt = min(dt0, cfl / max(||u||_{H^{1/2},hom}^2, max V_u)),
 mirroring the rescaling by || |grad|^{1/2} u ||^2 that governs the blowup
 scale: the phase rotation per step stays bounded as the solution focuses.
-Hitting dt_floor is the operational "blowup suspected" flag.
+Hitting dt_floor is the operational "blowup suspected" flag; a state whose
+record row is not finite raises NonFinite instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +29,6 @@ from .spectral import (
     ModelParams,
     RadialGrid,
     RadialKernel,
-    boundary_mass,
     frozen,
     kernel,
     mass,
@@ -38,7 +39,7 @@ __all__ = [
     "Snapshot",
     "Trajectory",
     "NonFinite",
-    "step",
+    "Unresolved",
     "evolve",
     "require_resolved",
     "trajectory_from_snapshots",
@@ -48,19 +49,21 @@ __all__ = [
     "HORIZON_REACHED",
     "STEP_FLOOR",
     "NORM_CAP",
-    "DIVERGED",
 ]
 
 HORIZON_REACHED = "HorizonReached"
 STEP_FLOOR = "StepFloor"
 NORM_CAP = "NormCap"
-DIVERGED = "Diverged"
 
 RECORD_COLUMNS = ("t", "dt", "mass", "energy", "h_half", "boundary_mass")
 
 
 class NonFinite(ArithmeticError):
-    """A step produced NaN/Inf values."""
+    """A state of the run has a non-finite record row (NaN/Inf mass, energy or norm)."""
+
+
+class Unresolved(ValueError):
+    """The initial datum carries more than 1e-6 of its mass in the boundary zone."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,6 @@ class EvolutionControls:
     dt_floor: float = 1e-9
     snapshot_stride: int = 100
     h_half_cap: float = 1e6
-    include_nonlinearity: bool = True
     max_snapshots: int = 512
     resolved_width_cells: float = 10.0
 
@@ -149,36 +151,21 @@ def half_max_width(f: Field) -> float:
     return float(f.grid.r[below[0]])
 
 
-def step(u: Field, dt: float, params: ModelParams, potential: np.ndarray | None = None) -> Field:
-    """One Strang step: free half step, exact potential rotation, free half step.
-
-    potential overrides the self-consistent V_u (test hook for forced-potential
-    comparisons); the sign convention matches the attractive equation, where
-    the potential term enters as -V_u, so the rotation is exp(+i dt V).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    kern = kernel(u.grid, params)
-    if potential is not None:
-        potential = np.asarray(potential, dtype=np.float64)
-    c, _ = kern.strang(kern.forward(u.values), dt, potential)
-    out = Field(u.grid, kern.inverse(c))
-    if not np.all(np.isfinite(out.values)):
-        raise NonFinite(f"non-finite values after step of size {dt}")
-    return out
-
-
-def require_resolved(u0: Field) -> None:
-    """Raise ValueError unless u0 carries at most 1e-6 of its mass beyond 0.9 r_max."""
+def require_resolved(u0: Field, kern: RadialKernel) -> None:
+    """Raise Unresolved unless u0 carries at most 1e-6 of its mass in kern's boundary zone."""
     m0 = mass(u0)
-    if m0 > 0 and boundary_mass(u0) > 1e-6 * m0:
-        raise ValueError("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
+    edge = kern.grid.weight * np.sum(np.abs(u0.values[kern.boundary]) ** 2
+                                     * kern.r[kern.boundary] ** 2)
+    if m0 > 0 and edge > 1e-6 * m0:
+        raise Unresolved("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
 
 
 def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np.ndarray,
-                 c_vals: np.ndarray, nonlinear: bool) -> float:
+                 c_vals: np.ndarray) -> float:
     """Append the row (t, dt, mass, energy, h_half, boundary_mass) of one state, from its
-    samples and coefficients, to the record columns cols; returns its h_half.
+    samples and coefficients, to the record columns cols; returns its h_half.  Raises
+    NonFinite, appending nothing, if the row is not finite, as it is whenever a
+    coefficient is (the mass sums them all).
 
     Mass, kinetic energy and the H^{1/2} norm are sums over the coefficients;
     the interaction takes only the density transform (Parseval form).
@@ -186,10 +173,12 @@ def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np
     rho = np.abs(u_vals) ** 2
     power = np.abs(c_vals) ** 2
     kin = float(np.sum(kern.omega * power))
-    dd = kern.interaction(rho) if nonlinear else 0.0
     h_half = float(np.sqrt(np.sum(kern.h_half_weight * power)))
-    row = (t, dt, float(np.sum(power)), 0.5 * kin - 0.25 * dd, h_half,
+    row = (t, dt, float(np.sum(power)), 0.5 * kin - 0.25 * kern.interaction(rho), h_half,
            float(kern.grid.weight * np.sum(rho[kern.boundary] * kern.r[kern.boundary] ** 2)))
+    if not all(map(math.isfinite, row)):
+        raise NonFinite("non-finite record " + ", ".join(
+            f"{name}={val:.6g}" for name, val in zip(RECORD_COLUMNS, row)))
     for name, val in zip(RECORD_COLUMNS, row):
         cols[name].append(val)
     return h_half
@@ -218,10 +207,9 @@ def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionContro
 
 def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
     """Integrate from u0 with adaptive Strang stepping and per-step conservation records."""
-    require_resolved(u0)
     grid = u0.grid
     kern = kernel(grid, params)
-    nonlinear = controls.include_nonlinearity
+    require_resolved(u0, kern)
     cols = {name: [] for name in RECORD_COLUMNS}
     snap_idx, snap_rows = [], []  # record index and samples of each kept snapshot
 
@@ -233,20 +221,19 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
             snap_idx[:keep_from] = snap_idx[:keep_from:2]
             snap_rows[:keep_from] = snap_rows[:keep_from:2]
 
-    u = u0.values.copy()
+    u = u0.values
     c = kern.forward(u)
-    c_init = c.copy()
     steps_accepted = 0
-    h_half = _push_record(cols, kern, 0.0, 0.0, u, c, nonlinear)
+    _push_record(cols, kern, 0.0, 0.0, u, c)
     push_snapshot(u)
 
     t = 0.0
     termination = HORIZON_REACHED
-    v_ctrl = kern.potential(np.abs(u) ** 2) if nonlinear else None
+    v_ctrl = kern.potential(np.abs(u) ** 2)
 
     while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
         h_hom_sq = float(np.sum(kern.k * np.abs(c) ** 2))
-        rate = max(h_hom_sq, float(np.max(v_ctrl)) if nonlinear else 0.0, 1e-300)
+        rate = max(h_hom_sq, float(np.max(v_ctrl)), 1e-300)
         dt = min(controls.dt0, controls.cfl / rate)
         if dt < controls.dt_floor:
             termination = STEP_FLOOR
@@ -254,22 +241,11 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
         if t + 1.05 * dt >= controls.t_end:
             dt = controls.t_end - t  # absorb the float remainder into the last step
 
-        if nonlinear:
-            c_new, v_ctrl = kern.strang(c, dt)
-        else:
-            # free flow: splitting with V = 0 is the exact multiplier flow, so
-            # exponentiate from the initial coefficients (no rounding build-up)
-            c_new = np.exp(-1j * (t + dt) * kern.omega) * c_init
-        u_new = kern.inverse(c_new)
-
-        if not np.all(np.isfinite(c_new)):
-            termination = DIVERGED
-            break
-
+        c, v_ctrl = kern.strang(c, dt)
+        u = kern.inverse(c)
         t += dt
-        u, c = u_new, c_new
         steps_accepted += 1
-        h_half = _push_record(cols, kern, t, dt, u, c, nonlinear)
+        h_half = _push_record(cols, kern, t, dt, u, c)
         if steps_accepted % controls.snapshot_stride == 0:
             push_snapshot(u)
         if h_half > controls.h_half_cap:
@@ -294,8 +270,7 @@ def trajectory_from_snapshots(fields, times, params: ModelParams,
     kern = kernel(grid, params)
     cols = {name: [] for name in RECORD_COLUMNS}
     for t, prev_t, f in zip(times, [0.0, *times[:-1]], fields):
-        _push_record(cols, kern, float(t), float(t - prev_t), f.values, kern.forward(f.values),
-                     controls.include_nonlinearity)
+        _push_record(cols, kern, float(t), float(t - prev_t), f.values, kern.forward(f.values))
     return _trajectory(grid, params, controls, cols, list(range(len(fields))),
                        np.stack([f.values for f in fields]), termination)
 

@@ -38,7 +38,6 @@ __all__ = [
     "apply_multiplier",
     "coulomb_potential_density",
     "mass",
-    "boundary_mass",
     "interaction_energy",
     "energy",
     "kinetic_energy",
@@ -191,19 +190,15 @@ class RadialKernel:
         Carries the 4*pi factor of the radial volume element folded into the
         coefficients, so sum |c_m|^2 = mass for resolved fields.
         """
-        g = self.r[:-1] * values[:-1]
         c = np.empty(self.grid.n_points, dtype=np.complex128)
-        c[:-1] = self.scale * (dst(g.real, type=1, norm="ortho")
-                               + 1j * dst(g.imag, type=1, norm="ortho"))
+        c[:-1] = self.scale * dst(self.r[:-1] * values[:-1], type=1, norm="ortho")
         c[-1] = 0.0
         return c
 
     def inverse(self, coefficients: np.ndarray) -> np.ndarray:
         """Samples of the field with these coefficients; the boundary sample is zero."""
-        g = coefficients[:-1] / self.scale
         v = np.empty(self.grid.n_points, dtype=np.complex128)
-        v[:-1] = (idst(g.real, type=1, norm="ortho")
-                  + 1j * idst(g.imag, type=1, norm="ortho")) / self.r[:-1]
+        v[:-1] = idst(coefficients[:-1] / self.scale, type=1, norm="ortho") / self.r[:-1]
         v[-1] = 0.0
         return v
 
@@ -293,13 +288,6 @@ def mass(f: Field) -> float:
     """L2 mass on R^3: 4*pi * sum |u|^2 r^2 dr."""
     g = f.grid
     return float(g.weight * np.sum(np.abs(f.values) ** 2 * g.r**2))
-
-
-def boundary_mass(f: Field) -> float:
-    """Mass carried in the boundary zone r >= 0.9*r_max (domain-truncation monitor)."""
-    g = f.grid
-    sel = g.r >= g.boundary_radius
-    return float(g.weight * np.sum(np.abs(f.values[sel]) ** 2 * g.r[sel] ** 2))
 
 
 def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid,

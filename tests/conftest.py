@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from bosonstar.evolution import EvolutionControls, evolve
+from bosonstar.evolution import EvolutionControls, evolve, free_evolution, trajectory_from_snapshots
 from bosonstar.ground_state import solve_ground_state
 from bosonstar.spectral import Field, ModelParams, RadialGrid, gaussian_field, mass
 
@@ -67,7 +67,6 @@ def dilation_traj(acceptance_gs):
     grid = ACCEPTANCE_GRID
     u0 = gaussian_field(grid, 1.0, 1.0)
     u0 = Field(grid, u0.values * np.sqrt(acceptance_gs.critical_mass / mass(u0)))
-    controls = EvolutionControls(dt0=0.25, t_end=40.0, cfl=1.0, dt_floor=1e-12,
-                                 snapshot_stride=1, include_nonlinearity=False,
-                                 max_snapshots=100000)
-    return evolve(u0, ModelParams(0.0), controls)
+    times = 0.25 * np.arange(161)
+    fields = [u0] + [free_evolution(u0, ModelParams(0.0), t) for t in times[1:]]
+    return trajectory_from_snapshots(fields, times, ModelParams(0.0))

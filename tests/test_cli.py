@@ -6,6 +6,7 @@ import pytest
 
 from bosonstar.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     load_ground_state_json,
@@ -75,6 +76,7 @@ class TestConfigValidation:
         ("diagnose", "bins"),  # tolerances.histogram_bins is the one knob
         ("controls", "resolved_width_cells"),  # tolerances.resolved_width_cells is the one knob
         ("tolerances", "boundary_mass_fraction"),  # read by nothing, so no knob
+        ("controls", "include_nonlinearity"),  # evolve integrates the nonlinear equation only
     ])
     def test_unknown_nested_key_rejected(self, section, key):
         with pytest.raises(ValidationError) as err:
@@ -270,7 +272,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("damage", ["nonexistent", "missing_fields", "wrong_dtype",
                                         "ground_state_missing_key", "tampered_records",
-                                        "missing_manifest"])
+                                        "missing_manifest", "removed_controls_key"])
     def test_unreadable_trajectory_exit_code(self, tmp_path, capsys, small_run, damage):
         traj_dir = tmp_path / "ev"
         gs_json = small_run[0]  # a readable ground state, unless the damage is to it
@@ -294,6 +296,15 @@ class TestMainEntry:
                 records.write_text(text + text.splitlines()[-1] + "\n")
             elif damage == "missing_manifest":
                 (traj_dir / "manifest.json").unlink()
+            elif damage == "removed_controls_key":  # written when evolve had a free-flow knob
+                snap, manifest_path = traj_dir / "snapshots.json", traj_dir / "manifest.json"
+                payload = json.loads(snap.read_text())
+                payload["controls"]["include_nonlinearity"] = True
+                snap.write_text(json.dumps(payload))
+                manifest = json.loads(manifest_path.read_text())
+                manifest["digests"]["snapshots.json"] = file_digest(snap)
+                manifest_path.write_text(canonical_json(manifest))
+                assert verify_manifest(traj_dir)  # so the digest check does not fire first
             else:  # the trajectory is fine; the ground state parses but lacks its profile
                 gs_json = tmp_path / "gs.json"
                 gs_json.write_text(json.dumps({"critical_mass": 2.69}))
@@ -315,8 +326,6 @@ class TestMainEntry:
         ("ground-state", [], {"tolerances": {"cauchy_pad": "x"}}, "tolerances.cauchy_pad"),
         ("ground-state", [], {"tolerances": {"histogram_bins": 0}}, "tolerances.histogram_bins"),
         ("ground-state", [], {"tolerances": {"histogram_bins": 2.5}}, "tolerances.histogram_bins"),
-        ("evolve", [], {"controls": {"include_nonlinearity": "false"}},
-         "controls.include_nonlinearity"),
         ("evolve", [], {"controls": {"max_snapshots": 0}}, "controls.max_snapshots"),
         ("evolve", [], {"controls": {"max_snapshots": 1}}, "controls.max_snapshots"),
         ("evolve", [], {"controls": {"dt_floor": 0}}, "controls.dt_floor"),
@@ -333,7 +342,7 @@ class TestMainEntry:
     ], ids=["lab_n_odd", "lab_s_negative", "lab_length_negative", "seed_negative",
             "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
             "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
-            "histogram_bins_not_an_int", "include_nonlinearity_a_string", "max_snapshots_zero",
+            "histogram_bins_not_an_int", "max_snapshots_zero",
             "max_snapshots_one", "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
             "u0_mass_negative", "u0_amplitude_nan", "u0_amplitude_zero", "r_max_too_large",
             "t_end_infinite"])
@@ -542,9 +551,7 @@ class TestSchemaStability:
 
 
 class TestNumericalFailureExit:
-    def test_non_convergence_exit_code(self, tmp_path):
-        from bosonstar.cli import EXIT_NUMERICAL
-
+    def test_non_convergence_exit_code(self, tmp_path, capsys):
         cfg = config_from_dict({
             "command": "ground-state",
             "grid": {"n_points": 256, "r_max": 32.0},
@@ -552,6 +559,21 @@ class TestNumericalFailureExit:
             "out_dir": str(tmp_path / "bad")})
         code, _ = run(cfg, quiet=True)
         assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip()  # printed with quiet too
+        assert err.startswith("numerical failure:") and "\n" not in err
+
+    def test_overflowing_datum_exit_code(self, tmp_path, capsys):
+        # |u|^2 overflows: a non-finite first record, not a blowup flag
+        out_dir = tmp_path / "ev"
+        config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 1024, "r_max": 32.0},
+            "u0": {"kind": "gaussian", "amplitude": 1e154, "width": 1.0},
+            "out_dir": str(out_dir)})
+        assert main(["--quiet", "evolve", "--config", config]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure: non-finite record") and "\n" not in err
+        assert "mass=inf" in err
+        assert not (out_dir / "manifest.json").exists()
 
 
 class TestTolerancesTable:

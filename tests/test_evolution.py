@@ -6,28 +6,29 @@ import numpy as np
 import pytest
 
 from bosonstar.evolution import (
-    DIVERGED,
     HORIZON_REACHED,
     NORM_CAP,
     STEP_FLOOR,
     EvolutionControls,
     NonFinite,
+    Unresolved,
     evolve,
     free_evolution,
     h_minus1_rhs_bound,
     half_max_width,
     load_trajectory,
     save_trajectory,
-    step,
     trajectory_from_snapshots,
 )
 from bosonstar.spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    RadialKernel,
     apply_multiplier,
     gaussian_field,
     hs_norm,
+    kernel,
     mass,
     random_smooth_field,
     zero_field,
@@ -37,16 +38,23 @@ GRID = RadialGrid(1024, 64.0)
 P1 = ModelParams(1.0)
 
 
+def strang_step(f, dt, potential=None):
+    """One RadialKernel.strang step of f's samples, as evolve takes it."""
+    kern = kernel(GRID, P1)
+    c, _ = kern.strang(kern.forward(f.values), dt, potential)
+    return Field(GRID, kern.inverse(c))
+
+
 class TestStep:
     def test_zero_stays_zero(self):
-        out = step(zero_field(GRID), 1e-3, P1)
+        out = strang_step(zero_field(GRID), 1e-3)
         assert np.all(out.values == 0)
 
     def test_mass_isometry_per_step(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             f = random_smooth_field(GRID, rng)
-            out = step(f, 1e-3, P1)
+            out = strang_step(f, 1e-3)
             assert abs(mass(out) - mass(f)) < 1e-13 * mass(f)
 
     def test_forced_constant_potential_oracle(self):
@@ -55,34 +63,29 @@ class TestStep:
         rng = np.random.default_rng(1)
         f = random_smooth_field(GRID, rng)
         c, dt = 0.37, 1e-3
-        forced = step(f, dt, P1, potential=np.full(GRID.n_points, c))
+        forced = strang_step(f, dt, potential=np.full(GRID.n_points, c))
         oracle = free_evolution(f, P1, dt)
         oracle = Field(GRID, oracle.values * np.exp(1j * dt * c))
         err = np.linalg.norm(forced.values - oracle.values) / np.linalg.norm(f.values)
         assert err < 1e-12
 
-    def test_nonfinite_raises(self):
-        f = gaussian_field(GRID)
-        with pytest.raises(NonFinite):
-            step(f, 1e-3, P1, potential=np.full(GRID.n_points, np.nan))
+    def test_nonfinite_raises(self, monkeypatch):
+        # evolve stops at the first step whose coefficients are not finite
+        def nan_step(kern, c, dt, potential=None):
+            return np.full_like(c, np.nan), np.zeros(len(c))
+
+        monkeypatch.setattr(RadialKernel, "strang", nan_step)
+        with pytest.raises(NonFinite, match="t=0.01, dt=0.01, mass=nan"):
+            evolve(gaussian_field(GRID, 0.5, 2.0), P1, EvolutionControls(dt0=1e-2, t_end=0.1))
 
     def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step(gaussian_field(GRID), 0.0, P1)
+        # evolve steps by at least dt_floor, which the controls require to be positive
+        for bad in ({"dt_floor": 0.0}, {"dt_floor": -1e-9}, {"dt0": 0.0}):
+            with pytest.raises(ValueError):
+                EvolutionControls(**bad)
 
 
 class TestEvolve:
-    def test_free_flow_matches_single_multiplier(self):
-        rng = np.random.default_rng(2)
-        f = random_smooth_field(GRID, rng)
-        controls = EvolutionControls(dt0=0.01, t_end=0.5, cfl=1.0, dt_floor=1e-12,
-                                     snapshot_stride=10, include_nonlinearity=False)
-        traj = evolve(f, P1, controls)
-        exact = free_evolution(f, P1, 0.5)
-        err = np.linalg.norm(traj.fields[-1] - exact.values) / np.linalg.norm(f.values)
-        assert err < 1e-12
-        assert traj.termination == HORIZON_REACHED
-
     def test_records_monotone_times_and_mass_conservation(self):
         f = gaussian_field(GRID, 0.5, 2.0)
         controls = EvolutionControls(dt0=5e-3, t_end=1.0, cfl=1.0, dt_floor=1e-12,
@@ -120,7 +123,7 @@ class TestEvolve:
 
     def test_unresolved_datum_rejected(self):
         bad = Field(GRID, np.ones(GRID.n_points, dtype=complex))
-        with pytest.raises(ValueError):
+        with pytest.raises(Unresolved):
             evolve(bad, P1, EvolutionControls(dt0=1e-2, t_end=0.1))
 
     def test_snapshot_thinning_keeps_endpoints(self):
