@@ -8,7 +8,8 @@ identical config and seed reproduce byte-identical numeric outputs.
 
 Exit codes: 0 success; 2 a config that fails validation, an input file that
 cannot be read, lies on another grid or has a non-finite sample, a trajectory
-that does not match its manifest, or an unresolved datum; 3 numerical failure
+that does not match its manifest or was written by another artifact version, or
+an unresolved datum; 3 numerical failure
 (non-convergence, a non-finite record), one line on stderr with --quiet too;
 4 a check failed.
 """
@@ -27,6 +28,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import operator_lab as lab
 from .config import (
+    ARTIFACT_VERSION,
     ParseError,
     RunConfig,
     ValidationError,
@@ -153,6 +155,11 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
 def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     try:
         traj_dir = cfg.diagnose["trajectory"]
+        with open(os.path.join(traj_dir, "manifest.json")) as fh:
+            version = json.load(fh)["version"]
+        if version != ARTIFACT_VERSION:
+            raise ValueError(f"{traj_dir} holds artifact version {version}, "
+                             f"this build reads version {ARTIFACT_VERSION}")
         if not verify_manifest(traj_dir):
             raise ValueError(f"{traj_dir} does not match the digests of its manifest.json")
         traj = load_trajectory(traj_dir)

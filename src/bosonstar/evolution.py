@@ -29,9 +29,9 @@ from .spectral import (
     ModelParams,
     RadialGrid,
     RadialKernel,
+    abs2,
     frozen,
     kernel,
-    mass,
 )
 
 __all__ = [
@@ -153,35 +153,39 @@ def half_max_width(f: Field) -> float:
 
 def require_resolved(u0: Field, kern: RadialKernel) -> None:
     """Raise Unresolved unless u0 carries at most 1e-6 of its mass in kern's boundary zone."""
-    m0 = mass(u0)
-    edge = kern.grid.weight * np.sum(np.abs(u0.values[kern.boundary]) ** 2
-                                     * kern.r[kern.boundary] ** 2)
-    if m0 > 0 and edge > 1e-6 * m0:
+    rho = abs2(u0.values)
+    m0 = np.dot(rho, kern.mass_weight)
+    if m0 > 0 and _boundary_mass(kern, rho) > 1e-6 * m0:
         raise Unresolved("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
 
 
+def _boundary_mass(kern: RadialKernel, rho: np.ndarray) -> float:
+    """Mass of the density rho in kern's boundary zone."""
+    return float(np.dot(rho[kern.boundary], kern.mass_weight[kern.boundary]))
+
+
 def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np.ndarray,
-                 c_vals: np.ndarray) -> float:
+                 c_vals: np.ndarray) -> tuple[float, float]:
     """Append the row (t, dt, mass, energy, h_half, boundary_mass) of one state, from its
-    samples and coefficients, to the record columns cols; returns its h_half.  Raises
-    NonFinite, appending nothing, if the row is not finite, as it is whenever a
-    coefficient is (the mass sums them all).
+    samples and coefficients, to the record columns cols; returns its h_half and its
+    squared homogeneous H^{1/2} norm sum k |c_k|^2.  Raises NonFinite, appending nothing,
+    if the row is not finite, as it is whenever a coefficient is (the mass sums them all).
 
     Mass, kinetic energy and the H^{1/2} norm are sums over the coefficients;
     the interaction takes only the density transform (Parseval form).
     """
-    rho = np.abs(u_vals) ** 2
-    power = np.abs(c_vals) ** 2
-    kin = float(np.sum(kern.omega * power))
-    h_half = float(np.sqrt(np.sum(kern.h_half_weight * power)))
-    row = (t, dt, float(np.sum(power)), 0.5 * kin - 0.25 * kern.interaction(rho), h_half,
-           float(kern.grid.weight * np.sum(rho[kern.boundary] * kern.r[kern.boundary] ** 2)))
+    rho = abs2(u_vals)
+    power = abs2(c_vals)
+    h_half = math.sqrt(np.dot(kern.h_half_weight, power))
+    row = (t, dt, float(np.sum(power)),
+           0.5 * float(np.dot(kern.omega, power)) - 0.25 * kern.interaction(rho), h_half,
+           _boundary_mass(kern, rho))
     if not all(map(math.isfinite, row)):
         raise NonFinite("non-finite record " + ", ".join(
             f"{name}={val:.6g}" for name, val in zip(RECORD_COLUMNS, row)))
     for name, val in zip(RECORD_COLUMNS, row):
         cols[name].append(val)
-    return h_half
+    return h_half, float(np.dot(kern.k, power))
 
 
 def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls, cols: dict,
@@ -205,6 +209,7 @@ def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionContro
                       fields=fields, snapshots=snapshots, termination=termination)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises NonFinite
 def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
     """Integrate from u0 with adaptive Strang stepping and per-step conservation records."""
     grid = u0.grid
@@ -224,15 +229,14 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
     u = u0.values
     c = kern.forward(u)
     steps_accepted = 0
-    _push_record(cols, kern, 0.0, 0.0, u, c)
+    _, h_hom_sq = _push_record(cols, kern, 0.0, 0.0, u, c)
     push_snapshot(u)
 
     t = 0.0
     termination = HORIZON_REACHED
-    v_ctrl = kern.potential(np.abs(u) ** 2)
+    v_ctrl = kern.potential(abs2(u))
 
     while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
-        h_hom_sq = float(np.sum(kern.k * np.abs(c) ** 2))
         rate = max(h_hom_sq, float(np.max(v_ctrl)), 1e-300)
         dt = min(controls.dt0, controls.cfl / rate)
         if dt < controls.dt_floor:
@@ -245,7 +249,7 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
         u = kern.inverse(c)
         t += dt
         steps_accepted += 1
-        h_half = _push_record(cols, kern, t, dt, u, c)
+        h_half, h_hom_sq = _push_record(cols, kern, t, dt, u, c)
         if steps_accepted % controls.snapshot_stride == 0:
             push_snapshot(u)
         if h_half > controls.h_half_cap:

@@ -162,6 +162,36 @@ class SpectralField:
                            frozen(_as_values(self.coefficients, self.grid.n_points).copy()))
 
 
+def abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise as re^2 + im^2, in a new array."""
+    out = z.real * z.real
+    if np.iscomplexobj(z):
+        out += z.imag * z.imag
+    return out
+
+
+# the longest complex transform taken on the interleaved view: measured on a
+# 2-vCPU AVX-512 box, the view is 25-35 % faster than scipy's complex path up
+# to length 8191 and 40-75 % slower from 12287 on, where pocketfft's buffer of
+# SIMD-interleaved columns outgrows the cache
+_INTERLEAVED_MAX = 8191
+
+
+def _sine(transform, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Orthonormal DST-I (transform = dst or idst) of the 1-D array x.
+
+    A complex128 x of length up to _INTERLEAVED_MAX is transformed in one
+    call on its interleaved (re, im) view, which gives the bits of scipy's
+    complex path.  Pass overwrite_x only for an array the caller has just
+    allocated: scipy may write the result into it.
+    """
+    if x.dtype != np.complex128 or len(x) > _INTERLEAVED_MAX:
+        return transform(x, type=1, norm="ortho", overwrite_x=overwrite_x)
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    out = transform(pairs, type=1, norm="ortho", axis=0, overwrite_x=overwrite_x)
+    return out.view(np.complex128).reshape(-1)
+
+
 class RadialKernel:
     """The spectral kernel of one (grid, params): every sine-basis operation.
 
@@ -169,6 +199,9 @@ class RadialKernel:
     H^{1/2} weight sqrt(1 + k^2) and the boundary-zone mask r >= 0.9*r_max,
     computed once, and offers the DST-I pair on raw arrays, the Poisson
     solve, the Coulomb interaction, one Strang step and the virial weight.
+    The transform weights scale*r and 1/(scale*r), the Poisson weight
+    4*pi/k^2, 1/r and the mass weight 4*pi*dr*r^2 are precomputed too, and
+    the free half-step phase of the last dt is kept for the next step.
     Obtain it through `kernel`, which caches one per (grid, params).
     """
 
@@ -180,9 +213,17 @@ class RadialKernel:
         self.h_half_weight = np.sqrt(1.0 + self.k * self.k)
         self.scale = np.sqrt(grid.weight)
         self.boundary = self.r >= grid.boundary_radius
-        self._k2 = self.k[:-1] * self.k[:-1]
-        for a in (self.r, self.k, self.omega, self.h_half_weight, self.boundary, self._k2):
+        self.mass_weight = grid.weight * self.r * self.r  # sum(rho * mass_weight) = mass of rho
+        interior = self.r[:-1]
+        self._to_coefficients = self.scale * interior
+        self._to_samples = 1.0 / self._to_coefficients
+        self._inv_r = 1.0 / interior
+        self._poisson = 4.0 * np.pi / (self.k[:-1] * self.k[:-1])
+        for a in (self.r, self.k, self.omega, self.h_half_weight, self.boundary,
+                  self.mass_weight, self._to_coefficients, self._to_samples, self._inv_r,
+                  self._poisson):
             a.setflags(write=False)
+        self._phase_dt, self._phase = None, None
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the samples u(r_j): DST-I of g = r*u on the interior samples.
@@ -191,22 +232,21 @@ class RadialKernel:
         coefficients, so sum |c_m|^2 = mass for resolved fields.
         """
         c = np.empty(self.grid.n_points, dtype=np.complex128)
-        c[:-1] = self.scale * dst(self.r[:-1] * values[:-1], type=1, norm="ortho")
+        c[:-1] = _sine(dst, self._to_coefficients * values[:-1], overwrite_x=True)
         c[-1] = 0.0
         return c
 
     def inverse(self, coefficients: np.ndarray) -> np.ndarray:
         """Samples of the field with these coefficients; the boundary sample is zero."""
         v = np.empty(self.grid.n_points, dtype=np.complex128)
-        v[:-1] = idst(coefficients[:-1] / self.scale, type=1, norm="ortho") / self.r[:-1]
+        np.multiply(_sine(idst, coefficients[:-1]), self._to_samples, out=v[:-1])
         v[-1] = 0.0
         return v
 
     def density_transform(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """(sine coefficients of r*rho on the interior, total mass of rho)."""
-        r = self.r
-        total = self.grid.weight * float(np.sum(rho * r * r))
-        return dst(rho[:-1] * r[:-1], type=1, norm="ortho"), total
+        return (_sine(dst, rho[:-1] * self.r[:-1], overwrite_x=True),
+                float(np.dot(rho, self.mass_weight)))
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
         """Newton potential |x|^-1 * rho by the sine-basis Poisson solve.
@@ -216,15 +256,17 @@ class RadialKernel:
         exterior monopole M/r is restored by the linear ramp.
         """
         rho_tilde, total = self.density_transform(rho)
-        h0 = np.empty(self.grid.n_points)
-        h0[:-1] = idst(4.0 * np.pi * rho_tilde / self._k2, type=1, norm="ortho")
-        h0[-1] = 0.0
-        return h0 / self.r + total / self.grid.r_max
+        rho_tilde *= self._poisson
+        v = np.empty(self.grid.n_points)
+        np.multiply(_sine(idst, rho_tilde, overwrite_x=True), self._inv_r, out=v[:-1])
+        v[-1] = 0.0
+        v += total / self.grid.r_max
+        return v
 
     def interaction(self, rho: np.ndarray) -> float:
         """D(rho, rho) = 4*pi int (|x|^-1 * rho) rho r^2 dr, in the Parseval form of the Poisson solve."""
         rho_tilde, total = self.density_transform(rho)
-        return float(self.grid.weight * 4.0 * np.pi * np.sum(rho_tilde**2 / self._k2)
+        return float(self.grid.weight * np.dot(rho_tilde * rho_tilde, self._poisson)
                      + total * total / self.grid.r_max)
 
     def virial_weight(self, values: np.ndarray) -> float:
@@ -241,6 +283,14 @@ class RadialKernel:
         return float(8.0 * np.pi / self.grid.r_max
                      * np.sum(self.omega * np.abs(c - s / self.k) ** 2))
 
+    def _half_phase(self, dt: float) -> np.ndarray:
+        """The free half-step multiplier exp(-i dt/2 omega), read-only; kept for the last dt."""
+        if dt != self._phase_dt:
+            self._phase = np.exp(-0.5j * dt * self.omega)
+            self._phase.setflags(write=False)
+            self._phase_dt = dt
+        return self._phase
+
     def strang(self, c: np.ndarray, dt: float,
                potential: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """One Strang step on coefficients; returns (new coefficients, V).
@@ -249,10 +299,13 @@ class RadialKernel:
         half step.  V is the self-consistent potential of the half-stepped
         field unless `potential` forces it.
         """
-        phase_half = np.exp(-0.5j * dt * self.omega)
+        phase_half = self._half_phase(dt)
         u_mid = self.inverse(phase_half * c)
-        v = self.potential(np.abs(u_mid) ** 2) if potential is None else potential
-        return phase_half * self.forward(u_mid * np.exp(1j * dt * v)), v
+        v = self.potential(abs2(u_mid)) if potential is None else potential
+        u_mid *= np.exp(1j * dt * v)
+        c_new = self.forward(u_mid)
+        c_new *= phase_half
+        return c_new, v
 
 
 @lru_cache(maxsize=8)

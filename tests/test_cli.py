@@ -14,6 +14,7 @@ from bosonstar.cli import (
     run,
 )
 from bosonstar.config import (
+    ARTIFACT_VERSION,
     ParseError,
     RunConfig,
     Tolerances,
@@ -490,6 +491,26 @@ class TestMainEntry:
         assert report["n"] == (32 if flags else 64) and report["s"] == 0.25
         assert [r["check"] for r in report["checks"]] == ["ims_defect"]
 
+    def test_diagnose_rejects_another_artifact_version(self, tmp_path, small_run, capsys):
+        gs_json, _ = small_run
+        traj_dir = tmp_path / "ev"
+        code, _ = run(config_from_dict({
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.0, "dt_floor": 1e-10},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(traj_dir)}), quiet=True)
+        assert code == EXIT_OK
+        manifest_path = traj_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = "0.0.1"  # the manifest itself is not digested
+        manifest_path.write_text(canonical_json(manifest))
+        assert verify_manifest(traj_dir)
+        assert main(["--quiet", "--out-dir", str(tmp_path / "dg"), "diagnose",
+                     "--trajectory", str(traj_dir), "--ground-state", gs_json]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and "\n" not in err
+        assert "version 0.0.1" in err and f"version {ARTIFACT_VERSION}" in err
+
     def test_diagnose_without_a_trajectory_exit_code(self, tmp_path, small_run, capsys):
         gs_json, _ = small_run
         assert main(["--quiet", "--out-dir", str(tmp_path), "diagnose",
@@ -562,6 +583,7 @@ class TestNumericalFailureExit:
         err = capsys.readouterr().err.strip()  # printed with quiet too
         assert err.startswith("numerical failure:") and "\n" not in err
 
+    @pytest.mark.filterwarnings("error")  # one message: NonFinite, and no overflow warnings
     def test_overflowing_datum_exit_code(self, tmp_path, capsys):
         # |u|^2 overflows: a non-finite first record, not a blowup flag
         out_dir = tmp_path / "ev"

@@ -78,6 +78,37 @@ class TestStep:
         with pytest.raises(NonFinite, match="t=0.01, dt=0.01, mass=nan"):
             evolve(gaussian_field(GRID, 0.5, 2.0), P1, EvolutionControls(dt0=1e-2, t_end=0.1))
 
+    def test_phase_memo_matches_a_fresh_kernel(self):
+        # the kernel keeps the half-step phase of the last dt; a changed dt must not reuse it
+        f = random_smooth_field(GRID, np.random.default_rng(2))
+        kern = RadialKernel(GRID, P1)
+        c = kern.forward(f.values)
+        for dt in (1e-3, 7e-4, 1e-3, 1e-3):
+            got, v = kern.strang(c, dt)
+            want, w = RadialKernel(GRID, P1).strang(c, dt)
+            assert np.array_equal(got, want) and np.array_equal(v, w)
+            c = got
+
+    def test_six_transforms_per_step(self, monkeypatch):
+        import bosonstar.spectral as spectral
+
+        calls = []
+        for name in ("dst", "idst"):
+            def counted(*args, _transform=getattr(spectral, name), **kwargs):
+                calls.append(1)
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        f = gaussian_field(GRID, 0.5, 2.0)
+        counts = {}
+        for steps in (0, 5, 12):
+            calls.clear()
+            traj = evolve(f, P1, EvolutionControls(dt0=1e-3, t_end=steps * 1e-3, cfl=1.0,
+                                                   dt_floor=1e-12))
+            assert len(traj.records["t"]) == steps + 1
+            counts[steps] = len(calls)
+        # start-up: forward, the first record's interaction and the first potential
+        assert counts == {0: 4, 5: 4 + 6 * 5, 12: 4 + 6 * 12}
+
     def test_nonpositive_dt_rejected(self):
         # evolve steps by at least dt_floor, which the controls require to be positive
         for bad in ({"dt_floor": 0.0}, {"dt_floor": -1e-9}, {"dt0": 0.0}):

@@ -7,6 +7,7 @@ from bosonstar.spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    RadialKernel,
     SpectralField,
     apply_multiplier,
     coulomb_potential_density,
@@ -119,6 +120,45 @@ class TestKernel:
                     optimize_users.append(path.name)
         assert offenders == ["spectral.py"]
         assert optimize_users == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("grid", [GRID, RadialGrid(16384, 64.0)])  # both complex paths
+    def test_never_writes_its_inputs(self, dtype, grid):
+        # the kernel transforms in place only arrays it has just allocated itself
+        kern = RadialKernel(grid, ModelParams(1.0))
+
+        def as_dtype(a):
+            return np.ascontiguousarray(a if dtype is np.complex128 else a.real)
+
+        u = as_dtype(random_smooth_field(grid, np.random.default_rng(4)).values)
+        c = as_dtype(kern.forward(u))
+        rho = np.abs(u) ** 2
+        v = np.full(grid.n_points, 0.3)
+        calls = [(kern.forward, u), (kern.inverse, c), (kern.potential, rho),
+                 (kern.interaction, rho), (kern.strang, c, 1e-3), (kern.strang, c, 1e-3, v)]
+        for method, *args in calls:
+            copies = [np.copy(a) for a in args]
+            method(*args)
+            for a, copy in zip(args, copies):
+                assert np.array_equal(a, copy), method.__name__
+
+    @pytest.mark.parametrize("length", [511, 16383])  # the interleaved view, the complex call
+    def test_complex_transform_matches_scipy_complex_call(self, length):
+        # either path gives the bits of scipy's complex call, signed zeros included
+        from scipy.fft import dst, idst
+
+        from bosonstar.spectral import _sine
+
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=length) + 1j * rng.normal(size=length)
+        z[::7] = -0.0 + 0.0j
+        z[3::7] = complex(1.0, -0.0)
+        for transform in (dst, idst):
+            want = transform(z, type=1, norm="ortho")
+            got = _sine(transform, z)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            assert np.array_equal(np.signbit(got.view(np.float64)),
+                                  np.signbit(want.view(np.float64)))
 
 
 class TestMultiplier:
