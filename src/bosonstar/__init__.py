@@ -2,15 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .spectral import (  # noqa: F401
-    Field,
-    ModelParams,
-    RadialGrid,
-    SpectralField,
-    apply_multiplier,
-    energy,
-    hs_norm,
-    inverse_radial_transform,
-    mass,
-    radial_transform,
-)
+from .spectral import Field, ModelParams, RadialGrid, energy, mass  # noqa: F401

@@ -3,8 +3,8 @@
 A config is strict JSON, checked once when it is read: a key must have a
 default, its value the default's type, and its range passes the constructor
 of the object that uses it.  Every tolerance of the check functions has a
-documented default here (the suites still fix four slack constants, see
-README).  A run writes a manifest with SHA-256 digests of its outputs.
+documented default here (six slack constants are still fixed in the code,
+see README).  A run writes a manifest with SHA-256 digests of its outputs.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ __all__ = [
     "CheckCannotRun",
     "InsufficientSnapshots",
     "NotTightOnGrid",
-    "NegativeWeight",
     "smooth_bump",
     "smooth_exterior",
     "cutoff_bank",
@@ -68,10 +67,6 @@ class InsufficientSnapshots(CheckCannotRun):
 
 
 class NotTightOnGrid(ValueError):
-    pass
-
-
-class NegativeWeight(ArithmeticError):
     pass
 
 
@@ -448,9 +443,6 @@ def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
         raise InsufficientSnapshots("need at least 4 resolved snapshots for a quadratic fit")
     ts = np.array([s.t for s in res])
     ws = np.array([virial_weight(s.field, params) for s in res])
-    wscale = float(np.max(np.abs(ws)))
-    if np.any(ws < -1e-10 * wscale):
-        raise NegativeWeight("virial weight became negative: discretization failure")
     coeffs = np.polyfit(ts, ws, 2)
     fit = np.polyval(coeffs, ts)
     residual = float(np.sqrt(np.mean((fit - ws) ** 2)) / np.sqrt(np.mean(ws**2)))

@@ -43,7 +43,6 @@ __all__ = [
     "evolve",
     "require_resolved",
     "trajectory_from_snapshots",
-    "free_evolution",
     "h_minus1_rhs_bound",
     "half_max_width",
     "HORIZON_REACHED",
@@ -88,6 +87,8 @@ class EvolutionControls:
             raise ValueError("cfl must lie in (0, 1]")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if not self.h_half_cap > 0:
+            raise ValueError("h_half_cap must be positive")
         if self.max_snapshots < 2:
             raise ValueError("max_snapshots must be >= 2: a run keeps its first and last snapshot")
 
@@ -277,12 +278,6 @@ def trajectory_from_snapshots(fields, times, params: ModelParams,
         _push_record(cols, kern, float(t), float(t - prev_t), f.values, kern.forward(f.values))
     return _trajectory(grid, params, controls, cols, list(range(len(fields))),
                        np.stack([f.values for f in fields]), termination)
-
-
-def free_evolution(u0: Field, params: ModelParams, t: float) -> Field:
-    """Exact free flow exp(-i t sqrt(-Delta+m^2)) u0 via a single multiplier."""
-    kern = kernel(u0.grid, params)
-    return Field(u0.grid, kern.inverse(kern.forward(u0.values) * np.exp(-1j * t * kern.omega)))
 
 
 def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:

@@ -21,10 +21,8 @@ import numpy as np
 from .spectral import (
     PROFILES,
     Field,
-    ModelParams,
     RadialGrid,
     RadialKernel,
-    energy,
     homogeneous_half_sq,
     interaction_energy,
     kernel,
@@ -41,7 +39,6 @@ __all__ = [
     "equation_residual",
     "pohozaev_residual",
     "gn_ratio",
-    "energy_threshold_check",
 ]
 
 DIVERGENCE_NORM = 1e12
@@ -162,16 +159,3 @@ def gn_ratio(f: Field) -> float:
     kin = homogeneous_half_sq(f)
     return interaction_energy(f) / (kin * m)
 
-
-def energy_threshold_check(f: Field, gs: GroundState, params: ModelParams) -> dict:
-    """Slack of the sharp energy lower bound E[f] >= (1/2)(1 - M[f]/M_c) ||grad^{1/2}f||^2."""
-    m = mass(f)
-    kin = homogeneous_half_sq(f)
-    e = energy(f, params)
-    bound = 0.5 * (1.0 - m / gs.critical_mass) * kin
-    return {
-        "energy": e,
-        "mass": m,
-        "bound": bound,
-        "slack": e - bound,
-    }

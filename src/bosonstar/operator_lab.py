@@ -9,14 +9,13 @@ estimate through the highest local mass, and the constructive splitting of
 bounded sequences into receding bumps.
 
 Operators are real symmetric float64 matrices: the circulant of one inverse
-FFT of their real, even Fourier symbol.  The scalar integral representation
-x^s = (sin pi s / pi) Int x/(x+t) t^{s-1} dt is kept as an independent
-quadrature route.  Every integral over t in (0, inf) uses one node rule, whose
-Gauss-Jacobi ends carry the fractional weight at 0 and the decay at infinity
-exactly.  Resolvent quadratures run in the eigenbasis of A = 1 - Delta from
-one `eigh`, where every (A + t)^{-1} is a diagonal divide; multiplication by
-chi is applied elementwise, never as a dense diagonal matrix.  `run_suite`
-runs the checks as the `operator-check` suite.
+FFT of their real, even Fourier symbol.  Every integral over t in (0, inf)
+uses one node rule, whose Gauss-Jacobi ends carry the fractional weight at 0
+and the decay at infinity exactly.  Resolvent quadratures run in the
+eigenbasis of A = 1 - Delta from one `eigh`, where every (A + t)^{-1} is a
+diagonal divide; multiplication by chi is applied elementwise, never as a
+dense diagonal matrix.  `run_suite` runs the checks as the `operator-check`
+suite.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ __all__ = [
     "NotAPartition",
     "MaxProfilesExceeded",
     "build_fractional",
-    "fractional_via_quadrature",
-    "scalar_power_quadrature",
     "spectral_gradient",
     "operator_norm_matrix",
     "commutator_norm",
@@ -105,11 +102,6 @@ class DenseOperator:
         if m.shape != (self.grid.n, self.grid.n):
             raise ValueError("matrix shape must match the grid")
         object.__setattr__(self, "matrix", m)
-
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        scale = max(operator_norm_matrix(m), 1e-300)
-        return float(np.max(np.abs(m - m.T)) / scale)
 
 
 def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray) -> DenseOperator:
@@ -200,30 +192,6 @@ def _composite_t_nodes(sigma: float, decay: float, t_hi: float, n_nodes: int):
     nodes.append(t_hi / u)
     weights.append(t_hi ** (sigma + 1.0) * w * u**-decay)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def scalar_power_quadrature(x, s: float, n_nodes: int = 48, t_hi: float | None = None):
-    """x^s via (sin pi s/pi) Int_0^inf x/(x+t) t^{s-1} dt, numerically.
-
-    The nodes are those of `_composite_t_nodes` with decay 1 (the integrand
-    falls off like 1/t).  Vectorized in x; the independent route to the power function used to
-    cross-check the diagonal operator construction.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if t_hi is None:
-        t_hi = max(4.0, 4.0 * float(np.max(x)))
-    t, w = _composite_t_nodes(s - 1.0, 1.0, t_hi, n_nodes)
-    return (np.sin(np.pi * s) / np.pi) * np.sum(w * (x[..., None] / (x[..., None] + t)), axis=-1)
-
-
-def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
-                              n_nodes: int = 48) -> DenseOperator:
-    """(a-Delta)^s as V diag(q(lam)) V^T, with A = a - Delta = V diag(lam) V^T
-    from `eigh` and q the resolvent quadrature of `scalar_power_quadrature`
-    (t_hi = 4 max(1, lam_max)); the symbol (a + k^2)^s is never evaluated."""
-    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a).matrix)
-    m = V @ (scalar_power_quadrature(lam, s, n_nodes)[:, None] * V.T)
-    return DenseOperator(0.5 * (m + m.T), grid)
 
 
 def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray,

@@ -5,8 +5,7 @@ extension, so the 3D Fourier transform reduces to a type-I discrete sine
 transform of g.  All Fourier multipliers (sqrt(-Delta + m^2), fractional
 Sobolev weights, the free propagator) act diagonally in that basis, and the
 attractive Coulomb potential |x|^-1 * |u|^2 comes from solving the radial
-Poisson equation in the same sine basis (Newton's shell formula by cumulative
-trapezoid sums is kept as a cross-check).  One RadialKernel per (grid, params)
+Poisson equation in the same sine basis.  One RadialKernel per (grid, params)
 does all of this; it is the only user of scipy.fft in the package.
 
 Grid convention: n_points samples at r_j = j*dr (j = 1..n), r_max = n*dr,
@@ -35,21 +34,16 @@ __all__ = [
     "kernel",
     "radial_transform",
     "inverse_radial_transform",
-    "apply_multiplier",
     "coulomb_potential_density",
     "mass",
     "interaction_energy",
     "energy",
     "kinetic_energy",
-    "hs_norm",
     "homogeneous_half_sq",
     "field_from_profile",
     "gaussian_field",
     "sech_field",
     "PROFILES",
-    "zero_field",
-    "random_smooth_field",
-    "rescale_field",
     "field_to_json",
     "field_from_json",
     "load_field_json",
@@ -327,49 +321,16 @@ def inverse_radial_transform(sf: SpectralField) -> Field:
     return Field(sf.grid, kernel(sf.grid).inverse(sf.coefficients))
 
 
-def apply_multiplier(f: Field, symbol, params: ModelParams | None = None) -> Field:
-    """Apply a Fourier multiplier symbol(k) (or symbol(k, params)) diagonally."""
-    kern = kernel(f.grid)
-    sym = symbol(kern.k) if params is None else symbol(kern.k, params)
-    sym = np.asarray(sym)
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("multiplier symbol must be finite on all grid frequencies")
-    return Field(f.grid, kern.inverse(kern.forward(f.values) * sym))
-
-
 def mass(f: Field) -> float:
     """L2 mass on R^3: 4*pi * sum |u|^2 r^2 dr."""
     g = f.grid
     return float(g.weight * np.sum(np.abs(f.values) ** 2 * g.r**2))
 
 
-def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid,
-                              method: str = "spectral") -> np.ndarray:
-    """Newton potential |x|^-1 * rho of a radial density rho >= 0.
-
-    method="spectral" (default) is the sine-basis Poisson solve of
-    RadialKernel.potential, spectrally accurate for resolved densities.
-
-    method="trapezoid" evaluates Newton's shell formula
-    V(r) = 4*pi [ (1/r) int_0^r rho s^2 ds + int_r^rmax rho s ds ] by
-    cumulative trapezoid sums, O(dr^2); kept as an independent cross-check of
-    the spectral route (and it satisfies r*V <= mass exactly).  The first
-    interval [0, dr] uses the fact that rho*s^2 vanishes at s = 0, so no 1/r
-    singularity is ever evaluated.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    if method == "trapezoid":
-        from scipy.integrate import cumulative_trapezoid
-
-        r = grid.r
-        inner = cumulative_trapezoid(rho * r * r, r, initial=0.0)
-        inner += 0.5 * grid.dr * rho[0] * r[0] ** 2  # [0, r_1] segment, integrand 0 at s=0
-        outer_cum = cumulative_trapezoid(rho * r, r, initial=0.0)
-        outer = outer_cum[-1] - outer_cum
-        return 4.0 * np.pi * (inner / r + outer)
-    if method != "spectral":
-        raise ValueError(f"unknown Coulomb method {method!r}")
-    return kernel(grid).potential(rho)
+def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Newton potential |x|^-1 * rho of a radial density rho >= 0: the sine-basis
+    Poisson solve of RadialKernel.potential, spectrally accurate for resolved densities."""
+    return kernel(grid).potential(np.asarray(rho, dtype=np.float64))
 
 
 def interaction_energy(f: Field) -> float:
@@ -386,13 +347,6 @@ def kinetic_energy(f: Field, params: ModelParams) -> float:
 def energy(f: Field, params: ModelParams) -> float:
     """Conserved energy: (1/2)<u, sqrt(-Delta+m^2) u> - (1/4) D(|u|^2)."""
     return 0.5 * kinetic_energy(f, params) - 0.25 * interaction_energy(f)
-
-
-def hs_norm(f: Field, s: float) -> float:
-    """Inhomogeneous Sobolev norm ||(1+k^2)^{s/2} u^||_2 for s in [-1, 1]."""
-    kern = kernel(f.grid)
-    c = kern.forward(f.values)
-    return float(np.sqrt(np.sum((1.0 + kern.k * kern.k) ** s * np.abs(c) ** 2)))
 
 
 def homogeneous_half_sq(f: Field) -> float:
@@ -417,35 +371,6 @@ def sech_field(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> 
 
 
 PROFILES = {"gaussian": gaussian_field, "sech": sech_field}  # the named data profiles
-
-
-def zero_field(grid: RadialGrid) -> Field:
-    return Field(grid, np.zeros(grid.n_points, dtype=np.complex128))
-
-
-def random_smooth_field(grid: RadialGrid, rng: np.random.Generator,
-                        n_bumps: int = 4, complex_phase: bool = True) -> Field:
-    """Random superposition of well-resolved Gaussians, decaying before r_max.
-
-    Centers stay within r_max/4 and widths within [4*dr, r_max/16] so the field
-    is resolved on the grid and its boundary sample is negligible.
-    """
-    r = grid.r
-    v = np.zeros(grid.n_points, dtype=np.complex128)
-    for _ in range(n_bumps):
-        a = rng.normal() + (1j * rng.normal() if complex_phase else 0.0)
-        c = rng.uniform(0.0, grid.r_max / 4.0)
-        w = rng.uniform(4.0 * grid.dr, grid.r_max / 16.0)
-        v += a * np.exp(-((r - c) ** 2) / (2.0 * w * w))
-    return Field(grid, v)
-
-
-def rescale_field(f: Field, lam: float) -> Field:
-    """L2-invariant dilation u_lam(r) = lam^{3/2} u(lam r), resampled on the grid."""
-    r = f.grid.r
-    re = np.interp(lam * r, r, f.values.real, left=f.values.real[0], right=0.0)
-    im = np.interp(lam * r, r, f.values.imag, left=f.values.imag[0], right=0.0)
-    return Field(f.grid, lam**1.5 * (re + 1j * im))
 
 
 # --- serialization ----------------------------------------------------------

@@ -16,7 +16,6 @@ from bosonstar.cli import (
 from bosonstar.config import (
     ARTIFACT_VERSION,
     ParseError,
-    RunConfig,
     Tolerances,
     ValidationError,
     canonical_json,
@@ -340,13 +339,14 @@ class TestMainEntry:
         ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": 0, "width": 1.5}}, "u0.amplitude"),
         ("ground-state", [], {"grid": {"n_points": 256, "r_max": 10**400}}, "grid.r_max"),
         ("evolve", [], {"controls": {"t_end": float("inf")}}, "controls.t_end"),
+        ("evolve", [], {"controls": {"h_half_cap": 0}}, "controls.h_half_cap"),
     ], ids=["lab_n_odd", "lab_s_negative", "lab_length_negative", "seed_negative",
             "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
             "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
             "histogram_bins_not_an_int", "max_snapshots_zero",
             "max_snapshots_one", "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
             "u0_mass_negative", "u0_amplitude_nan", "u0_amplitude_zero", "r_max_too_large",
-            "t_end_infinite"])
+            "t_end_infinite", "h_half_cap_zero"])
     def test_rejected_when_the_config_is_read(self, tmp_path, capsys, command, flags, bad, field):
         out_dir = tmp_path / "out"
         controls = {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10, **bad.pop("controls", {})}

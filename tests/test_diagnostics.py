@@ -6,7 +6,6 @@ from bosonstar.diagnostics import (
     CheckRecord,
     Cutoff,
     InsufficientSnapshots,
-    NegativeWeight,
     NotTightOnGrid,
     blowup_measure,
     concentration_function,
@@ -26,12 +25,7 @@ from bosonstar.diagnostics import (
     virial_weight,
 )
 from bosonstar.config import Tolerances
-from bosonstar.evolution import (
-    STEP_FLOOR,
-    EvolutionControls,
-    free_evolution,
-    trajectory_from_snapshots,
-)
+from bosonstar.evolution import trajectory_from_snapshots
 from bosonstar.spectral import (
     Field,
     ModelParams,
@@ -40,8 +34,8 @@ from bosonstar.spectral import (
     field_from_profile,
     gaussian_field,
     mass,
-    zero_field,
 )
+from oracles import free_evolution
 
 GRID = RadialGrid(1024, 64.0)
 P0 = ModelParams(0.0)

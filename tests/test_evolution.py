@@ -8,12 +8,10 @@ import pytest
 from bosonstar.evolution import (
     HORIZON_REACHED,
     NORM_CAP,
-    STEP_FLOOR,
     EvolutionControls,
     NonFinite,
     Unresolved,
     evolve,
-    free_evolution,
     h_minus1_rhs_bound,
     half_max_width,
     load_trajectory,
@@ -25,14 +23,11 @@ from bosonstar.spectral import (
     ModelParams,
     RadialGrid,
     RadialKernel,
-    apply_multiplier,
     gaussian_field,
-    hs_norm,
     kernel,
     mass,
-    random_smooth_field,
-    zero_field,
 )
+from oracles import free_evolution, hs_norm, random_smooth_field, zero_field
 
 GRID = RadialGrid(1024, 64.0)
 P1 = ModelParams(1.0)

@@ -5,7 +5,6 @@ from bosonstar.ground_state import (
     DivergentIterate,
     NonConvergence,
     ZeroField,
-    energy_threshold_check,
     equation_residual,
     gn_ratio,
     pohozaev_residual,
@@ -19,10 +18,8 @@ from bosonstar.spectral import (
     gaussian_field,
     homogeneous_half_sq,
     mass,
-    random_smooth_field,
-    rescale_field,
-    zero_field,
 )
+from oracles import energy_threshold_check, random_smooth_field, rescale_field, zero_field
 
 GRID = RadialGrid(1024, 48.0)
 
