@@ -10,8 +10,9 @@ suite.
 
 Limits t -> T^- are replaced by windows over the last resolved snapshots;
 "resolved" excludes records whose concentration width has fallen below the
-grid scale (see EvolutionControls.resolved_width_cells).  Every check reads
-the snapshot densities |u|^2 from the rows of Trajectory.density.
+grid scale (see EvolutionControls.resolved_width_cells).  Every check computes
+the density |u|^2 of each snapshot row it reads (Trajectory.density) once, and
+keeps no all-rows density.
 """
 
 from __future__ import annotations
@@ -155,13 +156,15 @@ class DiagnosticsReport:
 
 def localized_mass(rho: np.ndarray, grid: RadialGrid, chi: Cutoff) -> float:
     """Mass of the density rho = |u|^2 weighted by chi."""
-    return float(grid.weight * np.sum(chi.samples * rho * grid.r**2))
+    return float(grid.weight * np.sum(chi.samples * rho * kernel(grid).r_squared))
 
 
-def localized_mass_series(traj, chi: Cutoff) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.array([s.t for s in traj.snapshots])
-    ms = np.array([localized_mass(rho, traj.grid, chi) for rho in traj.density])
-    return ts, ms
+def localized_mass_series(traj, cutoffs, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Times of the snapshots from `first` on, and M_chi at each of them, one row per cutoff;
+    each snapshot's density is computed once for all the cutoffs."""
+    densities = map(traj.density, range(first, len(traj.snapshots)))
+    ms = np.array([[localized_mass(rho, traj.grid, chi) for chi in cutoffs] for rho in densities])
+    return np.array([s.t for s in traj.snapshots[first:]]), ms.T
 
 
 def _max_rate(ts: np.ndarray, ms: np.ndarray) -> float:
@@ -170,12 +173,18 @@ def _max_rate(ts: np.ndarray, ms: np.ndarray) -> float:
     return float(np.max(np.abs(np.diff(ms)[keep] / dt[keep])))
 
 
-def propagation_bound_check(traj, chi: Cutoff, c_cal: float) -> CheckRecord:
-    """Finite-difference |dM_chi/dt| against the calibrated commutator constant."""
+def propagation_bound_check(traj, chi: Cutoff, c_cal: float,
+                            masses: np.ndarray | None = None) -> CheckRecord:
+    """Finite-difference |dM_chi/dt| against the calibrated commutator constant.
+
+    `masses` is M_chi at every snapshot when the caller has it (`run_checks` takes the
+    whole bank's in one pass over the densities); otherwise it is computed here.
+    """
     if len(traj.snapshots) < 3:
         raise InsufficientSnapshots("need at least 3 snapshots for a rate estimate")
-    ts, ms = localized_mass_series(traj, chi)
-    c_hat = _max_rate(ts, ms) / chi.grad_inf
+    if masses is None:
+        _, (masses,) = localized_mass_series(traj, [chi])
+    c_hat = _max_rate(np.array([s.t for s in traj.snapshots]), masses) / chi.grad_inf
     return CheckRecord(
         check="propagation_bound",
         params={"kind": chi.kind, "radius": chi.radius, "grad_inf": chi.grad_inf},
@@ -191,12 +200,8 @@ def dilation_decay_check(traj, radii=(2.0, 4.0, 8.0, 16.0), factor: float = 2.0)
     """
     if len(traj.snapshots) < 3:
         raise InsufficientSnapshots("need at least 3 snapshots for a rate estimate")
-    q = []
-    for rr in radii:
-        chi = smooth_bump(traj.grid, rr)
-        ts, ms = localized_mass_series(traj, chi)
-        q.append(rr * _max_rate(ts, ms))
-    q = np.array(q)
+    ts, masses = localized_mass_series(traj, [smooth_bump(traj.grid, rr) for rr in radii])
+    q = np.array([rr * _max_rate(ts, ms) for rr, ms in zip(radii, masses)])
     gmean = float(np.exp(np.mean(np.log(q))))
     spread = float(max(q.max() / gmean, gmean / q.min()))
     return CheckRecord(
@@ -217,9 +222,10 @@ def tightness_check(traj, eps: float, t_from: float = 0.0) -> float:
     g = traj.grid
     r2w = g.weight * g.r**2
     sup_ext = None
-    for s, rho in zip(traj.snapshots, traj.density):
+    for i, s in enumerate(traj.snapshots):
         if s.t < t_from:
             continue
+        rho = traj.density(i)
         ext = np.cumsum((rho * r2w)[::-1])[::-1]  # mass in r >= r_j
         sup_ext = ext if sup_ext is None else np.maximum(sup_ext, ext)
     if sup_ext is None:
@@ -274,11 +280,11 @@ def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float,
 
 
 def _last_resolved(traj, count: int) -> list:
-    """(snapshot, density row) of the last `count` resolved snapshots."""
-    res = [(s, rho) for s, rho in zip(traj.snapshots, traj.density) if s.resolved]
+    """(snapshot, density) of the last `count` resolved snapshots."""
+    res = [i for i, s in enumerate(traj.snapshots) if s.resolved]
     if len(res) < count:
         raise InsufficientSnapshots(f"need {count} resolved snapshots, have {len(res)}")
-    return res[-count:]
+    return [(traj.snapshots[i], traj.density(i)) for i in res[-count:]]
 
 
 def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
@@ -334,7 +340,8 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     edges = np.linspace(0.0, g.r_max, bins + 1)
     shell = g.weight * g.r**2
     bin_idx = np.minimum((g.r / (g.r_max / bins)).astype(int), bins - 1)
-    hists = [np.bincount(bin_idx, weights=rho * shell, minlength=bins) for rho in traj.density]
+    hists = [np.bincount(bin_idx, weights=traj.density(i) * shell, minlength=bins)
+             for i in range(len(traj.snapshots))]
     histogram = {
         "bin_edges": [float(e) for e in edges],
         "times": [float(s.t) for s in traj.snapshots],
@@ -346,8 +353,8 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
         if len(tail) < 2:
             raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
         span = tail[-1].t - tail[0].t
-        for chi in cutoffs:
-            ms = [localized_mass(rho, g, chi) for rho in traj.density[-window:]]
+        _, masses = localized_mass_series(traj, cutoffs, len(traj.snapshots) - len(tail))
+        for chi, ms in zip(cutoffs, masses):
             osc = float(np.max(ms) - np.min(ms))
             bound = c_cal * chi.grad_inf * span + pad
             records.append(CheckRecord(
@@ -516,17 +523,22 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
         return exterior_convergence_check(traj, tol.exterior_radius, traj.params,
                                           final_frac=tol.exterior_final_frac)
 
+    def propagation():
+        bank = banked()
+        _, masses = localized_mass_series(traj, bank)
+        return [propagation_bound_check(traj, chi, tol.c_cal_propagation, ms)
+                for chi, ms in zip(bank, masses)]
+
     def newton():
-        worst = max(float(np.max(grid.r * coulomb_potential_density(rho, grid)))
-                    for rho in traj.density)
+        worst = max(float(np.max(grid.r * coulomb_potential_density(traj.density(i), grid)))
+                    for i in range(len(traj.snapshots)))
         bound = m0 * (1.0 + tol.newton_slack)
         return [CheckRecord("newton_bound", {}, worst, bound, bool(worst <= bound))]
 
     runners = {"tightness": tightness, "measure": measure, "exterior": exterior, "newton": newton,
                "concentration": lambda: minimal_concentration_check(
                    traj, gs, tol.conc_mass_fraction, center_cells=tol.conc_center_cells),
-               "propagation": lambda: [propagation_bound_check(traj, chi, tol.c_cal_propagation)
-                                       for chi in banked()],
+               "propagation": propagation,
                "virial": lambda: [virial_check(traj, traj.params, tol.virial_envelope_slack,
                                                tol.virial_residual)]}
     for name, record_name in CHECKS.items():

@@ -20,7 +20,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +109,9 @@ _SNAPSHOT_META = tuple(f.name for f in dataclasses.fields(Snapshot) if f.name !=
 @dataclass
 class Trajectory:
     """Time-ordered snapshots plus per-accepted-step conserved-quantity records; `fields` is
-    the read-only (snapshots, n_points) array that snapshots.npy stores, one row per snapshot."""
+    the read-only (snapshots, n_points) array that snapshots.npy stores, one row per snapshot,
+    and the only copy of the snapshot samples: `evolve` writes each kept step into it, and
+    `density(i)` computes |u|^2 of row i when a check reads it."""
 
     grid: RadialGrid
     params: ModelParams
@@ -120,11 +121,9 @@ class Trajectory:
     snapshots: list
     termination: str
 
-    @cached_property
-    def density(self) -> np.ndarray:
-        """|u|^2 of every snapshot, one row each, computed on first use."""
-        rho = np.abs(self.fields)
-        return frozen(np.square(rho, out=rho))  # in place: one array the size of the densities
+    def density(self, i: int) -> np.ndarray:
+        """|u|^2 of snapshot i, in a new array on every call: no density is kept."""
+        return np.square(np.abs(self.fields[i]))
 
     @property
     def initial_mass(self) -> float:
@@ -217,15 +216,24 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
     kern = kernel(grid, params)
     require_resolved(u0, kern)
     cols = {name: [] for name in RECORD_COLUMNS}
-    snap_idx, snap_rows = [], []  # record index and samples of each kept snapshot
+    # the record index of each kept snapshot, and its samples as a row of one array grown a
+    # row at a time by ndarray.resize (a realloc); refcheck is off, since a tracer's frame
+    # reference fails it, and that is safe because nothing views the array before it returns
+    snap_idx = []
+    fields = np.empty((0, grid.n_points), dtype=np.complex128)
 
     def push_snapshot(u_vals):
+        kept = len(snap_idx)
+        if kept == len(fields):
+            fields.resize((kept + 1, grid.n_points), refcheck=False)
+        fields[kept] = u_vals
         snap_idx.append(steps_accepted)
-        snap_rows.append(u_vals)  # no copy: each step makes a new u
-        if len(snap_rows) > controls.max_snapshots:
-            keep_from = (3 * len(snap_rows)) // 4
-            snap_idx[:keep_from] = snap_idx[:keep_from:2]
-            snap_rows[:keep_from] = snap_rows[:keep_from:2]
+        if len(snap_idx) > controls.max_snapshots:
+            keep_from = (3 * len(snap_idx)) // 4
+            rows = [*range(0, keep_from, 2), *range(keep_from, len(snap_idx))]
+            for dst_row, src_row in enumerate(rows):  # ascending, so no row is overwritten unread
+                fields[dst_row] = fields[src_row]
+            snap_idx[:] = [snap_idx[i] for i in rows]
 
     u = u0.values
     c = kern.forward(u)
@@ -259,7 +267,8 @@ def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Traje
 
     if snap_idx[-1] < steps_accepted:
         push_snapshot(u)
-    return _trajectory(grid, params, controls, cols, snap_idx, np.stack(snap_rows), termination)
+    fields.resize((len(snap_idx), grid.n_points), refcheck=False)
+    return _trajectory(grid, params, controls, cols, snap_idx, fields, termination)
 
 
 def trajectory_from_snapshots(fields, times, params: ModelParams,

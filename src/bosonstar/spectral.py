@@ -186,6 +186,16 @@ def _sine(transform, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     return out.view(np.complex128).reshape(-1)
 
 
+def _rotation(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) of the real array theta, written as cos + i sin into one new array: on
+    every sample compared, the bits of np.exp(1j * theta) (whose real part is +-0), at about
+    two thirds of its cost."""
+    z = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
+
+
 class RadialKernel:
     """The spectral kernel of one (grid, params): every sine-basis operation.
 
@@ -194,7 +204,7 @@ class RadialKernel:
     computed once, and offers the DST-I pair on raw arrays, the Poisson
     solve, the Coulomb interaction, one Strang step and the virial weight.
     The transform weights scale*r and 1/(scale*r), the Poisson weight
-    4*pi/k^2, 1/r and the mass weight 4*pi*dr*r^2 are precomputed too, and
+    4*pi/k^2, 1/r, r^2 and the mass weight 4*pi*dr*r^2 are precomputed too, and
     the free half-step phase of the last dt is kept for the next step.
     Obtain it through `kernel`, which caches one per (grid, params).
     """
@@ -207,13 +217,14 @@ class RadialKernel:
         self.h_half_weight = np.sqrt(1.0 + self.k * self.k)
         self.scale = np.sqrt(grid.weight)
         self.boundary = self.r >= grid.boundary_radius
+        self.r_squared = self.r * self.r
         self.mass_weight = grid.weight * self.r * self.r  # sum(rho * mass_weight) = mass of rho
         interior = self.r[:-1]
         self._to_coefficients = self.scale * interior
         self._to_samples = 1.0 / self._to_coefficients
         self._inv_r = 1.0 / interior
         self._poisson = 4.0 * np.pi / (self.k[:-1] * self.k[:-1])
-        for a in (self.r, self.k, self.omega, self.h_half_weight, self.boundary,
+        for a in (self.r, self.k, self.omega, self.h_half_weight, self.boundary, self.r_squared,
                   self.mass_weight, self._to_coefficients, self._to_samples, self._inv_r,
                   self._poisson):
             a.setflags(write=False)
@@ -280,7 +291,7 @@ class RadialKernel:
     def _half_phase(self, dt: float) -> np.ndarray:
         """The free half-step multiplier exp(-i dt/2 omega), read-only; kept for the last dt."""
         if dt != self._phase_dt:
-            self._phase = np.exp(-0.5j * dt * self.omega)
+            self._phase = _rotation((-0.5 * dt) * self.omega)
             self._phase.setflags(write=False)
             self._phase_dt = dt
         return self._phase
@@ -296,7 +307,7 @@ class RadialKernel:
         phase_half = self._half_phase(dt)
         u_mid = self.inverse(phase_half * c)
         v = self.potential(abs2(u_mid)) if potential is None else potential
-        u_mid *= np.exp(1j * dt * v)
+        u_mid *= _rotation(dt * v)
         c_new = self.forward(u_mid)
         c_new *= phase_half
         return c_new, v

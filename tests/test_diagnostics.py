@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bosonstar.diagnostics import (
+    CHECKS,
     CheckRecord,
     Cutoff,
     InsufficientSnapshots,
@@ -99,7 +103,7 @@ class TestPropagation:
     def test_constant_cutoff_rate_vanishes(self, subcritical_traj):
         chi = Cutoff(kind="custom", samples=np.ones(subcritical_traj.grid.n_points),
                      grad_inf=1e-30)
-        ts, ms = localized_mass_series(subcritical_traj, chi)
+        ts, (ms,) = localized_mass_series(subcritical_traj, [chi])
         assert np.max(np.abs(np.diff(ms) / np.diff(ts))) < 1e-9
 
     def test_rate_stable_under_snapshot_refinement(self, dilation_traj):
@@ -223,7 +227,7 @@ class TestBlowupMeasure:
 
     def test_free_flow_window_oscillation_shrinks(self, dilation_traj):
         chi = smooth_bump(dilation_traj.grid, 8.0)
-        ts, ms = localized_mass_series(dilation_traj, chi)
+        ts, (ms,) = localized_mass_series(dilation_traj, [chi])
         # oscillation over suffix windows is nonincreasing as the window shrinks
         oscs = [np.ptp(ms[i:]) for i in range(0, len(ms) - 2, 10)]
         assert np.all(np.diff(oscs) <= 1e-12)
@@ -351,6 +355,24 @@ class TestReportPlumbing:
         assert [(r.check, r.passed) for r in report.records] == [
             ("propagation_bound", False), ("measure_cauchy", False)]
         assert all("no bank_radii entry" in r.params["error"] for r in report.records)
+
+    def test_run_checks_holds_no_all_rows_density(self, blowup_traj, acceptance_gs):
+        traj = dataclasses.replace(blowup_traj)  # a fresh Trajectory over the same fields
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            report = run_checks(traj, acceptance_gs, Tolerances(), "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) > len(CHECKS)
+        assert peak - held < traj.fields.nbytes / 2
+
+    def test_run_checks_propagation_matches_one_cutoff_at_a_time(self, subcritical_traj):
+        bank = cutoff_bank(subcritical_traj.grid)
+        report = run_checks(subcritical_traj, None, Tolerances(), "propagation")
+        assert report.records == [propagation_bound_check(subcritical_traj, chi, 8.0)
+                                  for chi in bank]
 
     def test_run_checks_rejects_an_unknown_check(self):
         with pytest.raises(ValueError, match="tightnes"):

@@ -258,7 +258,8 @@ class TestTrajectoryPlumbing:
         assert all(np.shares_memory(s.field.values, traj.fields) for s in traj.snapshots)
         files = save_trajectory(traj, tmp_path / "saved")
         assert np.load(files["fields"]).tobytes() == traj.fields.tobytes()
-        assert np.array_equal(traj.density, np.abs(traj.fields) ** 2)
+        for i, row in enumerate(traj.fields):
+            assert np.array_equal(traj.density(i), np.abs(row) ** 2)
 
     def test_save_allocates_no_copy_of_the_fields(self, tmp_path):
         grid = RadialGrid(4096, 64.0)
@@ -274,6 +275,22 @@ class TestTrajectoryPlumbing:
         finally:
             tracemalloc.stop()
         assert peak - held < traj.fields.nbytes / 4
+
+    def test_evolve_holds_one_copy_of_the_fields(self):
+        grid = RadialGrid(4096, 64.0)
+        controls = EvolutionControls(dt0=1e-3, t_end=0.04, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=1)
+        u0 = gaussian_field(grid, 0.5, 2.0)
+        kernel(grid, P1)  # the cached kernel is not part of the run's peak
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            traj = evolve(u0, P1, controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.snapshots) >= 32
+        assert peak - held <= traj.fields.nbytes + 2e6
 
     def test_load_rejects_bad_or_missing_fields(self, tmp_path):
         f = gaussian_field(GRID, 0.5, 2.0)

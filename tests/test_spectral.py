@@ -145,6 +145,13 @@ class TestKernel:
             for a, copy in zip(args, copies):
                 assert np.array_equal(a, copy), method.__name__
 
+    def test_rotation_matches_the_complex_exponential(self):
+        # the phase factors of a Strang step are cos + i sin of the real argument
+        from bosonstar.spectral import _rotation
+
+        theta = np.random.default_rng(6).uniform(-50.0, 50.0, 4096)
+        assert np.allclose(_rotation(theta), np.exp(1j * theta), rtol=0.0, atol=2.0**-52)
+
     @pytest.mark.parametrize("length", [511, 16383])  # the interleaved view, the complex call
     def test_complex_transform_matches_scipy_complex_call(self, length):
         # either path gives the bits of scipy's complex call, signed zeros included
