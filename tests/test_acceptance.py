@@ -237,7 +237,7 @@ def test_criterion_10_operator_lab_suite():
     for i in range(10):
         chi = random_smooth_chi(grid, rng)
         for s in (0.3, 0.5, 0.7):
-            out = localization_defect(grid, s, chi, n_nodes=24)
+            out = localization_defect(grid, s, chi)
             if out["eig_min"] < -1e-8:
                 failures.append(f"L_chi eig_min chi#{i} s={s}")
             if out["eig_max"] > out["upper_bound"] * (1 + 1e-6):

@@ -24,13 +24,13 @@ from bosonstar.operator_lab import (
     subcritical_check,
     tanh_bump,
 )
-from bosonstar.operator_lab import _composite_t_nodes
+from bosonstar.operator_lab import _T_NODES, _composite_t_nodes
 from oracles import fractional_via_quadrature, hermiticity_defect, scalar_power_quadrature
 
 GRID = PeriodicGrid1D(128, 32.0)
 
 
-def dense_localization(grid, s, chi, n_nodes=48):
+def dense_localization(grid, s, chi, n_nodes=_T_NODES):
     """Reference L_chi from dense resolvents (A + t)^{-1}, at the nodes of the same t-rule."""
     A = build_fractional(grid, 1.0, 1.0).matrix.real
     X = np.diag(chi)
@@ -65,13 +65,15 @@ class TestBuildFractional:
             val = scalar_power_quadrature(np.array([1.0]), s)[0]
             assert abs(val - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.99])
     def test_node_rule_closed_forms(self, s):
-        # Int_0^inf t^sigma (1+t)^-p dt = B(sigma+1, p-sigma-1), for decays p = 1, 2, 3
-        for sigma, p in ((s - 1.0, 1.0), (s, 2.0), (s, 3.0)):
-            t, w = _composite_t_nodes(sigma, p, 4.0, 48)
-            exact = beta(sigma + 1.0, p - sigma - 1.0)
-            assert abs(np.sum(w * (1.0 + t) ** -p) - exact) <= 1e-12 * exact
+        # Int_0^inf t^sigma (1+t)^-p dt = B(sigma+1, p-sigma-1), for decays p = 1, 2, 3,
+        # at the node count localization_defect ships, up to the t_hi of an n = 384 suite
+        for t_hi in (4.0, 4.0 * (1.0 + np.max(PeriodicGrid1D(384, 32.0).k ** 2))):
+            for sigma, p in ((s - 1.0, 1.0), (s, 2.0), (s, 3.0)):
+                t, w = _composite_t_nodes(sigma, p, t_hi, _T_NODES)
+                exact = beta(sigma + 1.0, p - sigma - 1.0)
+                assert abs(np.sum(w * (1.0 + t) ** -p) - exact) <= 1e-12 * exact
 
     def test_scalar_quadrature_across_spectrum(self):
         lam = 1.0 + GRID.k**2
@@ -126,6 +128,19 @@ class TestCommutator:
             ref = np.linalg.norm(op @ X - X @ op, 2)
             assert abs(commutator_norm(GRID, s, 1.0, chi) - ref) <= 1e-13 * ref
 
+    def test_operator_norm_matches_svd(self):
+        rng = np.random.default_rng(13)
+        chi = random_smooth_chi(GRID, rng)
+        op = build_fractional(GRID, 0.25, 1.0).matrix
+        general = rng.normal(size=(GRID.n, GRID.n))
+        for m in (general,                                    # real, non-symmetric
+                  chi[:, None] * op - op * chi[None, :],      # [chi, A], antisymmetric
+                  op,                                         # symmetric
+                  general + 1j * rng.normal(size=general.shape)):
+            ref = np.linalg.norm(m, 2)
+            assert abs(operator_norm_matrix(m) - ref) <= 1e-13 * ref
+        assert operator_norm_matrix(np.zeros((GRID.n, GRID.n))) == 0.0
+
 
 class TestLocalization:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -150,6 +165,15 @@ class TestLocalization:
         out = localization_defect(g, 0.5, chi)
         ref = dense_localization(g, 0.5, chi)
         assert np.max(np.abs(out["l_chi"].matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.99])
+    def test_node_rule_converged(self, s):
+        # the shipped node count agrees with a 48-node rule; 12 nodes miss by ~1e-12
+        g = PeriodicGrid1D(64, 16.0)
+        chi = random_smooth_chi(g, np.random.default_rng(7))
+        lchi = localization_defect(g, s, chi)["l_chi"].matrix
+        ref = dense_localization(g, s, chi, n_nodes=48)
+        assert np.max(np.abs(lchi - ref)) <= 1e-13 * np.max(np.abs(lchi))
 
     def test_constant_chi_gives_zero(self):
         out = localization_defect(GRID, 0.5, np.full(GRID.n, 0.4))
