@@ -168,8 +168,11 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
         raise InputError(f"cannot read diagnose inputs: missing key {exc}") from exc
     except (ValueError, TypeError, OSError) as exc:
         raise InputError(f"cannot read diagnose inputs: {exc}") from exc
-    report = diag.run_checks(traj, gs, cfg.tolerances, cfg.diagnose["checks"])
-    return report.to_json(), report.records
+    records, histogram = diag.run_checks(traj, gs, cfg.tolerances, cfg.diagnose["checks"])
+    report = {"checks": [r.to_dict() for r in records]}
+    if histogram is not None:
+        report["measure_histogram"] = histogram
+    return report, records
 
 
 def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
@@ -283,9 +286,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     code, run_dir = run(cfg, quiet=quiet)
-    if out_override:
+    if out_override and code in (EXIT_OK, EXIT_CHECK_FAILED):  # this run wrote the report
         src = os.path.join(run_dir, _REPORTS[command][0])
-        if os.path.exists(src) and os.path.abspath(src) != os.path.abspath(out_override):
+        if os.path.abspath(src) != os.path.abspath(out_override):
             os.makedirs(os.path.dirname(os.path.abspath(out_override)), exist_ok=True)
             with open(src) as fin, open(out_override, "w") as fout:
                 fout.write(fin.read())

@@ -64,7 +64,7 @@ class Tolerances:
     subcritical_growth_cap: float = 5.0   # sup ||u||_{H^{1/2}} / initial, global run
     blowup_growth_min: float = 10.0       # required H^{1/2} growth of a blowup run
     monotone_tail_steps: int = 100        # accepted steps that must grow monotonically
-    resolved_width_cells: float = 10.0    # width (in dr) below which records are unresolved
+    resolved_width_cells: float = 10.0    # snapshots narrower (in dr) are unresolved; applied by evolve
     conc_mass_fraction: float = 0.9       # lambda(t)-ball mass must reach this times M_c
     conc_center_cells: float = 3.0        # concentration center within this many dr of 0
     exterior_radius: float = 5.0          # R for the exterior L2 Cauchy check

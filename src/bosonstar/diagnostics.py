@@ -17,7 +17,7 @@ keeps no all-rows density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .spectral import (
 __all__ = [
     "Cutoff",
     "CheckRecord",
-    "DiagnosticsReport",
     "CheckCannotRun",
     "InsufficientSnapshots",
     "NotTightOnGrid",
@@ -46,12 +45,11 @@ __all__ = [
     "propagation_bound_check",
     "dilation_decay_check",
     "tightness_check",
+    "ball_mass",
     "concentration_function",
-    "origin_ball_mass",
     "minimal_concentration_check",
     "blowup_measure",
     "exterior_convergence_check",
-    "virial_weight",
     "virial_check",
     "CHECKS",
     "parse_checks",
@@ -110,11 +108,6 @@ def cutoff_bank(grid: RadialGrid, radii=(2.0, 4.0, 8.0, 16.0)) -> list[Cutoff]:
     return bank
 
 
-# how a check's statistic must relate to its bound to pass; "<=" for unlisted checks
-_RELATION = {"tightness": "<", "minimal_concentration": ">=", "localization_spectrum_low": ">=",
-             "ims_defect": ">=", "profile_count": "=="}
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     check: str
@@ -122,13 +115,13 @@ class CheckRecord:
     statistic: float
     bound: float
     passed: bool
+    relation: str = "<="  # statistic vs bound when passed; line() prints it, to_dict() omits it
 
     def line(self) -> str:
         """The stdout line: verdict, then the statistic and the bound with its direction,
         or the error of a check that could not run."""
-        relation = _RELATION.get(self.check, "<=")
         detail = self.params.get("error") or (
-            f"statistic={self.statistic:.6g} {relation} bound={self.bound:.6g}")
+            f"statistic={self.statistic:.6g} {self.relation} bound={self.bound:.6g}")
         return f"  [{'PASS' if self.passed else 'FAIL'}] {self.check}: {detail}"
 
     def to_dict(self) -> dict:
@@ -138,18 +131,6 @@ class CheckRecord:
         return {"check": self.check, "params": self.params,
                 "statistic": clean(self.statistic), "bound": clean(self.bound),
                 "pass": self.passed}
-
-
-@dataclass
-class DiagnosticsReport:
-    records: list = dc_field(default_factory=list)
-    measure_histogram: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {"checks": [r.to_dict() for r in self.records]}
-        if self.measure_histogram is not None:
-            out["measure_histogram"] = self.measure_histogram
-        return out
 
 
 # --- localized mass and propagation ------------------------------------------
@@ -236,15 +217,13 @@ def tightness_check(traj, eps: float, t_from: float = 0.0) -> float:
     return float(g.r[idx[0]])
 
 
-def _ball_mass_profile(rho: np.ndarray, grid: RadialGrid, center: float, radius: float) -> float:
+def ball_mass(rho: np.ndarray, grid: RadialGrid, center: float, radius: float) -> float:
     """Mass of the density rho in the radius ball centered at distance `center` from the origin
     (on the symmetry axis; radial symmetry makes this general), summed over the shells it meets."""
     r = kernel(grid).r
-    if center < 1e-12 * grid.r_max:
-        inside = np.searchsorted(r, radius, side="right")
-        return float(grid.weight * np.sum(rho[:inside] * r[:inside] ** 2))
     # shells r <= radius - center lie inside the ball, and shells with
-    # |r - center| < radius meet it in the cap where cos(theta) >= cstar
+    # |r - center| < radius meet it in the cap where cos(theta) >= cstar;
+    # at center 0 no shell is cut and the cap range is empty
     lo = np.searchsorted(r, abs(radius - center), side="right")
     hi = np.searchsorted(r, center + radius)
     full = 2.0 * np.sum(rho[:lo] * r[:lo] ** 2) if radius > center else 0.0
@@ -252,10 +231,6 @@ def _ball_mass_profile(rho: np.ndarray, grid: RadialGrid, center: float, radius:
     cstar = (rs**2 + center**2 - radius**2) / (2.0 * rs * center)
     mu = 1.0 - np.clip(cstar, -1.0, 1.0)  # in [0, 2]
     return float(2.0 * np.pi * grid.dr * (full + np.sum(rho[lo:hi] * rs**2 * mu)))
-
-
-def origin_ball_mass(rho: np.ndarray, grid: RadialGrid, radius: float) -> float:
-    return _ball_mass_profile(rho, grid, 0.0, radius)
 
 
 def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float,
@@ -268,13 +243,13 @@ def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float,
     if R >= grid.r_max:
         return 0.0, float(grid.weight * np.sum(rho * grid.r**2))
     centers = np.linspace(0.0, grid.r_max, coarse)
-    vals = np.array([_ball_mass_profile(rho, grid, d, R) for d in centers])
+    vals = np.array([ball_mass(rho, grid, d, R) for d in centers])
     i = int(np.argmax(vals))
     step = centers[1] - centers[0]
     lo = max(0.0, centers[i] - step)
     hi = min(grid.r_max, centers[i] + step)
     fine = np.arange(lo, hi + grid.dr / 2, grid.dr)
-    fvals = np.array([_ball_mass_profile(rho, grid, d, R) for d in fine])
+    fvals = np.array([ball_mass(rho, grid, d, R) for d in fine])
     j = int(np.argmax(fvals))
     return float(fine[j]), float(fvals[j])
 
@@ -297,13 +272,14 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
     if traj.termination != STEP_FLOOR:
         return [CheckRecord(check="minimal_concentration",
                             params={"applicable": False, "termination": traj.termination},
-                            statistic=float("nan"), bound=mass_fraction, passed=True)]
+                            statistic=float("nan"), bound=mass_fraction, passed=True,
+                            relation=">=")]
     fractions = []
     centers = []
     trace = []
     for s, rho in _last_resolved(traj, n_last):
         lam = 1.0 / np.sqrt(homogeneous_half_sq(s.field))
-        ball = origin_ball_mass(rho, traj.grid, lam)
+        ball = ball_mass(rho, traj.grid, 0.0, lam)
         y, best = concentration_function(rho, traj.grid, lam)
         fractions.append(ball / gs.critical_mass)
         centers.append(y)
@@ -313,7 +289,8 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
     rec1 = CheckRecord(check="minimal_concentration",
                        params={"applicable": True, "lambda_rule": "inverse_hom_half_norm",
                                "trace": trace},
-                       statistic=stat, bound=mass_fraction, passed=bool(stat >= mass_fraction))
+                       statistic=stat, bound=mass_fraction, passed=bool(stat >= mass_fraction),
+                       relation=">=")
     cmax = float(np.max(np.abs(centers)))
     rec2 = CheckRecord(check="concentration_center",
                        params={"centers": [float(c) for c in centers]},
@@ -427,19 +404,10 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
 
 # --- virial -------------------------------------------------------------------
 
-def virial_weight(u: Field, params: ModelParams) -> float:
-    """Weighted norm W = sum_j <u, x_j sqrt(-Delta+m^2) x_j u>.
-
-    Computed on the full grid by RadialKernel.virial_weight: for radial u,
-    W = 8 int sqrt(k^2+m^2) |C(k) - S(k)/k|^2 dk with the sine transform S of
-    r*u and the cosine transform C of r^2*u (nonnegative by construction).
-    """
-    return kernel(u.grid, params).virial_weight(u.values)
-
-
 def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
                  residual_tol: float = 0.05) -> CheckRecord:
-    """Quadratic envelope W(t) <= 2 E[u0] t^2 + C1 t + C2 on a blowup run.
+    """Quadratic envelope W(t) <= 2 E[u0] t^2 + C1 t + C2 on a blowup run, for the
+    weighted norm W = sum_j <u, x_j sqrt(-Delta+m^2) x_j u> (RadialKernel.virial_weight).
 
     Fits W over the resolved snapshots; the leading coefficient must not
     exceed 2 E[u0] by more than envelope_slack * |2 E[u0]|, and the quadratic
@@ -449,7 +417,8 @@ def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
     if len(res) < 4:
         raise InsufficientSnapshots("need at least 4 resolved snapshots for a quadratic fit")
     ts = np.array([s.t for s in res])
-    ws = np.array([virial_weight(s.field, params) for s in res])
+    kern = kernel(traj.grid, params)
+    ws = np.array([kern.virial_weight(s.field.values) for s in res])
     coeffs = np.polyfit(ts, ws, 2)
     fit = np.polyval(coeffs, ts)
     residual = float(np.sqrt(np.mean((fit - ws) ** 2)) / np.sqrt(np.mean(ws**2)))
@@ -480,9 +449,10 @@ def parse_checks(checks="all") -> set:
     return names
 
 
-def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
+def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | None]:
     """Run the named CHECKS (see parse_checks) on a stored trajectory against
-    the ground state gs, with config.Tolerances tol.
+    the ground state gs, with config.Tolerances tol.  Returns the records and
+    the radial histogram of `measure` (None when measure did not run).
 
     A check that lacks the snapshots or the cutoff bank it needs reports one
     failed record that carries the error.  Exterior convergence is a statement
@@ -493,7 +463,8 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
     grid = traj.grid
     m0 = traj.initial_mass
     nan = float("nan")
-    report = DiagnosticsReport()
+    records = []
+    histogram = None
     radii = [r for r in tol.bank_radii if r < grid.boundary_radius]
 
     def banked():
@@ -507,13 +478,14 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
         except NotTightOnGrid:
             r_star = float("inf")
         return [CheckRecord("tightness", {"eps_fraction": 0.01}, r_star, grid.r_max,
-                            bool(r_star < grid.r_max))]
+                            bool(r_star < grid.r_max), "<")]
 
     def measure():
-        report.measure_histogram, records = blowup_measure(
+        nonlocal histogram
+        histogram, cauchy = blowup_measure(
             traj, tol.histogram_bins, cutoffs=banked(), c_cal=tol.c_cal_propagation,
             pad=tol.cauchy_pad)
-        return records
+        return cauchy
 
     def exterior():
         if traj.termination != STEP_FLOOR:
@@ -544,8 +516,7 @@ def run_checks(traj, gs, tol, checks="all") -> DiagnosticsReport:
     for name, record_name in CHECKS.items():
         if name in wanted:
             try:
-                report.records.extend(runners[name]())
+                records.extend(runners[name]())
             except CheckCannotRun as exc:
-                report.records.append(
-                    CheckRecord(record_name, {"error": str(exc)}, nan, nan, False))
-    return report
+                records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan, False))
+    return records, histogram

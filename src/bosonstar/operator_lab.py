@@ -8,7 +8,7 @@ nonnegative defect L_chi, the fractional IMS inequality, the subcritical
 estimate through the highest local mass, and the constructive splitting of
 bounded sequences into receding bumps.
 
-Operators are real symmetric float64 matrices: the circulant of one inverse
+Operators are plain real symmetric float64 arrays: the circulant of one inverse
 FFT of their real, even Fourier symbol.  Every integral over t in (0, inf)
 uses one node rule, whose Gauss-Jacobi ends carry the fractional weight at 0
 and the decay at infinity exactly.  Resolvent quadratures run in the
@@ -29,7 +29,6 @@ from .diagnostics import CheckRecord
 
 __all__ = [
     "PeriodicGrid1D",
-    "DenseOperator",
     "SequenceFamily",
     "NotAPartition",
     "MaxProfilesExceeded",
@@ -89,30 +88,14 @@ class PeriodicGrid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A real symmetric operator on the grid, as a float64 matrix."""
-
-    matrix: np.ndarray
-    grid: PeriodicGrid1D
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.matrix):
-            raise ValueError("a DenseOperator holds a real matrix")
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (self.grid.n, self.grid.n):
-            raise ValueError("matrix shape must match the grid")
-        object.__setattr__(self, "matrix", m)
-
-
-def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray) -> DenseOperator:
+def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray) -> np.ndarray:
     """The circulant with this real, even symbol: row i is its first column shifted by i."""
     col = np.fft.ifft(symbol).real
     m = col[(np.arange(grid.n)[:, None] - np.arange(grid.n)) % grid.n]
-    return DenseOperator(0.5 * (m + m.T), grid)
+    return 0.5 * (m + m.T)
 
 
-def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> DenseOperator:
+def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> np.ndarray:
     """Dense matrix of (a - Delta)^s from its diagonal symbol (a + k^2)^s."""
     if not (0 < s <= 1):
         raise ValueError("s must lie in (0, 1]")
@@ -130,7 +113,7 @@ def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
     """
     idx = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
     keep = np.where(idx <= grid.n / 2 - margin_cells, 1.0, 0.0)
-    return _symbol_operator(grid, keep).matrix
+    return _symbol_operator(grid, keep)
 
 
 def bandwidth_cells(grid: PeriodicGrid1D, chi: np.ndarray, rel_tol: float = 1e-9) -> int:
@@ -162,7 +145,7 @@ def _chi_commutator(chi: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def commutator_norm(grid: PeriodicGrid1D, s: float, a: float, chi: np.ndarray) -> float:
     """Operator norm of [(a-Delta)^{s/2}, chi]."""
-    op = build_fractional(grid, s / 2.0, a).matrix
+    op = build_fractional(grid, s / 2.0, a)
     return operator_norm_matrix(_chi_commutator(np.asarray(chi, dtype=np.float64), op))
 
 
@@ -229,7 +212,7 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict
         raise ValueError("s must lie in (0, 1)")
     chi = np.asarray(chi, dtype=np.float64)
     grad_inf = float(np.max(np.abs(spectral_gradient(grid, chi))))
-    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0).matrix)  # 1 - Delta
+    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0))  # 1 - Delta
     Ch = V.T @ (chi[:, None] * V)
     Ch *= lam - lam[:, None]  # V^T [chi, -Delta] V, antisymmetric
 
@@ -247,9 +230,9 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict
     # the continuum double-commutator bound concerns the operator below the
     # aliasing edge; project out the wrapped top band before taking the norm
     proj = band_projector(grid, 2 * bandwidth_cells(grid, chi) + 1)
-    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0).matrix))
+    double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0)))
     return {
-        "l_chi": DenseOperator(lchi, grid),
+        "l_chi": lchi,
         "eig_min": float(evals[0]),
         "eig_max": float(evals[-1]),
         "upper_bound": 4.0 * s * grad_inf**2,
@@ -266,7 +249,7 @@ def ims_defect(grid: PeriodicGrid1D, s: float, partition: list[np.ndarray]) -> f
     total = sum(np.asarray(chi) ** 2 for chi in partition)
     if np.max(np.abs(total - 1.0)) > 1e-10:
         raise NotAPartition("sum chi_k^2 must equal 1 pointwise to 1e-10")
-    As = build_fractional(grid, s, 1.0).matrix
+    As = build_fractional(grid, s, 1.0)
     acc = As.copy()
     grad_sq = np.zeros(grid.n)
     for chi in partition:
@@ -341,7 +324,6 @@ def hs_norm_1d(grid: PeriodicGrid1D, u: np.ndarray, s: float) -> float:
 @dataclass(frozen=True)
 class SequenceFamily:
     members: list
-    description: str = ""
 
     def __post_init__(self):
         for u in self.members:
@@ -448,10 +430,9 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
         schedule.append(radius)
         members = remainders
         radius = min(2.0 * radius, grid.length / 5.0)
-    remainder_family = SequenceFamily(members, description="decomposition remainder")
     return {
         "profiles": profiles,
-        "remainder": remainder_family,
+        "remainder": SequenceFamily(members),
         "radii": schedule,
         "mass_budget": sup_mass_sq,
         "profile_mass_sum": float(sum(p["mass"] for p in profiles)),
@@ -478,8 +459,8 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
     length = grid.length
     records = []
 
-    def add(check, params, stat, bound, passed):
-        records.append(CheckRecord(check, params, stat, bound, bool(passed)))
+    def add(check, params, stat, bound, passed, relation="<="):
+        records.append(CheckRecord(check, params, stat, bound, bool(passed), relation))
 
     if commutator:
         for _ in range(5):
@@ -490,14 +471,15 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
     if localization:
         out = localization_defect(grid, min(s, 0.99), random_smooth_chi(grid, rng))
         high = out["upper_bound"] * (1 + 1e-6)
-        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8)
+        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8,
+            ">=")
         add("localization_spectrum_high", {"s": s}, out["eig_max"], high, out["eig_max"] <= high)
         add("double_commutator", {"s": s}, out["double_commutator_norm"],
             out["double_commutator_bound"],
             out["double_commutator_norm"] <= out["double_commutator_bound"])
     if ims:
         d = ims_defect(grid, min(s, 0.99), partition_pair(grid, length / 4.0, length / 24.0))
-        add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8)
+        add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8, ">=")
     if subcritical:
         fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
                               for k in range(8)])
@@ -512,7 +494,7 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
         out = profile_decompose(grid, SequenceFamily(members), s, eps=0.02 * m1, r0=length / 64.0)
         count = len(out["profiles"])
         budget = out["mass_budget"] * (1 + 1e-6)
-        add("profile_count", {}, count, 2, count == 2)
+        add("profile_count", {}, count, 2, count == 2, "==")
         add("profile_mass_budget", {}, out["profile_mass_sum"], budget,
             out["profile_mass_sum"] <= budget)
     return records

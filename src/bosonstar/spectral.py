@@ -38,7 +38,6 @@ __all__ = [
     "mass",
     "interaction_energy",
     "energy",
-    "kinetic_energy",
     "homogeneous_half_sq",
     "field_from_profile",
     "gaussian_field",
@@ -349,15 +348,11 @@ def interaction_energy(f: Field) -> float:
     return kernel(f.grid).interaction(np.abs(f.values) ** 2)
 
 
-def kinetic_energy(f: Field, params: ModelParams) -> float:
-    """Quadratic form <u, sqrt(-Delta + m^2) u>."""
-    kern = kernel(f.grid, params)
-    return float(np.sum(kern.omega * np.abs(kern.forward(f.values)) ** 2))
-
-
 def energy(f: Field, params: ModelParams) -> float:
     """Conserved energy: (1/2)<u, sqrt(-Delta+m^2) u> - (1/4) D(|u|^2)."""
-    return 0.5 * kinetic_energy(f, params) - 0.25 * interaction_energy(f)
+    kern = kernel(f.grid, params)
+    kinetic = float(np.sum(kern.omega * np.abs(kern.forward(f.values)) ** 2))
+    return 0.5 * kinetic - 0.25 * interaction_energy(f)
 
 
 def homogeneous_half_sq(f: Field) -> float:

@@ -9,7 +9,7 @@ defect of a matrix.
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from bosonstar.operator_lab import (DenseOperator, PeriodicGrid1D, _composite_t_nodes,
+from bosonstar.operator_lab import (PeriodicGrid1D, _composite_t_nodes,
                                     build_fractional, operator_norm_matrix)
 from bosonstar.spectral import (Field, ModelParams, RadialGrid, energy, homogeneous_half_sq,
                                 kernel, mass)
@@ -94,13 +94,13 @@ def scalar_power_quadrature(x, s: float, n_nodes: int = 48, t_hi: float | None =
 
 
 def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
-                              n_nodes: int = 48) -> DenseOperator:
+                              n_nodes: int = 48) -> np.ndarray:
     """(a-Delta)^s as V diag(q(lam)) V^T, with A = a - Delta = V diag(lam) V^T
     from `eigh` and q the resolvent quadrature of `scalar_power_quadrature`
     (t_hi = 4 max(1, lam_max)); the symbol (a + k^2)^s is never evaluated."""
-    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a).matrix)
+    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a))
     m = V @ (scalar_power_quadrature(lam, s, n_nodes)[:, None] * V.T)
-    return DenseOperator(0.5 * (m + m.T), grid)
+    return 0.5 * (m + m.T)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -535,6 +535,15 @@ class TestMainEntry:
                      "--ground-state", gs_json, "--checks", "tightness"]) == EXIT_OK
         assert " < bound=" in capsys.readouterr().out  # passes while r_star < r_max
 
+    def test_out_is_not_written_from_an_earlier_run(self, tmp_path):
+        out_dir, stale = str(tmp_path / "od"), tmp_path / "stale.json"
+        assert main(["--quiet", "--out-dir", out_dir, "operator-check", "--suite", "ims",
+                     "--n", "64"]) == EXIT_OK
+        assert main(["--quiet", "--out-dir", out_dir, "diagnose", "--trajectory",
+                     str(tmp_path / "missing"), "--ground-state", str(tmp_path / "missing"),
+                     "--out", str(stale)]) == EXIT_VALIDATION
+        assert not stale.exists()
+
 
 class TestSchemaStability:
     def test_emitted_json_matches_shipped_schema(self, tmp_path):

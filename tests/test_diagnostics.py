@@ -1,5 +1,7 @@
 import dataclasses
+import operator
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bosonstar.diagnostics import (
     Cutoff,
     InsufficientSnapshots,
     NotTightOnGrid,
+    ball_mass,
     blowup_measure,
     concentration_function,
     cutoff_bank,
@@ -19,14 +22,12 @@ from bosonstar.diagnostics import (
     localized_mass,
     localized_mass_series,
     minimal_concentration_check,
-    origin_ball_mass,
     propagation_bound_check,
     run_checks,
     smooth_bump,
     smooth_exterior,
     tightness_check,
     virial_check,
-    virial_weight,
 )
 from bosonstar.config import Tolerances
 from bosonstar.evolution import trajectory_from_snapshots
@@ -37,6 +38,7 @@ from bosonstar.spectral import (
     RadialKernel,
     field_from_profile,
     gaussian_field,
+    kernel,
     mass,
 )
 from oracles import free_evolution
@@ -171,9 +173,7 @@ class TestConcentration:
         R = 2.0
         center, value = concentration_function(density(f), GRID, R)
         # oracle: exhaustive scan of every grid center
-        from bosonstar.diagnostics import _ball_mass_profile
-
-        vals = np.array([_ball_mass_profile(density(f), GRID, d, R) for d in GRID.r])
+        vals = np.array([ball_mass(density(f), GRID, d, R) for d in GRID.r])
         best = GRID.r[int(np.argmax(vals))]
         assert abs(center - best) <= 2 * GRID.dr
         assert value >= vals.max() * (1 - 1e-9)
@@ -182,15 +182,24 @@ class TestConcentration:
         for d in (0.5, 1.0, 1.5, 2.0, 3.0, a, 9.0):
             cstar = np.clip((r**2 + d**2 - R**2) / (2.0 * r * d), -1.0, 1.0)
             all_shells = 2.0 * np.pi * GRID.dr * np.sum(density(f) * r**2 * (1.0 - cstar))
-            assert _ball_mass_profile(density(f), GRID, d, R) == pytest.approx(
+            assert ball_mass(density(f), GRID, d, R) == pytest.approx(
                 all_shells, rel=1e-13, abs=1e-15 * vals.max())
 
     def test_origin_ball_mass_matches_direct_sum(self):
-        f = gaussian_field(GRID, 1.0, 1.0)
-        lam = 2.5
-        direct = GRID.weight * np.sum(
-            (np.abs(f.values) ** 2 * GRID.r**2)[GRID.r <= lam])
-        assert origin_ball_mass(density(f), GRID, lam) == pytest.approx(direct, rel=1e-14)
+        # at center 0 the shell-cap formula cuts no shell: bit for bit the sum
+        # over the shells r <= radius, radii on grid points included
+        rng = np.random.default_rng(3)
+        cases = [(GRID, density(gaussian_field(GRID, 1.0, 1.0)), 2.5)]
+        for grid in (GRID, RadialGrid(512, 8.0), RadialGrid(4096, 128.0)):
+            for _ in range(20):
+                rho = rng.random(grid.n_points) * np.exp(-grid.r / rng.uniform(0.5, 8.0))
+                cases += [(grid, rho, grid.r[rng.integers(grid.n_points)]),
+                          (grid, rho, rng.uniform(0.0, grid.r_max))]
+        for grid, rho, radius in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ball_mass(rho, grid, 0.0, radius)
+            assert got == float(grid.weight * np.sum((rho * grid.r**2)[grid.r <= radius]))
 
     def test_gate_on_subcritical_run(self, subcritical_traj, acceptance_gs):
         recs = minimal_concentration_check(subcritical_traj, acceptance_gs)
@@ -264,7 +273,7 @@ class TestVirial:
     def test_gaussian_oracle_massless(self):
         g = RadialGrid(2048, 32.0)
         f = gaussian_field(g, 1.0, 1.0)
-        w = virial_weight(f, P0)
+        w = kernel(g, P0).virial_weight(f.values)
         assert w == pytest.approx(4 * np.pi, rel=1e-6)
 
     def test_gaussian_oracle_massive(self):
@@ -272,7 +281,7 @@ class TestVirial:
         f = gaussian_field(g, 1.0, 1.0)
         oracle = 4 * np.pi * quad(
             lambda k: np.sqrt(k * k + 1.0) * k**4 * np.exp(-(k**2)), 0, np.inf)[0]
-        w = virial_weight(f, P1)
+        w = kernel(g, P1).virial_weight(f.values)
         assert w == pytest.approx(oracle, rel=1e-6)
 
     @staticmethod
@@ -294,13 +303,14 @@ class TestVirial:
 
     def test_stationary_input_constant(self):
         traj = stationary_traj(n_snaps=6)
-        ws = [virial_weight(s.field, P1) for s in traj.snapshots]
+        ws = [kernel(traj.grid, P1).virial_weight(s.field.values) for s in traj.snapshots]
         assert np.max(np.abs(np.diff(ws))) < 1e-8 * abs(ws[0])
 
     def test_w0_matches_direct_evaluation(self, blowup_traj):
         rec = virial_check(blowup_traj, blowup_traj.params)
         # the fit is anchored at snapshots whose first entry is the initial datum
-        w0_direct = virial_weight(blowup_traj.snapshots[0].field, blowup_traj.params)
+        w0_direct = kernel(blowup_traj.grid, blowup_traj.params).virial_weight(
+            blowup_traj.snapshots[0].field.values)
         assert blowup_traj.snapshots[0].t == 0.0
         assert w0_direct > 0
         assert rec.params["n_snapshots"] >= 4
@@ -329,7 +339,8 @@ class TestReportPlumbing:
         ("minimal_concentration", " >= bound=0.9"), ("tightness", " < bound=0.9"),
         ("propagation_bound", " <= bound=0.9")])
     def test_line_states_the_direction(self, check, relation):
-        rec = CheckRecord(check, {}, 0.95, 0.9, check == "minimal_concentration")
+        rec = CheckRecord(check, {}, 0.95, 0.9, check == "minimal_concentration",
+                          relation.split()[0])
         assert relation in rec.line()
         assert "relation" not in rec.to_dict()
 
@@ -339,9 +350,10 @@ class TestReportPlumbing:
         assert rec.line() == "  [FAIL] virial_envelope: need at least 4 resolved snapshots"
 
     def test_run_checks_reports_missing_snapshots_as_one_failed_record(self):
-        report = run_checks(stationary_traj(n_snaps=1), None, Tolerances(),
-                            "virial,tightness,measure")
-        tight, measure, virial = report.records  # in the order of CHECKS
+        records, histogram = run_checks(stationary_traj(n_snaps=1), None, Tolerances(),
+                                        "virial,tightness,measure")
+        tight, measure, virial = records  # in the order of CHECKS
+        assert histogram is None  # measure could not run
         assert (virial.check, virial.passed) == ("virial_envelope", False)
         assert "4 resolved snapshots" in virial.params["error"]
         assert (measure.check, measure.passed) == ("measure_cauchy", False)
@@ -351,29 +363,42 @@ class TestReportPlumbing:
     def test_run_checks_reports_an_empty_bank_as_one_failed_record(self):
         # no bank radius lies below 0.9 r_max = 1.8
         traj = stationary_traj(grid=RadialGrid(512, 2.0), width=0.2)
-        report = run_checks(traj, None, Tolerances(), "propagation,measure")
-        assert [(r.check, r.passed) for r in report.records] == [
+        records, _ = run_checks(traj, None, Tolerances(), "propagation,measure")
+        assert [(r.check, r.passed) for r in records] == [
             ("propagation_bound", False), ("measure_cauchy", False)]
-        assert all("no bank_radii entry" in r.params["error"] for r in report.records)
+        assert all("no bank_radii entry" in r.params["error"] for r in records)
 
     def test_run_checks_holds_no_all_rows_density(self, blowup_traj, acceptance_gs):
         traj = dataclasses.replace(blowup_traj)  # a fresh Trajectory over the same fields
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            report = run_checks(traj, acceptance_gs, Tolerances(), "all")
+            records, _ = run_checks(traj, acceptance_gs, Tolerances(), "all")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.records) > len(CHECKS)
+        assert len(records) > len(CHECKS)
         assert peak - held < traj.fields.nbytes / 2
 
     def test_run_checks_propagation_matches_one_cutoff_at_a_time(self, subcritical_traj):
         bank = cutoff_bank(subcritical_traj.grid)
-        report = run_checks(subcritical_traj, None, Tolerances(), "propagation")
-        assert report.records == [propagation_bound_check(subcritical_traj, chi, 8.0)
-                                  for chi in bank]
+        records, histogram = run_checks(subcritical_traj, None, Tolerances(), "propagation")
+        assert records == [propagation_bound_check(subcritical_traj, chi, 8.0) for chi in bank]
+        assert histogram is None
 
     def test_run_checks_rejects_an_unknown_check(self):
         with pytest.raises(ValueError, match="tightnes"):
             run_checks(stationary_traj(n_snaps=3), None, Tolerances(), "tightnes")
+
+    def test_printed_direction_agrees_with_the_verdict(self, blowup_traj, acceptance_gs):
+        from bosonstar.operator_lab import PeriodicGrid1D, run_suite
+
+        ops = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+        records, _ = run_checks(blowup_traj, acceptance_gs, Tolerances(), "all")
+        for seed in (0, 1, 2):
+            records += run_suite("all", PeriodicGrid1D(128, 32.0), 0.5, Tolerances(), seed)
+        compound = {"exterior_cauchy", "virial_envelope"}  # their verdicts join two conditions
+        judged = [r for r in records if r.check not in compound
+                  and np.isfinite(r.statistic) and np.isfinite(r.bound)]
+        assert {r.relation for r in judged} == set(ops)
+        assert [r.check for r in judged if r.passed != ops[r.relation](r.statistic, r.bound)] == []
