@@ -34,8 +34,7 @@ from .config import (
     ValidationError,
     canonical_json,
     config_from_dict,
-    config_to_dict,
-    load_config,
+    read_config,
     verify_manifest,
     write_manifest,
 )
@@ -105,7 +104,10 @@ def _make_u0(cfg: RunConfig, grid: RadialGrid) -> Field:
     u0 = (_load_field(spec["file"], grid) if spec["kind"] == "file"
           else PROFILES[spec["kind"]](grid, spec["amplitude"], spec["width"]))
     if "mass" in spec:
-        u0 = Field(u0.grid, u0.values * np.sqrt(spec["mass"] / mass(u0)))
+        m = mass(u0)
+        if not (m > 0 and np.isfinite(spec["mass"] / m)):  # |u|^2 is zero, or underflows
+            raise InputError(f"cannot scale u0 to u0.mass = {spec['mass']:g}: its mass is {m:g}")
+        u0 = Field(u0.grid, u0.values * np.sqrt(spec["mass"] / m))
     return u0
 
 
@@ -142,11 +144,10 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
         raise InputError(f"cannot start evolve: {exc}") from exc
     files = save_trajectory(traj, out_dir)
     rec = traj.records
-    e0 = abs(rec["energy"][0])
-    energy_drift = np.max(np.abs(rec["energy"] - rec["energy"][0])) / max(e0, 1e-300)
+    mass_drift, energy_drift = (np.max(np.abs(c - c[0])) / max(abs(c[0]), 1e-300)  # 0 at u0 = 0
+                                for c in (rec["mass"], rec["energy"]))
     _say(quiet, f"termination {traj.termination} after {len(rec['t']) - 1} steps, "
-                f"t = {rec['t'][-1]:.6g}, mass drift = "
-                f"{np.max(np.abs(rec['mass'] - rec['mass'][0])) / rec['mass'][0]:.3g}, "
+                f"t = {rec['t'][-1]:.6g}, mass drift = {mass_drift:.3g}, "
                 f"energy drift = {energy_drift:.3g}, "
                 f"boundary mass = {rec['boundary_mass'][-1]:.3g}")
     return list(files.values())
@@ -191,9 +192,15 @@ _REPORTS = {"ground-state": ("ground_state.json", run_ground_state),
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
-    """Dispatch a validated config; returns (exit_code, out_dir)."""
+    """Dispatch a validated config; returns (exit_code, out_dir).  Only a run that
+    exits 0 or 4 leaves a manifest.json in out_dir."""
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    # an earlier run's manifest would vouch for out_dir if this run fails; a diagnose
+    # trajectory is never out_dir (config_from_dict rejects that)
+    manifest = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest):
+        os.remove(manifest)
     t0 = time.time()
     try:
         if cfg.command == "evolve":
@@ -275,12 +282,14 @@ def main(argv=None) -> int:
         print("config error: evolve requires --config <json>", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        data = config_to_dict(load_config(config_path)) if config_path else {}
+        data = read_config(config_path) if config_path else {}
         data["command"] = command
         for key, value in args.items():  # the flags that were given
             section, _, name = key.rpartition(".")
-            (data.setdefault(section, {}) if section else data)[name] = value
-        cfg = config_from_dict(data)
+            target = data.setdefault(section, {}) if section else data
+            if isinstance(target, dict):  # else config_from_dict names the section
+                target[name] = value
+        cfg = config_from_dict(data)  # checked once, with the flags in
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

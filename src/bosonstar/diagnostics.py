@@ -8,11 +8,12 @@ oscillation, strong exterior convergence with its Duhamel ingredients, and
 the quadratic virial envelope.  `run_checks` runs them as the `diagnose`
 suite.
 
-Limits t -> T^- are replaced by windows over the last resolved snapshots;
-"resolved" excludes records whose concentration width has fallen below the
-grid scale (see EvolutionControls.resolved_width_cells).  Every check computes
-the density |u|^2 of each snapshot row it reads (Trajectory.density) once, and
-keeps no all-rows density.
+Limits t -> T^- are replaced by windows over the last TAIL snapshots, resolved
+ones where a check says so; "resolved" excludes records whose concentration
+width has fallen below the grid scale (see
+EvolutionControls.resolved_width_cells).  Every check computes the density
+|u|^2 of each snapshot row it reads (Trajectory.density) once, and keeps no
+all-rows density.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ __all__ = [
 ]
 
 
+TAIL = 5  # the last snapshots that stand for t -> T^-
+_COARSE_CENTERS = 128  # the coarse scan of concentration_function
+
+
 class CheckCannotRun(ValueError):
     """A check lacks the input it needs; `run_checks` reports it as one failed record."""
 
@@ -99,7 +104,7 @@ def smooth_exterior(grid: RadialGrid, radius: float, width: float | None = None)
     return Cutoff(kind="smooth_exterior", samples=chi, grad_inf=1.0 / (2.0 * w), radius=radius)
 
 
-def cutoff_bank(grid: RadialGrid, radii=(2.0, 4.0, 8.0, 16.0)) -> list[Cutoff]:
+def cutoff_bank(grid: RadialGrid, radii) -> list[Cutoff]:
     """The fixed bank: one bump and one exterior per radius, shared across runs."""
     bank = []
     for rr in radii:
@@ -173,7 +178,7 @@ def propagation_bound_check(traj, chi: Cutoff, c_cal: float,
     )
 
 
-def dilation_decay_check(traj, radii=(2.0, 4.0, 8.0, 16.0), factor: float = 2.0) -> CheckRecord:
+def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:
     """Max flux through shape-dilated bumps chi_R must decay like 1/R.
 
     Checks that R * max|dM_{chi_R}/dt| stays within `factor` of its geometric
@@ -194,23 +199,16 @@ def dilation_decay_check(traj, radii=(2.0, 4.0, 8.0, 16.0), factor: float = 2.0)
 
 # --- tightness and concentration ---------------------------------------------
 
-def tightness_check(traj, eps: float, t_from: float = 0.0) -> float:
-    """Smallest grid radius R with sup over snapshots of the exterior mass <= eps.
-
-    t_from restricts to the suffix window [t_from, T); the radius is
-    nonincreasing in t_from on focusing runs.
-    """
+def tightness_check(traj, eps: float) -> float:
+    """Smallest grid radius R with sup over snapshots of the exterior mass <= eps."""
     g = traj.grid
     r2w = g.weight * g.r**2
     sup_ext = None
-    for i, s in enumerate(traj.snapshots):
-        if s.t < t_from:
-            continue
-        rho = traj.density(i)
-        ext = np.cumsum((rho * r2w)[::-1])[::-1]  # mass in r >= r_j
+    for i in range(len(traj.snapshots)):
+        ext = np.cumsum((traj.density(i) * r2w)[::-1])[::-1]  # mass in r >= r_j
         sup_ext = ext if sup_ext is None else np.maximum(sup_ext, ext)
     if sup_ext is None:
-        raise InsufficientSnapshots(f"no snapshots at t >= {t_from}")
+        raise InsufficientSnapshots("no snapshots")
     idx = np.nonzero(sup_ext <= eps)[0]
     if len(idx) == 0:
         raise NotTightOnGrid(f"no grid radius confines mass to eps={eps}")
@@ -233,16 +231,15 @@ def ball_mass(rho: np.ndarray, grid: RadialGrid, center: float, radius: float) -
     return float(2.0 * np.pi * grid.dr * (full + np.sum(rho[lo:hi] * rs**2 * mu)))
 
 
-def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float,
-                           coarse: int = 128) -> tuple[float, float]:
+def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float) -> tuple[float, float]:
     """Levy concentration of the density rho: maximize the mass of the R-ball over axis centers.
 
-    Coarse scan over [0, r_max], then a refinement pass at grid resolution
-    around the best coarse center; ties break toward the origin.
+    Coarse scan of _COARSE_CENTERS centers over [0, r_max], then a refinement pass
+    at grid resolution around the best coarse center; ties break toward the origin.
     """
     if R >= grid.r_max:
         return 0.0, float(grid.weight * np.sum(rho * grid.r**2))
-    centers = np.linspace(0.0, grid.r_max, coarse)
+    centers = np.linspace(0.0, grid.r_max, _COARSE_CENTERS)
     vals = np.array([ball_mass(rho, grid, d, R) for d in centers])
     i = int(np.argmax(vals))
     step = centers[1] - centers[0]
@@ -254,20 +251,20 @@ def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float,
     return float(fine[j]), float(fvals[j])
 
 
-def _last_resolved(traj, count: int) -> list:
-    """(snapshot, density) of the last `count` resolved snapshots."""
+def _last_resolved(traj) -> list:
+    """(snapshot, density) of the last TAIL resolved snapshots."""
     res = [i for i, s in enumerate(traj.snapshots) if s.resolved]
-    if len(res) < count:
-        raise InsufficientSnapshots(f"need {count} resolved snapshots, have {len(res)}")
-    return [(traj.snapshots[i], traj.density(i)) for i in res[-count:]]
+    if len(res) < TAIL:
+        raise InsufficientSnapshots(f"need {TAIL} resolved snapshots, have {len(res)}")
+    return [(traj.snapshots[i], traj.density(i)) for i in res[-TAIL:]]
 
 
-def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
-                                n_last: int = 5, center_cells: float = 3.0) -> list[CheckRecord]:
+def minimal_concentration_check(traj, gs, mass_fraction: float,
+                                center_cells: float) -> list[CheckRecord]:
     """Mass in the shrinking ball of radius lambda(t) = ||u||_{H^{1/2},hom}^{-1}.
 
     Only applicable to runs flagged as blowup (StepFloor); the liminf is
-    replaced by the min over the last n_last resolved snapshots.
+    replaced by the min over the last TAIL resolved snapshots.
     """
     if traj.termination != STEP_FLOOR:
         return [CheckRecord(check="minimal_concentration",
@@ -277,7 +274,7 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
     fractions = []
     centers = []
     trace = []
-    for s, rho in _last_resolved(traj, n_last):
+    for s, rho in _last_resolved(traj):
         lam = 1.0 / np.sqrt(homogeneous_half_sq(s.field))
         ball = ball_mass(rho, traj.grid, 0.0, lam)
         y, best = concentration_function(rho, traj.grid, lam)
@@ -302,13 +299,12 @@ def minimal_concentration_check(traj, gs, mass_fraction: float = 0.9,
 # --- blowup measure -----------------------------------------------------------
 
 def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
-                   c_cal: float | None = None, window: int = 5,
-                   pad: float = 1e-6) -> tuple[dict, list[CheckRecord]]:
+                   c_cal: float | None = None, pad: float = 1e-6) -> tuple[dict, list[CheckRecord]]:
     """Radial mass histograms over time plus the Cauchy oscillation report.
 
     The histogram sequence is the grid approximant of the limiting measure of
-    |u(t)|^2; for each bank cutoff the oscillation of M_chi over the final
-    snapshot window must be controlled by the propagation constant times the
+    |u(t)|^2; for each bank cutoff the oscillation of M_chi over the last TAIL
+    snapshots must be controlled by the propagation constant times the
     window length, plus the additive pad (Tolerances.cauchy_pad).  Raises
     InsufficientSnapshots when cutoffs are given and the run has fewer than 2
     snapshots.
@@ -326,7 +322,7 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     }
     records = []
     if cutoffs and c_cal is not None:
-        tail = traj.snapshots[-window:]
+        tail = traj.snapshots[-TAIL:]
         if len(tail) < 2:
             raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
         span = tail[-1].t - tail[0].t
@@ -357,16 +353,16 @@ def _zeta_exterior(grid: RadialGrid, R: float) -> np.ndarray:
 
 
 def exterior_convergence_check(traj, R: float, params: ModelParams,
-                               k_last: int = 5, final_frac: float = 0.05) -> list[CheckRecord]:
+                               final_frac: float) -> list[CheckRecord]:
     """Cauchy property of u(t) in L2(r >= R) plus the Duhamel-term bounds.
 
-    Reports: consecutive exterior distances over the last k resolved
+    Reports: consecutive exterior distances over the last TAIL resolved
     snapshots (must decrease, final below final_frac * sqrt(mass)); the
     commutator source F_R = [zeta_R, sqrt(-Delta+m^2)] u; and the potential
     term against its Newton bounds sup V_u zeta_{R/2} <= 2 mass / R and
     ||V_u u_R||_2 <= 2 mass^2 / R.
     """
-    window = _last_resolved(traj, k_last)
+    window = _last_resolved(traj)
     g = traj.grid
     m0 = traj.initial_mass
     dists = [_exterior_l2(b.field, a.field, R) for (a, _), (b, _) in zip(window, window[1:])]
@@ -404,8 +400,8 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
 
 # --- virial -------------------------------------------------------------------
 
-def virial_check(traj, params: ModelParams, envelope_slack: float = 0.1,
-                 residual_tol: float = 0.05) -> CheckRecord:
+def virial_check(traj, params: ModelParams, envelope_slack: float,
+                 residual_tol: float) -> CheckRecord:
     """Quadratic envelope W(t) <= 2 E[u0] t^2 + C1 t + C2 on a blowup run, for the
     weighted norm W = sum_j <u, x_j sqrt(-Delta+m^2) x_j u> (RadialKernel.virial_weight).
 

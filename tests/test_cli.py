@@ -22,12 +22,12 @@ from bosonstar.config import (
     config_from_dict,
     config_to_dict,
     file_digest,
-    load_config,
+    read_config,
     verify_manifest,
 )
 from bosonstar.diagnostics import virial_check
 from bosonstar.evolution import load_trajectory
-from bosonstar.spectral import RadialGrid, field_to_json, gaussian_field
+from bosonstar.spectral import Field, RadialGrid, field_to_json, gaussian_field
 
 
 def write_config(path, data):
@@ -55,7 +55,7 @@ class TestConfigValidation:
     def test_minimal_valid_config_fills_defaults(self):
         cfg = config_from_dict({"command": "ground-state"})
         assert cfg.grid["n_points"] == 4096
-        assert cfg.tolerances.mass_drift == 1e-9
+        assert cfg.tolerances.newton_slack == 1e-6
         # echo-serialization is canonical and stable
         assert canonical_json(config_to_dict(cfg)) == canonical_json(
             config_to_dict(config_from_dict(config_to_dict(cfg))))
@@ -94,7 +94,7 @@ class TestConfigValidation:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
-            load_config(path)
+            read_config(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
         data = {"command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
@@ -103,7 +103,7 @@ class TestConfigValidation:
                 "u0": {"kind": "gaussian", "amplitude": 0.6, "width": 1.7},
                 "seed": 5}
         path = write_config(tmp_path / "c.json", data)
-        cfg = load_config(path)
+        cfg = config_from_dict(read_config(path))
         dumped = canonical_json(config_to_dict(cfg))
         cfg2 = config_from_dict(json.loads(dumped))
         assert canonical_json(config_to_dict(cfg2)) == dumped
@@ -340,13 +340,14 @@ class TestMainEntry:
         ("ground-state", [], {"grid": {"n_points": 256, "r_max": 10**400}}, "grid.r_max"),
         ("evolve", [], {"controls": {"t_end": float("inf")}}, "controls.t_end"),
         ("evolve", [], {"controls": {"h_half_cap": 0}}, "controls.h_half_cap"),
+        ("ground-state", ["--n", "256"], {"grid": 5}, "grid"),
     ], ids=["lab_n_odd", "lab_s_negative", "lab_length_negative", "seed_negative",
             "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
             "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
             "histogram_bins_not_an_int", "max_snapshots_zero",
             "max_snapshots_one", "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
             "u0_mass_negative", "u0_amplitude_nan", "u0_amplitude_zero", "r_max_too_large",
-            "t_end_infinite", "h_half_cap_zero"])
+            "t_end_infinite", "h_half_cap_zero", "grid_not_an_object_with_a_grid_flag"])
     def test_rejected_when_the_config_is_read(self, tmp_path, capsys, command, flags, bad, field):
         out_dir = tmp_path / "out"
         controls = {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10, **bad.pop("controls", {})}
@@ -385,6 +386,32 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip()
         assert err.startswith("input error:") and "\n" not in err
         assert not (out_dir / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("error")  # a zero datum raises no RuntimeWarning either
+    @pytest.mark.parametrize("scaled", [True, False], ids=["u0_mass", "unscaled"])
+    @pytest.mark.parametrize("datum", ["zero_file", "underflowing_profile"])
+    def test_zero_mass_datum(self, tmp_path, capsys, datum, scaled):
+        if datum == "zero_file":
+            u0_json = tmp_path / "zero.json"
+            u0_json.write_text(json.dumps(field_to_json(
+                Field(RadialGrid(256, 32.0), np.zeros(256, dtype=complex)))))
+            u0 = {"kind": "file", "file": str(u0_json)}
+        else:  # nonzero samples whose |u|^2 underflows to 0
+            u0 = {"kind": "gaussian", "amplitude": 1e-200, "width": 1.5}
+        out_dir = tmp_path / "ev"
+        config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.1, "dt_floor": 1e-10},
+            "u0": {**u0, **({"mass": 1.0} if scaled else {})}, "out_dir": str(out_dir)})
+        code = main(["evolve", "--config", config])
+        out, err = capsys.readouterr()
+        if scaled:  # no factor scales a zero mass to u0.mass
+            assert code == EXIT_VALIDATION
+            assert err.startswith("input error: cannot scale u0") and err.count("\n") == 1
+            assert not (out_dir / "manifest.json").exists()
+        else:
+            assert code == EXIT_OK and err == ""
+            assert "mass drift = 0, energy drift = 0," in out
 
     @pytest.mark.parametrize("seed", ["same_grid", "missing", "other_grid"])
     def test_ground_state_from_a_seed_file(self, tmp_path, capsys, seed):
@@ -462,9 +489,8 @@ class TestMainEntry:
         gs_json, traj_dir = small_run
         out = tmp_path / "out"
         if case == "ground_state":
-            config = write_config(tmp_path / "c.json", {
-                "command": "ground-state", "grid": {"n_points": 256, "r_max": 32.0},
-                "ground_state": {"tol": 1e-8}})
+            config = write_config(tmp_path / "c.json", {  # the subcommand names the command
+                "grid": {"n_points": 256, "r_max": 32.0}, "ground_state": {"tol": 1e-8}})
             assert main(["--quiet", "--out-dir", str(out), "ground-state",
                          "--config", config]) == EXIT_OK
             gs = load_ground_state_json(out / "ground_state.json")
@@ -535,6 +561,36 @@ class TestMainEntry:
                      "--ground-state", gs_json, "--checks", "tightness"]) == EXIT_OK
         assert " < bound=" in capsys.readouterr().out  # passes while r_star < r_max
 
+    @pytest.mark.parametrize("same", ["path", "symlink"])
+    def test_diagnose_into_its_trajectory_directory_rejected(self, tmp_path, capsys, small_run,
+                                                             same):
+        # the run's manifest would replace the trajectory's, which no longer guards it
+        gs_json, _ = small_run
+        traj_dir = tmp_path / "ev"
+        code, _ = run(config_from_dict({
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.0, "dt_floor": 1e-10},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
+            "out_dir": str(traj_dir)}), quiet=True)
+        assert code == EXIT_OK
+        out_dir = traj_dir
+        if same == "symlink":
+            out_dir = tmp_path / "link"
+            out_dir.symlink_to(traj_dir)
+        assert main(["--quiet", "--out-dir", str(out_dir), "diagnose", "--trajectory",
+                     str(traj_dir), "--ground-state", gs_json]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err
+        assert "diagnose.trajectory (must differ from out_dir)" in err
+        assert verify_manifest(traj_dir) and not (traj_dir / "report.json").exists()
+        # the rule reads the config once the flags are in: --out-dir overrides the file's
+        config = write_config(tmp_path / "dg.json", {
+            "command": "diagnose", "out_dir": str(out_dir),
+            "diagnose": {"trajectory": str(traj_dir), "ground_state": gs_json,
+                         "checks": "tightness"}})
+        assert main(["--quiet", "--out-dir", str(tmp_path / "dg"), "diagnose",
+                     "--config", config]) == EXIT_OK
+
     def test_out_is_not_written_from_an_earlier_run(self, tmp_path):
         out_dir, stale = str(tmp_path / "od"), tmp_path / "stale.json"
         assert main(["--quiet", "--out-dir", out_dir, "operator-check", "--suite", "ims",
@@ -543,6 +599,8 @@ class TestMainEntry:
                      str(tmp_path / "missing"), "--ground-state", str(tmp_path / "missing"),
                      "--out", str(stale)]) == EXIT_VALIDATION
         assert not stale.exists()
+        # nor does the operator-check manifest vouch for the directory any longer
+        assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
 
 
 class TestSchemaStability:
@@ -582,6 +640,8 @@ class TestSchemaStability:
 
 class TestNumericalFailureExit:
     def test_non_convergence_exit_code(self, tmp_path, capsys):
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "manifest.json").write_text("{}")  # an earlier run's
         cfg = config_from_dict({
             "command": "ground-state",
             "grid": {"n_points": 256, "r_max": 32.0},
@@ -591,6 +651,7 @@ class TestNumericalFailureExit:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err.strip()  # printed with quiet too
         assert err.startswith("numerical failure:") and "\n" not in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
 
     @pytest.mark.filterwarnings("error")  # one message: NonFinite, and no overflow warnings
     def test_overflowing_datum_exit_code(self, tmp_path, capsys):
@@ -610,12 +671,13 @@ class TestNumericalFailureExit:
 class TestTolerancesTable:
     def test_all_slack_constants_positive(self):
         tol = Tolerances()
-        for name in ("mass_drift", "energy_drift", "gn_slack", "pohozaev_tol",
+        for name in ("newton_slack", "cauchy_pad", "virial_residual",
                      "c_cal_propagation", "c_cal_commutator", "c_cal_subcritical"):
             assert getattr(tol, name) > 0
 
     def test_every_tolerance_is_read(self):
-        # a field that no check reads is a knob that changes nothing
+        # a field that no command reads is a knob that changes nothing; the
+        # acceptance suite's own thresholds are constants of that suite
         import ast
         import dataclasses
         import pathlib
@@ -624,15 +686,25 @@ class TestTolerancesTable:
 
         paths = [p for p in pathlib.Path(bosonstar.__file__).parent.glob("*.py")
                  if p.name != "config.py"]
-        paths.append(pathlib.Path(__file__).parent / "test_acceptance.py")
         read = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Attribute)}
         assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in read] == []
 
     def test_tolerance_override_via_config(self):
         cfg = config_from_dict({"command": "ground-state",
-                                "tolerances": {"pohozaev_tol": 1e-5}})
-        assert cfg.tolerances.pohozaev_tol == 1e-5
+                                "tolerances": {"newton_slack": 1e-5}})
+        assert cfg.tolerances.newton_slack == 1e-5
+
+    def test_an_acceptance_threshold_is_no_config_key(self, tmp_path, capsys):
+        # the acceptance suite's thresholds are no command's settings
+        out_dir = tmp_path / "gs"
+        config = write_config(tmp_path / "c.json", {
+            "command": "ground-state", "tolerances": {"pohozaev_tol": 1e-5},
+            "out_dir": str(out_dir)})
+        assert main(["--quiet", "ground-state", "--config", config]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.strip() == \
+            "config error: invalid config fields: tolerances.pohozaev_tol (unknown)"
+        assert not out_dir.exists()
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValidationError):

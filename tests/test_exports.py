@@ -20,7 +20,7 @@ UNREFERENCED = {
     "inverse_radial_transform": "perfbench's traced pass times the inverse transform through it",
     "trajectory_from_snapshots": "builds test trajectories through evolve's private record code",
     "dilation_decay_check": "acceptance criterion 6 reads it",
-    "h_minus1_rhs_bound": "its diagnose check would need a new Tolerances field",
+    "h_minus1_rhs_bound": "tests read it; its diagnose check needs no Tolerances field, not built yet",
     "energy": "the conserved energy of a Field, public through bosonstar/__init__",
 }
 
