@@ -8,8 +8,8 @@ identical config and seed reproduce byte-identical numeric outputs.
 
 Exit codes: 0 success; 2 a config that fails validation, an input file that
 cannot be read, lies on another grid or has a non-finite sample, a trajectory
-that does not match its manifest or was written by another artifact version, or
-an unresolved datum; 3 numerical failure
+that does not match its manifest or was written by another artifact version, an
+unresolved datum, or an --out that cannot be written; 3 numerical failure
 (non-convergence, a non-finite record), one line on stderr with --quiet too;
 4 a check failed.
 """
@@ -129,6 +129,9 @@ def run_ground_state(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
 def load_ground_state_json(path) -> GroundState:
     with open(path) as fh:
         data = json.load(fh)
+    mc = data["critical_mass"]
+    if type(mc) not in (int, float) or not 0 < mc < np.inf:  # a bool is no mass
+        raise InputError(f"{path} has critical_mass {mc!r}, not a finite positive number")
     return GroundState(q=field_from_json(data["profile"]),
                        **{name: data[name] for name in _GS_SCALARS})
 
@@ -290,6 +293,8 @@ def main(argv=None) -> int:
             if isinstance(target, dict):  # else config_from_dict names the section
                 target[name] = value
         cfg = config_from_dict(data)  # checked once, with the flags in
+        if out_override and os.path.isdir(out_override):
+            raise ValidationError(["--out (an existing directory, not a report file)"])
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -298,9 +303,15 @@ def main(argv=None) -> int:
     if out_override and code in (EXIT_OK, EXIT_CHECK_FAILED):  # this run wrote the report
         src = os.path.join(run_dir, _REPORTS[command][0])
         if os.path.abspath(src) != os.path.abspath(out_override):
-            os.makedirs(os.path.dirname(os.path.abspath(out_override)), exist_ok=True)
-            with open(src) as fin, open(out_override, "w") as fout:
-                fout.write(fin.read())
+            try:
+                os.makedirs(os.path.dirname(os.path.abspath(out_override)), exist_ok=True)
+                with open(src) as fin, open(out_override, "w") as fout:
+                    fout.write(fin.read())
+            except OSError as exc:  # the run's outputs and manifest stay in run_dir
+                failed = f"; its checks failed, see {src}" if code == EXIT_CHECK_FAILED else ""
+                print(f"output error: cannot write --out {out_override}: {exc}{failed}",
+                      file=sys.stderr)
+                return EXIT_VALIDATION  # the requested report is missing, so 2 replaces 4
     return code
 
 

@@ -37,7 +37,7 @@ __all__ = [
     "ARTIFACT_VERSION",
 ]
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 
 class ParseError(ValueError):

@@ -18,6 +18,7 @@ all-rows density.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,14 +114,25 @@ def cutoff_bank(grid: RadialGrid, radii) -> list[Cutoff]:
     return bank
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
 @dataclass(frozen=True)
 class CheckRecord:
+    """A check's verdict: `passed` is `statistic <relation> bound` (so a NaN fails) unless a
+    compound or not-applicable record gives it; line() prints the relation, to_dict() omits it."""
+
     check: str
     params: dict
     statistic: float
     bound: float
-    passed: bool
-    relation: str = "<="  # statistic vs bound when passed; line() prints it, to_dict() omits it
+    passed: bool | None = None
+    relation: str = "<="
+
+    def __post_init__(self):
+        if self.passed is None:
+            verdict = _RELATIONS[self.relation](self.statistic, self.bound)
+            object.__setattr__(self, "passed", bool(verdict))
 
     def line(self) -> str:
         """The stdout line: verdict, then the statistic and the bound with its direction,
@@ -174,8 +186,7 @@ def propagation_bound_check(traj, chi: Cutoff, c_cal: float,
     return CheckRecord(
         check="propagation_bound",
         params={"kind": chi.kind, "radius": chi.radius, "grad_inf": chi.grad_inf},
-        statistic=c_hat, bound=c_cal, passed=bool(c_hat <= c_cal),
-    )
+        statistic=c_hat, bound=c_cal)
 
 
 def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:
@@ -193,8 +204,7 @@ def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:
     return CheckRecord(
         check="dilation_decay",
         params={"radii": list(radii), "scaled_rates": [float(x) for x in q]},
-        statistic=spread, bound=factor, passed=bool(spread <= factor),
-    )
+        statistic=spread, bound=factor)
 
 
 # --- tightness and concentration ---------------------------------------------
@@ -282,18 +292,11 @@ def minimal_concentration_check(traj, gs, mass_fraction: float,
         centers.append(y)
         trace.append({"t": s.t, "lambda": lam, "origin_ball_mass": ball,
                       "best_center": y, "best_value": best})
-    stat = float(np.min(fractions))
-    rec1 = CheckRecord(check="minimal_concentration",
-                       params={"applicable": True, "lambda_rule": "inverse_hom_half_norm",
-                               "trace": trace},
-                       statistic=stat, bound=mass_fraction, passed=bool(stat >= mass_fraction),
-                       relation=">=")
-    cmax = float(np.max(np.abs(centers)))
-    rec2 = CheckRecord(check="concentration_center",
-                       params={"centers": [float(c) for c in centers]},
-                       statistic=cmax, bound=center_cells * traj.grid.dr,
-                       passed=bool(cmax <= center_cells * traj.grid.dr))
-    return [rec1, rec2]
+    params = {"applicable": True, "lambda_rule": "inverse_hom_half_norm", "trace": trace}
+    return [CheckRecord("minimal_concentration", params, float(np.min(fractions)), mass_fraction,
+                        relation=">="),
+            CheckRecord("concentration_center", {"centers": [float(c) for c in centers]},
+                        float(np.max(np.abs(centers))), center_cells * traj.grid.dr)]
 
 
 # --- blowup measure -----------------------------------------------------------
@@ -328,12 +331,9 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
         span = tail[-1].t - tail[0].t
         _, masses = localized_mass_series(traj, cutoffs, len(traj.snapshots) - len(tail))
         for chi, ms in zip(cutoffs, masses):
-            osc = float(np.max(ms) - np.min(ms))
-            bound = c_cal * chi.grad_inf * span + pad
             records.append(CheckRecord(
-                check="measure_cauchy",
-                params={"kind": chi.kind, "radius": chi.radius, "window": span},
-                statistic=osc, bound=bound, passed=bool(osc <= bound)))
+                "measure_cauchy", {"kind": chi.kind, "radius": chi.radius, "window": span},
+                float(np.max(ms) - np.min(ms)), c_cal * chi.grad_inf * span + pad))
     return histogram, records
 
 
@@ -389,13 +389,9 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
         fr = zeta * kern.inverse(kern.omega * kern.forward(s.field.values))
         fr -= kern.inverse(kern.omega * kern.forward(ur))
         sup_fr = max(sup_fr, float(np.sqrt(g.weight * np.sum(np.abs(fr) ** 2 * g.r**2))))
-    rec_pot = CheckRecord(
-        check="newton_potential_sup", params={"R": R},
-        statistic=sup_vzeta, bound=2.0 * m0 / R, passed=bool(sup_vzeta <= 2.0 * m0 / R))
-    rec_vur = CheckRecord(
-        check="duhamel_potential_term", params={"R": R, "commutator_source_l2": sup_fr},
-        statistic=sup_vur, bound=2.0 * m0**2 / R, passed=bool(sup_vur <= 2.0 * m0**2 / R))
-    return [rec_cauchy, rec_pot, rec_vur]
+    return [rec_cauchy, CheckRecord("newton_potential_sup", {"R": R}, sup_vzeta, 2.0 * m0 / R),
+            CheckRecord("duhamel_potential_term", {"R": R, "commutator_source_l2": sup_fr},
+                        sup_vur, 2.0 * m0**2 / R)]
 
 
 # --- virial -------------------------------------------------------------------
@@ -473,8 +469,7 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
             r_star = tightness_check(traj, 0.01 * m0)
         except NotTightOnGrid:
             r_star = float("inf")
-        return [CheckRecord("tightness", {"eps_fraction": 0.01}, r_star, grid.r_max,
-                            bool(r_star < grid.r_max), "<")]
+        return [CheckRecord("tightness", {"eps_fraction": 0.01}, r_star, grid.r_max, relation="<")]
 
     def measure():
         nonlocal histogram
@@ -487,7 +482,7 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
         if traj.termination != STEP_FLOOR:
             return [CheckRecord("exterior_cauchy",
                                 {"applicable": False, "termination": traj.termination},
-                                nan, nan, True)]
+                                nan, nan, passed=True)]
         return exterior_convergence_check(traj, tol.exterior_radius, traj.params,
                                           final_frac=tol.exterior_final_frac)
 
@@ -500,8 +495,7 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
     def newton():
         worst = max(float(np.max(grid.r * coulomb_potential_density(traj.density(i), grid)))
                     for i in range(len(traj.snapshots)))
-        bound = m0 * (1.0 + tol.newton_slack)
-        return [CheckRecord("newton_bound", {}, worst, bound, bool(worst <= bound))]
+        return [CheckRecord("newton_bound", {}, worst, m0 * (1.0 + tol.newton_slack))]
 
     runners = {"tightness": tightness, "measure": measure, "exterior": exterior, "newton": newton,
                "concentration": lambda: minimal_concentration_check(
@@ -514,5 +508,5 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
             try:
                 records.extend(runners[name]())
             except CheckCannotRun as exc:
-                records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan, False))
+                records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan))
     return records, histogram

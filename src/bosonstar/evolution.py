@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +98,7 @@ class Snapshot:
     t: float
     field: Field  # a view of this snapshot's row of Trajectory.fields
     record_index: int
-    width: float
-    resolved: bool
-    h_half_jump: float  # relative H^{1/2} jump from the previous retained snapshot
-
-
-# the Snapshot fields stored in snapshots.json; the field values go to snapshots.npy
-_SNAPSHOT_META = tuple(f.name for f in dataclasses.fields(Snapshot) if f.name != "field")
+    resolved: bool  # its half-max width spans at least controls.resolved_width_cells cells
 
 
 @dataclass
@@ -190,21 +185,15 @@ def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np
 
 def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls, cols: dict,
                 record_indices: list, fields: np.ndarray, termination: str) -> Trajectory:
-    """Package record columns and the snapshot rows `fields`, taken at `record_indices`."""
+    """Package record columns and the snapshot rows `fields`, taken at `record_indices`;
+    the one builder of a Snapshot, so its time and resolved flag are always derived."""
     records = {name: np.asarray(vals) for name, vals in cols.items()}
+    min_width = controls.resolved_width_cells * grid.dr
     snapshots = []
-    prev_h = None
     for rec_idx, row in zip(record_indices, frozen(fields)):
         f = Field(grid, row)
-        w = half_max_width(f)
-        h = records["h_half"][rec_idx]
-        jump = 0.0 if prev_h is None else abs(h - prev_h) / prev_h
-        prev_h = h
-        snapshots.append(Snapshot(
-            t=float(records["t"][rec_idx]), field=f, record_index=rec_idx, width=w,
-            resolved=bool(w >= controls.resolved_width_cells * grid.dr),
-            h_half_jump=float(jump),
-        ))
+        snapshots.append(Snapshot(t=float(records["t"][rec_idx]), field=f, record_index=rec_idx,
+                                  resolved=bool(half_max_width(f) >= min_width)))
     return Trajectory(grid=grid, params=params, controls=controls, records=records,
                       fields=fields, snapshots=snapshots, termination=termination)
 
@@ -305,10 +294,10 @@ def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
 # --- persistence -------------------------------------------------------------
 
 def save_trajectory(traj: Trajectory, out_dir) -> dict:
-    """Write records as CSV, snapshot metadata as JSON and `traj.fields` as .npy.
+    """Write records as CSV, what cannot be derived from them as JSON and `traj.fields` as .npy.
 
     `snapshots.npy` holds one complex128 row per snapshot, in the order of the
-    `snapshots` list in `snapshots.json`; returns the file map.
+    `record_indices` in `snapshots.json`; returns the file map.
     """
     os.makedirs(out_dir, exist_ok=True)
     rec_path = os.path.join(out_dir, "records.csv")
@@ -322,8 +311,7 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
         "params": {"mass": traj.params.mass},
         "termination": traj.termination,
         "controls": dataclasses.asdict(traj.controls),
-        "snapshots": [{name: getattr(s, name) for name in _SNAPSHOT_META}
-                      for s in traj.snapshots],
+        "record_indices": [s.record_index for s in traj.snapshots],
     }
     with open(snap_path, "w") as fh:
         json.dump(payload, fh)
@@ -333,22 +321,32 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
 
 
 def load_trajectory(out_dir) -> Trajectory:
+    """The trajectory that save_trajectory wrote into out_dir, rebuilt by the builder of
+    evolve; ValueError when records.csv, the record_indices or snapshots.npy do not fit."""
     with open(os.path.join(out_dir, "snapshots.json")) as fh:
         payload = json.load(fh)
     grid = RadialGrid(payload["grid"]["n_points"], payload["grid"]["r_max"])
     params = ModelParams(payload["params"]["mass"])
     controls = EvolutionControls(**payload["controls"])
-    rows = np.loadtxt(os.path.join(out_dir, "records.csv"), delimiter=",", skiprows=1, ndmin=2)
-    records = {c: rows[:, i] for i, c in enumerate(RECORD_COLUMNS)}
+    rec_path = os.path.join(out_dir, "records.csv")
+    with open(rec_path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # rejected below
+        header = fh.readline().rstrip("\n")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    if header != ",".join(RECORD_COLUMNS) or not len(rows) or rows.shape[1] != len(RECORD_COLUMNS):
+        raise ValueError(f"{rec_path} has header {header!r} and a {rows.shape} table, expected "
+                         f"{','.join(RECORD_COLUMNS)!r} and rows of {len(RECORD_COLUMNS)}")
+    indices = payload["record_indices"]
+    if not (isinstance(indices, list) and indices and all(type(i) is int for i in indices)
+            and all(a < b for a, b in zip([-1, *indices], [*indices, len(rows)]))):
+        raise ValueError(f"record_indices must ascend strictly within the {len(rows)} record rows")
     fields_path = os.path.join(out_dir, "snapshots.npy")
     if not os.path.isfile(fields_path):
         raise ValueError(f"{fields_path} is missing (snapshots.json holds metadata only)")
     fields = np.load(fields_path, allow_pickle=False)
-    expected = (len(payload["snapshots"]), grid.n_points)
+    expected = (len(indices), grid.n_points)
     if fields.dtype != np.complex128 or fields.shape != expected:
         raise ValueError(f"{fields_path} holds {fields.dtype} {fields.shape}, "
-                         f"expected complex128 {expected}")
-    snapshots = [Snapshot(field=Field(grid, row), **{name: s[name] for name in _SNAPSHOT_META})
-                 for s, row in zip(payload["snapshots"], frozen(fields))]
-    return Trajectory(grid=grid, params=params, controls=controls, records=records,
-                      fields=fields, snapshots=snapshots, termination=payload["termination"])
+                         f"expected complex128 {expected}, one row per record index")
+    records = {c: rows[:, i] for i, c in enumerate(RECORD_COLUMNS)}
+    return _trajectory(grid, params, controls, records, indices, fields, payload["termination"])

@@ -459,32 +459,30 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
     length = grid.length
     records = []
 
-    def add(check, params, stat, bound, passed, relation="<="):
-        records.append(CheckRecord(check, params, stat, bound, bool(passed), relation))
+    def add(check, params, stat, bound, relation="<="):
+        records.append(CheckRecord(check, params, stat, bound, relation=relation))
 
     if commutator:
         for _ in range(5):
             chi = random_smooth_chi(grid, rng)
             cn = commutator_norm(grid, s, 1.0, chi)
             bound = tol.c_cal_commutator * float(np.max(np.abs(spectral_gradient(grid, chi))))
-            add("commutator_norm", {"s": s}, cn, bound, cn <= bound)
+            add("commutator_norm", {"s": s}, cn, bound)
     if localization:
         out = localization_defect(grid, min(s, 0.99), random_smooth_chi(grid, rng))
         high = out["upper_bound"] * (1 + 1e-6)
-        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, out["eig_min"] >= -1e-8,
-            ">=")
-        add("localization_spectrum_high", {"s": s}, out["eig_max"], high, out["eig_max"] <= high)
+        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, ">=")
+        add("localization_spectrum_high", {"s": s}, out["eig_max"], high)
         add("double_commutator", {"s": s}, out["double_commutator_norm"],
-            out["double_commutator_bound"],
-            out["double_commutator_norm"] <= out["double_commutator_bound"])
+            out["double_commutator_bound"])
     if ims:
         d = ims_defect(grid, min(s, 0.99), partition_pair(grid, length / 4.0, length / 24.0))
-        add("ims_defect", {"s": s}, d, -1e-8, d >= -1e-8, ">=")
+        add("ims_defect", {"s": s}, d, -1e-8, ">=")
     if subcritical:
         fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
                               for k in range(8)])
         out = subcritical_check(grid, fam, s, length / 8.0, tol.c_cal_subcritical)
-        add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"], out["pass"])
+        add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"])
     if profiles:
         wdt, sep = length / 200.0, length / 60.0
         members = [_gaussian_bump(grid, length / 2 - sep * k, wdt)
@@ -492,9 +490,6 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
                    for k in range(2, 14)]
         m1 = l2_norm(grid, members[-1]) ** 2
         out = profile_decompose(grid, SequenceFamily(members), s, eps=0.02 * m1, r0=length / 64.0)
-        count = len(out["profiles"])
-        budget = out["mass_budget"] * (1 + 1e-6)
-        add("profile_count", {}, count, 2, count == 2, "==")
-        add("profile_mass_budget", {}, out["profile_mass_sum"], budget,
-            out["profile_mass_sum"] <= budget)
+        add("profile_count", {}, len(out["profiles"]), 2, "==")
+        add("profile_mass_budget", {}, out["profile_mass_sum"], out["mass_budget"] * (1 + 1e-6))
     return records

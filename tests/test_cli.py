@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def write_config(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+def redigest(run_dir):
+    """Rewrite the digests of run_dir's manifest to match its files, so only a reader's own
+    checks can reject them."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["digests"] = {rel: file_digest(run_dir / rel) for rel in manifest["digests"]}
+    path.write_text(canonical_json(manifest))
+    assert verify_manifest(run_dir)
 
 
 @pytest.fixture(scope="module")
@@ -297,14 +308,11 @@ class TestMainEntry:
             elif damage == "missing_manifest":
                 (traj_dir / "manifest.json").unlink()
             elif damage == "removed_controls_key":  # written when evolve had a free-flow knob
-                snap, manifest_path = traj_dir / "snapshots.json", traj_dir / "manifest.json"
+                snap = traj_dir / "snapshots.json"
                 payload = json.loads(snap.read_text())
                 payload["controls"]["include_nonlinearity"] = True
                 snap.write_text(json.dumps(payload))
-                manifest = json.loads(manifest_path.read_text())
-                manifest["digests"]["snapshots.json"] = file_digest(snap)
-                manifest_path.write_text(canonical_json(manifest))
-                assert verify_manifest(traj_dir)  # so the digest check does not fire first
+                redigest(traj_dir)  # so the digest check does not fire first
             else:  # the trajectory is fine; the ground state parses but lacks its profile
                 gs_json = tmp_path / "gs.json"
                 gs_json.write_text(json.dumps({"critical_mass": 2.69}))
@@ -313,6 +321,95 @@ class TestMainEntry:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip()
         assert err.startswith("input error:") and "\n" not in err
+
+    @pytest.mark.parametrize("damage, named", [
+        ("records_header", "records.csv"), ("records_five_columns", "records.csv"),
+        ("records_header_only", "records.csv"), ("indices_descending", "record_indices"),
+        ("indices_beyond_rows", "record_indices"), ("indices_short_of_fields", "snapshots.npy")])
+    def test_inconsistent_trajectory_rejected_on_load(self, tmp_path, capsys, small_run, damage,
+                                                      named):
+        # every file matches its manifest digest, so only the loader can tell
+        gs_json, source = small_run
+        traj_dir = tmp_path / "ev"
+        shutil.copytree(source, traj_dir)
+        records, snap = traj_dir / "records.csv", traj_dir / "snapshots.json"
+        header, *rows = records.read_text().splitlines()
+        payload = json.loads(snap.read_text())
+        indices = payload["record_indices"]
+        assert len(indices) > 2 and indices[-1] == len(rows) - 1
+        if damage == "records_header":
+            records.write_text("\n".join([header.replace("h_half", "h_one"), *rows, ""]))
+        elif damage == "records_five_columns":
+            records.write_text("\n".join([header, *(r.rsplit(",", 1)[0] for r in rows), ""]))
+        elif damage == "records_header_only":
+            records.write_text(header + "\n")
+        elif damage == "indices_descending":
+            payload["record_indices"] = indices[::-1]
+        elif damage == "indices_beyond_rows":
+            payload["record_indices"] = [*indices[:-1], len(rows)]
+        else:  # one index fewer than the rows of snapshots.npy
+            payload["record_indices"] = indices[:-1]
+        snap.write_text(json.dumps(payload))
+        redigest(traj_dir)
+        code = main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
+                     "--trajectory", str(traj_dir), "--ground-state", gs_json])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and named in err and "\n" not in err
+
+    @pytest.mark.parametrize("critical_mass", [0, -1.0, "abc", True, None, float("nan"),
+                                               float("inf")],
+                             ids=["zero", "negative", "string", "bool", "null", "nan", "inf"])
+    def test_ground_state_critical_mass_is_checked(self, tmp_path, capsys, small_run,
+                                                   critical_mass):
+        gs_json, traj_dir = small_run
+        data = json.loads(open(gs_json).read())
+        data["critical_mass"] = critical_mass
+        bad = tmp_path / "gs.json"
+        bad.write_text(json.dumps(data))
+        code = main(["--out-dir", str(tmp_path / "dg"), "--quiet", "diagnose",
+                     "--trajectory", traj_dir, "--ground-state", str(bad),
+                     "--checks", "concentration"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and "critical_mass" in err and "\n" not in err
+
+    def test_out_that_is_a_directory_rejected_before_the_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "od"
+        code = main(["--quiet", "--out-dir", str(out_dir), "operator-check", "--suite", "ims",
+                     "--n", "64", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "--out" in err and "\n" not in err
+        assert not out_dir.exists()  # rejected before anything ran
+
+    def test_out_that_cannot_be_written(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "od"
+        code = main(["--quiet", "--out-dir", str(out_dir), "operator-check", "--suite", "ims",
+                     "--n", "64", "--out", str(tmp_path / "file" / "r.json")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("output error:") and "\n" not in err
+        assert verify_manifest(out_dir)  # the run itself finished and keeps its outputs
+
+    def test_out_that_cannot_be_written_after_a_failed_check(self, tmp_path, capsys, small_run):
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 512, "r_max": 2.0},
+            "controls": {"dt0": 1e-3, "t_end": 0.01, "dt_floor": 1e-10, "snapshot_stride": 2},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 0.2},
+            "out_dir": str(tmp_path / "ev")})
+        assert main(["--quiet", "evolve", "--config", ev_config]) == EXIT_OK
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "dg"
+        code = main(["--quiet", "--out-dir", str(out_dir), "diagnose",
+                     "--trajectory", str(tmp_path / "ev"), "--ground-state", small_run[0],
+                     "--checks", "propagation", "--out", str(tmp_path / "file" / "r.json")])
+        assert code == EXIT_VALIDATION  # the missing report outranks the failed check
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("output error:") and "\n" not in err
+        assert err.endswith(f"; its checks failed, see {out_dir / 'report.json'}")
+        assert verify_manifest(out_dir)
 
     @pytest.mark.parametrize("command, flags, bad, field", [
         ("operator-check", ["--n", "7"], {}, "operator_check.n"),
@@ -625,12 +722,10 @@ class TestSchemaStability:
             "out_dir": str(tmp_path / "ev")})
         _, ev_dir = run(ev_cfg, quiet=True)
         snap = json.loads(open(os.path.join(ev_dir, "snapshots.json")).read())
-        assert set(schema["snapshots.json"]) <= set(snap)
-        assert set(schema["snapshots.json.snapshot"]) <= set(snap["snapshots"][0])
-        assert "field" not in snap["snapshots"][0]
+        assert set(schema["snapshots.json"]) == set(snap)  # nothing that records.csv derives
         fields = np.load(os.path.join(ev_dir, "snapshots.npy"), allow_pickle=False)
         assert fields.dtype == np.dtype(schema["snapshots.npy"]["dtype"])
-        assert fields.shape == (len(snap["snapshots"]), snap["grid"]["n_points"])
+        assert fields.shape == (len(snap["record_indices"]), snap["grid"]["n_points"])
         header = open(os.path.join(ev_dir, "records.csv")).readline().strip().split(",")
         assert header == schema["records.csv.columns"]
         manifest = json.loads(open(os.path.join(ev_dir, "manifest.json")).read())

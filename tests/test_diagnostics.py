@@ -343,6 +343,23 @@ class TestReportPlumbing:
         assert relation in rec.line()
         assert "relation" not in rec.to_dict()
 
+    @pytest.mark.parametrize("statistic, bound, relation, passed", [
+        (0.9, 0.9, "<", False), (0.9, 0.9, "<=", True), (0.9, 0.9, ">=", True),
+        (0.8, 0.9, ">=", False), (2, 2, "==", True), (3, 2, "==", False),
+        (float("nan"), 1.0, "<=", False), (float("nan"), 1.0, ">=", False),
+        (float("nan"), float("nan"), "<=", False)],
+        ids=["strict_at_equality", "le_at_equality", "ge_at_equality", "ge_below",
+             "count_equal", "count_differs", "nan_le", "nan_ge", "cannot_run"])
+    def test_verdict_comes_from_the_relation(self, statistic, bound, relation, passed):
+        rec = CheckRecord("demo", {}, statistic, bound, relation=relation)
+        assert rec.passed is passed
+
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_a_given_verdict_is_kept(self, passed):
+        # a compound or not-applicable record states its own verdict
+        rec = CheckRecord("demo", {}, 2.0, 1.0, passed)
+        assert rec.passed is passed and rec.to_dict()["pass"] is passed
+
     def test_line_of_a_check_that_cannot_run_states_the_error(self):
         rec = CheckRecord("virial_envelope", {"error": "need at least 4 resolved snapshots"},
                           float("nan"), float("nan"), False)
