@@ -8,13 +8,16 @@ nonnegative defect L_chi, the fractional IMS inequality, the subcritical
 estimate through the highest local mass, and the constructive splitting of
 bounded sequences into receding bumps.
 
-Operators are plain real symmetric float64 arrays: the circulant of one inverse
-FFT of their real, even Fourier symbol.  Every integral over t in (0, inf)
-uses one node rule, whose Gauss-Jacobi ends carry the fractional weight at 0
-and the decay at infinity exactly.  Resolvent quadratures run in the
-eigenbasis of A = 1 - Delta from one `eigh`, where every (A + t)^{-1} is a
-diagonal divide; multiplication by chi is applied elementwise, never as a
-dense diagonal matrix.  `run_suite` runs the checks as the `operator-check`
+Operators are plain real symmetric float64 arrays: the circulant of one
+inverse FFT of their real, even Fourier symbol, copied out of one strided view
+of that column, so building one allocates a single n x n array.  Every
+integral over t in (0, inf) uses one node rule, whose Gauss-Jacobi ends carry
+the fractional weight at 0 and the decay at infinity exactly.  Resolvent
+quadratures run in the eigenbasis of A = 1 - Delta from one `eigh`, where
+every (A + t)^{-1} is a diagonal divide; multiplication by chi is applied
+elementwise, never as a dense diagonal matrix.  The eigenbasis is released
+before the projector phase, so the working set stays near five n x n arrays;
+memory grows as n^2.  `run_suite` runs the checks as the `operator-check`
 suite.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi
 
 from .diagnostics import CheckRecord
@@ -54,6 +58,9 @@ __all__ = [
 
 MAX_PROFILES = 32
 _T_NODES = 16  # nodes per panel of `_composite_t_nodes` in `localization_defect`
+_BAND_REL_TOL = 1e-9  # relative size of the smallest mode `bandwidth_cells` counts
+_CHI_MODES = 10  # Fourier modes of `random_smooth_chi`
+_CHI_DAMPING = 3.0  # mode m of `random_smooth_chi` carries exp(-(m / damping)^2)
 
 
 class NotAPartition(ValueError):
@@ -89,10 +96,17 @@ class PeriodicGrid1D:
 
 
 def _symbol_operator(grid: PeriodicGrid1D, symbol: np.ndarray) -> np.ndarray:
-    """The circulant with this real, even symbol: row i is its first column shifted by i."""
+    """The circulant with this real, even symbol: m[i, j] = col[(i - j) % n].
+
+    The column is symmetrised first, col[k] and col[-k] averaged, which is
+    0.5 (m + m^T) to the bit.  Row i of the circulant is ext[i : i + n]
+    reversed, with ext = (col[1:], col), so the matrix is one copy of a
+    strided view and its only n x n allocation.
+    """
     col = np.fft.ifft(symbol).real
-    m = col[(np.arange(grid.n)[:, None] - np.arange(grid.n)) % grid.n]
-    return 0.5 * (m + m.T)
+    col = 0.5 * (col + np.roll(col[::-1], 1))
+    ext = np.concatenate((col[1:], col))
+    return sliding_window_view(ext, grid.n)[:, ::-1].copy()
 
 
 def build_fractional(grid: PeriodicGrid1D, s: float, a: float = 1.0) -> np.ndarray:
@@ -116,12 +130,12 @@ def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
     return _symbol_operator(grid, keep)
 
 
-def bandwidth_cells(grid: PeriodicGrid1D, chi: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Effective bandwidth of chi in grid cells (largest mode above rel_tol)."""
+def bandwidth_cells(grid: PeriodicGrid1D, chi: np.ndarray) -> int:
+    """Effective bandwidth of chi in grid cells (largest mode above _BAND_REL_TOL)."""
     ch = np.abs(np.fft.fft(np.asarray(chi, dtype=np.float64)))
     ch[0] = 0.0
     idx = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
-    keep = ch > rel_tol * max(ch.max(), 1e-300)
+    keep = ch > _BAND_REL_TOL * max(ch.max(), 1e-300)
     return int(idx[keep].max()) if keep.any() else 0
 
 
@@ -140,7 +154,9 @@ def operator_norm_matrix(m: np.ndarray) -> float:
 
 def _chi_commutator(chi: np.ndarray, m: np.ndarray) -> np.ndarray:
     """[diag(chi), m] without forming diag(chi)."""
-    return chi[:, None] * m - m * chi[None, :]
+    out = chi[:, None] * m
+    out -= m * chi[None, :]
+    return out
 
 
 def commutator_norm(grid: PeriodicGrid1D, s: float, a: float, chi: np.ndarray) -> float:
@@ -207,36 +223,52 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict
     The t-integral covers all of (0, inf) with the nodes of
     `_composite_t_nodes` (t_hi = 4 lam_max, _T_NODES per panel); the
     triple-resolvent integrand decays like t^-3.
+
+    At most five n x n arrays are alive at once: V, C^, the sum and the two
+    node buffers.  The eigenbasis is released once L_chi is formed in the
+    sum's buffer, before the projector and double-commutator phase.
     """
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
     chi = np.asarray(chi, dtype=np.float64)
     grad_inf = float(np.max(np.abs(spectral_gradient(grid, chi))))
     lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0))  # 1 - Delta
-    Ch = V.T @ (chi[:, None] * V)
-    Ch *= lam - lam[:, None]  # V^T [chi, -Delta] V, antisymmetric
+    # the node loop's buffers hold the set-up temporaries too, so no freed
+    # n x n block is left behind for small allocations to split
+    acc = np.multiply(chi[:, None], V)
+    B = np.empty_like(V)
+    BBt = np.empty_like(V)
+    Ch = V.T @ acc
+    Ch *= np.subtract(lam, lam[:, None], out=B)  # V^T [chi, -Delta] V, antisymmetric
+    acc.fill(0.0)
 
-    # columns of d: the diagonal of R_t in the eigenbasis at each quadrature node
     t, w = _composite_t_nodes(s, 3.0, 4.0 * lam[-1], _T_NODES)
-    d = 1.0 / (lam[:, None] + t)
-    acc = np.zeros_like(Ch)
-    for dk, wk in zip(d.T, w):
-        B = Ch * np.sqrt(dk)
+    for tk, wk in zip(t, w):
+        dk = 1.0 / (lam + tk)  # the diagonal of R_t in the eigenbasis
+        np.multiply(Ch, np.sqrt(dk), out=B)
         B *= (np.sqrt(wk) * dk)[:, None]
-        acc += B @ B.T  # w R C R C^T R
-    lchi = (np.sin(np.pi * s) / np.pi) * (V @ acc @ V.T)
-    lchi = 0.5 * (lchi + lchi.T)
+        acc += np.matmul(B, B.T, out=BBt)  # w R C R C^T R
+    del Ch, B, BBt
+    VA = V @ acc
+    lchi = np.matmul(VA, V.T, out=acc)  # V acc V^T, in acc's buffer
+    del V, VA
+    lchi *= np.sin(np.pi * s) / np.pi
+    lchi += lchi.T
+    lchi *= 0.5
     evals = np.linalg.eigvalsh(lchi)
     # the continuum double-commutator bound concerns the operator below the
     # aliasing edge; project out the wrapped top band before taking the norm
-    proj = band_projector(grid, 2 * bandwidth_cells(grid, chi) + 1)
     double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0)))
+    proj = band_projector(grid, 2 * bandwidth_cells(grid, chi) + 1)
+    pd = proj @ double
+    np.matmul(pd, proj, out=double)
+    del pd, proj
     return {
         "l_chi": lchi,
         "eig_min": float(evals[0]),
         "eig_max": float(evals[-1]),
         "upper_bound": 4.0 * s * grad_inf**2,
-        "double_commutator_norm": operator_norm_matrix(proj @ double @ proj),
+        "double_commutator_norm": operator_norm_matrix(double),
         "double_commutator_bound": 8.0 * s * grad_inf**2,
     }
 
@@ -257,7 +289,9 @@ def ims_defect(grid: PeriodicGrid1D, s: float, partition: list[np.ndarray]) -> f
         acc -= chi[:, None] * As * chi[None, :]
         g = spectral_gradient(grid, chi)
         grad_sq += g * g
-    acc = 0.5 * (acc + acc.T)
+    del As
+    acc += acc.T
+    acc *= 0.5
     lam_min = float(np.linalg.eigvalsh(acc)[0])
     return lam_min + s * float(np.max(grad_sq))
 
@@ -274,16 +308,15 @@ def _gaussian_bump(grid: PeriodicGrid1D, center: float, width: float,
     return amplitude * np.exp(-circle_distance(grid, center) ** 2 / (2 * width * width))
 
 
-def tanh_bump(grid: PeriodicGrid1D, radius: float, width: float,
-              center: float | None = None) -> np.ndarray:
-    """Plateau of half-width `radius` with tanh shoulders of scale `width`.
+def tanh_bump(grid: PeriodicGrid1D, radius: float, width: float) -> np.ndarray:
+    """Plateau of half-width `radius` about the circle's midpoint, with tanh
+    shoulders of scale `width`.
 
     Built from the circle distance, so it is exactly periodic; the residual
     kink at the antipode is exponentially small in (L/2 - radius)/width,
     which callers must keep large enough for their tolerance.
     """
-    c = 0.5 * grid.length if center is None else center
-    return 0.5 * (1.0 - np.tanh((circle_distance(grid, c) - radius) / width))
+    return 0.5 * (1.0 - np.tanh((circle_distance(grid, 0.5 * grid.length) - radius) / width))
 
 
 def partition_pair(grid: PeriodicGrid1D, radius: float, width: float) -> list[np.ndarray]:
@@ -292,8 +325,7 @@ def partition_pair(grid: PeriodicGrid1D, radius: float, width: float) -> list[np
     return [np.sin(theta), np.cos(theta)]
 
 
-def random_smooth_chi(grid: PeriodicGrid1D, rng: np.random.Generator,
-                      max_mode: int = 10, damping: float = 3.0) -> np.ndarray:
+def random_smooth_chi(grid: PeriodicGrid1D, rng: np.random.Generator) -> np.ndarray:
     """Random smooth cutoff with values spanning exactly [0, 1].
 
     The spectrum is Gaussian-damped so the cutoff stays smooth on the grid
@@ -302,8 +334,8 @@ def random_smooth_chi(grid: PeriodicGrid1D, rng: np.random.Generator,
     """
     x = grid.x
     raw = np.zeros(grid.n)
-    for m in range(1, max_mode + 1):
-        amp = np.exp(-((m / damping) ** 2))
+    for m in range(1, _CHI_MODES + 1):
+        amp = np.exp(-((m / _CHI_DAMPING) ** 2))
         raw += amp * rng.normal() * np.cos(2 * np.pi * m * x / grid.length)
         raw += amp * rng.normal() * np.sin(2 * np.pi * m * x / grid.length)
     lo, hi = raw.min(), raw.max()

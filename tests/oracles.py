@@ -2,8 +2,8 @@
 
 Random and rescaled radial fields, the inhomogeneous Sobolev norm, the exact
 free flow, the sharp energy lower bound, Newton's shell formula by trapezoid
-sums, the resolvent-quadrature route to (a - Delta)^s and the hermiticity
-defect of a matrix.
+sums, the resolvent-quadrature route to (a - Delta)^s, the index-gather
+circulant and the hermiticity defect of a matrix.
 """
 
 import numpy as np
@@ -100,6 +100,14 @@ def fractional_via_quadrature(grid: PeriodicGrid1D, s: float, a: float = 1.0,
     (t_hi = 4 max(1, lam_max)); the symbol (a + k^2)^s is never evaluated."""
     lam, V = np.linalg.eigh(build_fractional(grid, 1.0, a))
     m = V @ (scalar_power_quadrature(lam, s, n_nodes)[:, None] * V.T)
+    return 0.5 * (m + m.T)
+
+
+def gather_circulant(grid: PeriodicGrid1D, symbol: np.ndarray) -> np.ndarray:
+    """The circulant of a real, even symbol through an n x n index array,
+    m[i, j] = col[(i - j) % n], then symmetrised as 0.5 (m + m^T)."""
+    col = np.fft.ifft(symbol).real
+    m = col[(np.arange(grid.n)[:, None] - np.arange(grid.n)) % grid.n]
     return 0.5 * (m + m.T)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import beta
@@ -23,8 +25,9 @@ from bosonstar.operator_lab import (
     subcritical_check,
     tanh_bump,
 )
-from bosonstar.operator_lab import _T_NODES, _composite_t_nodes
-from oracles import fractional_via_quadrature, hermiticity_defect, scalar_power_quadrature
+from bosonstar.operator_lab import _T_NODES, _composite_t_nodes, _symbol_operator, band_projector
+from oracles import (fractional_via_quadrature, gather_circulant, hermiticity_defect,
+                     scalar_power_quadrature)
 
 GRID = PeriodicGrid1D(128, 32.0)
 
@@ -174,6 +177,21 @@ class TestLocalization:
         ref = dense_localization(g, s, chi, n_nodes=48)
         assert np.max(np.abs(lchi - ref)) <= 1e-13 * np.max(np.abs(lchi))
 
+    def test_working_set(self):
+        # V, C^, the sum and the two node buffers: five n x n float64s, plus
+        # n-sized vectors; numpy's arrays are traced, LAPACK's workspace is not.
+        # A sixth n x n array would exceed the bound.
+        g = PeriodicGrid1D(256, 32.0)
+        chi = random_smooth_chi(g, np.random.default_rng(3))
+        localization_defect(GRID, 0.5, chi[::2])  # the first call's lazy imports stay untraced
+        tracemalloc.start()
+        try:
+            localization_defect(g, 0.5, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.75 * g.n**2 * 8
+
     def test_constant_chi_gives_zero(self):
         out = localization_defect(GRID, 0.5, np.full(GRID.n, 0.4))
         assert abs(out["eig_min"]) < 1e-10 and abs(out["eig_max"]) < 1e-10
@@ -201,8 +219,6 @@ class TestIMS:
         # periodic grid the identity is exact on the alias-free band (pointwise
         # multiplication wraps the top modes), so it is asserted there, with an
         # exactly band-limited cos/sin partition.
-        from bosonstar.operator_lab import band_projector
-
         g = PeriodicGrid1D(512, 64.0)
         m = 3
         phi = 2 * np.pi * m * g.x / g.length
@@ -374,9 +390,14 @@ class TestProfileDecomposition:
 
 
 class TestDenseOperatorPlumbing:
-    def test_operators_are_real_symmetric(self):
-        from bosonstar.operator_lab import band_projector
+    @pytest.mark.parametrize("n", [4, 6, 128, 384])
+    def test_strided_circulant_matches_gather(self, n):
+        g = PeriodicGrid1D(n, 32.0)
+        band = np.where(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 2 - 1, 1.0, 0.0)
+        for symbol in ((1.0 + g.k**2) ** 0.25, band):
+            assert np.array_equal(_symbol_operator(g, symbol), gather_circulant(g, symbol))
 
+    def test_operators_are_real_symmetric(self):
         for op in (build_fractional(GRID, 0.5, 1.0), band_projector(GRID, 3)):
             assert op.dtype == np.float64
             assert np.array_equal(op, op.T)
