@@ -59,7 +59,6 @@ from .spectral import (
     RadialGrid,
     field_from_json,
     field_to_json,
-    load_field_json,
     mass,
 )
 
@@ -89,7 +88,8 @@ def _write_json(path, obj):
 def _load_field(path, grid: RadialGrid) -> Field:
     """The finite field stored at path, which must lie on grid; InputError otherwise."""
     try:
-        f = load_field_json(path)
+        with open(path) as fh:
+            f = field_from_json(json.load(fh))
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise InputError(f"cannot read field {path}: {type(exc).__name__}: {exc}") from exc
     if f.grid != grid:

@@ -28,8 +28,7 @@ from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
-    coulomb_potential_density,
-    homogeneous_half_sq,
+    RadialKernel,
     kernel,
 )
 
@@ -152,16 +151,17 @@ class CheckRecord:
 
 # --- localized mass and propagation ------------------------------------------
 
-def localized_mass(rho: np.ndarray, grid: RadialGrid, chi: Cutoff) -> float:
+def localized_mass(rho: np.ndarray, kern: RadialKernel, chi: Cutoff) -> float:
     """Mass of the density rho = |u|^2 weighted by chi."""
-    return float(grid.weight * np.sum(chi.samples * rho * kernel(grid).r_squared))
+    return float(kern.grid.weight * np.sum(chi.samples * rho * kern.r_squared))
 
 
 def localized_mass_series(traj, cutoffs, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Times of the snapshots from `first` on, and M_chi at each of them, one row per cutoff;
     each snapshot's density is computed once for all the cutoffs."""
+    kern = kernel(traj.grid, traj.params)
     densities = map(traj.density, range(first, len(traj.snapshots)))
-    ms = np.array([[localized_mass(rho, traj.grid, chi) for chi in cutoffs] for rho in densities])
+    ms = np.array([[localized_mass(rho, kern, chi) for chi in cutoffs] for rho in densities])
     return np.array([s.t for s in traj.snapshots[first:]]), ms.T
 
 
@@ -225,10 +225,10 @@ def tightness_check(traj, eps: float) -> float:
     return float(g.r[idx[0]])
 
 
-def ball_mass(rho: np.ndarray, grid: RadialGrid, center: float, radius: float) -> float:
+def ball_mass(rho: np.ndarray, kern: RadialKernel, center: float, radius: float) -> float:
     """Mass of the density rho in the radius ball centered at distance `center` from the origin
     (on the symmetry axis; radial symmetry makes this general), summed over the shells it meets."""
-    r = kernel(grid).r
+    r = kern.r
     # shells r <= radius - center lie inside the ball, and shells with
     # |r - center| < radius meet it in the cap where cos(theta) >= cstar;
     # at center 0 no shell is cut and the cap range is empty
@@ -238,25 +238,26 @@ def ball_mass(rho: np.ndarray, grid: RadialGrid, center: float, radius: float) -
     rs = r[lo:hi]
     cstar = (rs**2 + center**2 - radius**2) / (2.0 * rs * center)
     mu = 1.0 - np.clip(cstar, -1.0, 1.0)  # in [0, 2]
-    return float(2.0 * np.pi * grid.dr * (full + np.sum(rho[lo:hi] * rs**2 * mu)))
+    return float(2.0 * np.pi * kern.grid.dr * (full + np.sum(rho[lo:hi] * rs**2 * mu)))
 
 
-def concentration_function(rho: np.ndarray, grid: RadialGrid, R: float) -> tuple[float, float]:
+def concentration_function(rho: np.ndarray, kern: RadialKernel, R: float) -> tuple[float, float]:
     """Levy concentration of the density rho: maximize the mass of the R-ball over axis centers.
 
     Coarse scan of _COARSE_CENTERS centers over [0, r_max], then a refinement pass
     at grid resolution around the best coarse center; ties break toward the origin.
     """
+    grid = kern.grid
     if R >= grid.r_max:
-        return 0.0, float(grid.weight * np.sum(rho * grid.r**2))
+        return 0.0, float(grid.weight * np.sum(rho * kern.r_squared))
     centers = np.linspace(0.0, grid.r_max, _COARSE_CENTERS)
-    vals = np.array([ball_mass(rho, grid, d, R) for d in centers])
+    vals = np.array([ball_mass(rho, kern, d, R) for d in centers])
     i = int(np.argmax(vals))
     step = centers[1] - centers[0]
     lo = max(0.0, centers[i] - step)
     hi = min(grid.r_max, centers[i] + step)
     fine = np.arange(lo, hi + grid.dr / 2, grid.dr)
-    fvals = np.array([ball_mass(rho, grid, d, R) for d in fine])
+    fvals = np.array([ball_mass(rho, kern, d, R) for d in fine])
     j = int(np.argmax(fvals))
     return float(fine[j]), float(fvals[j])
 
@@ -281,13 +282,14 @@ def minimal_concentration_check(traj, gs, mass_fraction: float,
                             params={"applicable": False, "termination": traj.termination},
                             statistic=float("nan"), bound=mass_fraction, passed=True,
                             relation=">=")]
+    kern = kernel(traj.grid, traj.params)
     fractions = []
     centers = []
     trace = []
     for s, rho in _last_resolved(traj):
-        lam = 1.0 / np.sqrt(homogeneous_half_sq(s.field))
-        ball = ball_mass(rho, traj.grid, 0.0, lam)
-        y, best = concentration_function(rho, traj.grid, lam)
+        lam = 1.0 / np.sqrt(kern.homogeneous_half_sq(s.field.values))
+        ball = ball_mass(rho, kern, 0.0, lam)
+        y, best = concentration_function(rho, kern, lam)
         fractions.append(ball / gs.critical_mass)
         centers.append(y)
         trace.append({"t": s.t, "lambda": lam, "origin_ball_mass": ball,
@@ -493,7 +495,8 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
                 for chi, ms in zip(bank, masses)]
 
     def newton():
-        worst = max(float(np.max(grid.r * coulomb_potential_density(traj.density(i), grid)))
+        kern = kernel(grid, traj.params)
+        worst = max(float(np.max(kern.r * kern.potential(traj.density(i))))
                     for i in range(len(traj.snapshots)))
         return [CheckRecord("newton_bound", {}, worst, m0 * (1.0 + tol.newton_slack))]
 

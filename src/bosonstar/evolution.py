@@ -30,6 +30,7 @@ from .spectral import (
     RadialGrid,
     RadialKernel,
     abs2,
+    dot,
     frozen,
     kernel,
 )
@@ -149,14 +150,14 @@ def half_max_width(f: Field) -> float:
 def require_resolved(u0: Field, kern: RadialKernel) -> None:
     """Raise Unresolved unless u0 carries at most 1e-6 of its mass in kern's boundary zone."""
     rho = abs2(u0.values)
-    m0 = np.dot(rho, kern.mass_weight)
+    m0 = dot(rho, kern.mass_weight)
     if m0 > 0 and _boundary_mass(kern, rho) > 1e-6 * m0:
         raise Unresolved("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
 
 
 def _boundary_mass(kern: RadialKernel, rho: np.ndarray) -> float:
     """Mass of the density rho in kern's boundary zone."""
-    return float(np.dot(rho[kern.boundary], kern.mass_weight[kern.boundary]))
+    return dot(rho[kern.boundary], kern.mass_weight[kern.boundary])
 
 
 def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np.ndarray,
@@ -171,16 +172,16 @@ def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np
     """
     rho = abs2(u_vals)
     power = abs2(c_vals)
-    h_half = math.sqrt(np.dot(kern.h_half_weight, power))
+    h_half = math.sqrt(dot(kern.h_half_weight, power))
     row = (t, dt, float(np.sum(power)),
-           0.5 * float(np.dot(kern.omega, power)) - 0.25 * kern.interaction(rho), h_half,
+           0.5 * dot(kern.omega, power) - 0.25 * kern.interaction(rho), h_half,
            _boundary_mass(kern, rho))
     if not all(map(math.isfinite, row)):
         raise NonFinite("non-finite record " + ", ".join(
             f"{name}={val:.6g}" for name, val in zip(RECORD_COLUMNS, row)))
     for name, val in zip(RECORD_COLUMNS, row):
         cols[name].append(val)
-    return h_half, float(np.dot(kern.k, power))
+    return h_half, dot(kern.k, power)
 
 
 def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls, cols: dict,

@@ -14,6 +14,7 @@ interpolation constant is C_opt = 2/M_c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,10 @@ import numpy as np
 from .spectral import (
     PROFILES,
     Field,
+    ModelParams,
     RadialGrid,
     RadialKernel,
-    homogeneous_half_sq,
-    interaction_energy,
+    dot,
     kernel,
     mass,
 )
@@ -102,7 +103,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
         if seed not in PROFILES:
             raise ValueError(f"unknown seed profile {seed!r}")
         seed = PROFILES[seed](grid)
-    kern = kernel(grid)
+    kern = kernel(grid, ModelParams())
     coeffs = kern.forward(seed.values).real.astype(np.complex128)
     update = np.inf
     for it in range(1, max_iter + 1):
@@ -134,17 +135,22 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
 
 def equation_residual(q: Field) -> float:
     """Relative L2 residual ||sqrt(-Delta) Q + Q - V_Q Q||_2 / ||Q||_2."""
-    kern = kernel(q.grid)
+    kern = kernel(q.grid, ModelParams())
     lin = kern.inverse((kern.k + 1.0) * kern.forward(q.values))
     qv = q.values.real
     res = lin - kern.potential(qv * qv) * q.values
-    return float(np.linalg.norm(res * kern.r) / np.linalg.norm(q.values * kern.r))
+    return _norm(res * kern.r) / _norm(q.values * kern.r)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of the complex array x, as np.linalg.norm forms it, with spectral.dot."""
+    return math.sqrt(dot(x.real, x.real) + dot(x.imag, x.imag))
 
 
 def pohozaev_residual(q: Field) -> float:
     """Relative defect of the dilation identity 2||grad^{1/2}Q||^2 = D(|Q|^2)."""
-    kin = homogeneous_half_sq(q)
-    dd = interaction_energy(q)
+    kern = kernel(q.grid, ModelParams())
+    kin, dd = kern.homogeneous_half_sq(q.values), kern.interaction(np.abs(q.values) ** 2)
     return abs(2.0 * kin - dd) / (2.0 * kin)
 
 
@@ -156,6 +162,6 @@ def gn_ratio(f: Field) -> float:
     m = mass(f)
     if m == 0.0:
         raise ZeroField("gn_ratio undefined for the zero field")
-    kin = homogeneous_half_sq(f)
-    return interaction_energy(f) / (kin * m)
+    kern = kernel(f.grid, ModelParams())
+    return kern.interaction(np.abs(f.values) ** 2) / (kern.homogeneous_half_sq(f.values) * m)
 

@@ -18,7 +18,6 @@ any spectral operation).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,16 +35,13 @@ __all__ = [
     "inverse_radial_transform",
     "coulomb_potential_density",
     "mass",
-    "interaction_energy",
     "energy",
-    "homogeneous_half_sq",
     "field_from_profile",
     "gaussian_field",
     "sech_field",
     "PROFILES",
     "field_to_json",
     "field_from_json",
-    "load_field_json",
 ]
 
 
@@ -170,6 +166,23 @@ def abs2(z: np.ndarray) -> np.ndarray:
 _INTERLEAVED_MAX = 8191
 
 
+# OpenBLAS (0.3.31, as numpy ships it) splits ddot across its threads above this
+# many entries, so np.dot's summation order there follows OPENBLAS_NUM_THREADS
+_DOT_SERIAL_MAX = 10_000
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) of two 1-D float64 arrays in an order that no thread setting changes: np.dot
+    (one OpenBLAS thread) up to _DOT_SERIAL_MAX entries, above that the dot of the first
+    ceil(len/2) entries plus the dot of the rest.  Up to 20,000 entries that is the split of two
+    OpenBLAS threads, and so their bits; one split alone would leave longer halves threaded."""
+    n = len(a)
+    if n <= _DOT_SERIAL_MAX:
+        return float(np.dot(a, b))
+    h = (n + 1) // 2
+    return dot(a[:h], b[:h]) + dot(a[h:], b[h:])
+
+
 def _sine(transform, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Orthonormal DST-I (transform = dst or idst) of the 1-D array x.
 
@@ -201,11 +214,11 @@ class RadialKernel:
     Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale, the
     H^{1/2} weight sqrt(1 + k^2) and the boundary-zone mask r >= 0.9*r_max,
     computed once, and offers the DST-I pair on raw arrays, the Poisson
-    solve, the Coulomb interaction, one Strang step and the virial weight.
+    solve, the Coulomb interaction, the H^{1/2} seminorm, one Strang step and the virial weight.
     The transform weights scale*r and 1/(scale*r), the Poisson weight
     4*pi/k^2, 1/r, r^2 and the mass weight 4*pi*dr*r^2 are precomputed too, and
     the free half-step phase of the last dt is kept for the next step.
-    Obtain it through `kernel`, which caches one per (grid, params).
+    Obtain it through `kernel`, which builds one per (grid, params).
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
@@ -250,7 +263,7 @@ class RadialKernel:
     def density_transform(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """(sine coefficients of r*rho on the interior, total mass of rho)."""
         return (_sine(dst, rho[:-1] * self.r[:-1], overwrite_x=True),
-                float(np.dot(rho, self.mass_weight)))
+                dot(rho, self.mass_weight))
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
         """Newton potential |x|^-1 * rho by the sine-basis Poisson solve.
@@ -270,8 +283,12 @@ class RadialKernel:
     def interaction(self, rho: np.ndarray) -> float:
         """D(rho, rho) = 4*pi int (|x|^-1 * rho) rho r^2 dr, in the Parseval form of the Poisson solve."""
         rho_tilde, total = self.density_transform(rho)
-        return float(self.grid.weight * np.dot(rho_tilde * rho_tilde, self._poisson)
-                     + total * total / self.grid.r_max)
+        return (self.grid.weight * dot(rho_tilde * rho_tilde, self._poisson)
+                + total * total / self.grid.r_max)
+
+    def homogeneous_half_sq(self, values: np.ndarray) -> float:
+        """Squared homogeneous H^{1/2} seminorm sum k |c_k|^2 = || |grad|^{1/2} u ||_2^2 of u(r_j)."""
+        return float(np.sum(self.k * np.abs(self.forward(values)) ** 2))
 
     def virial_weight(self, values: np.ndarray) -> float:
         """W = sum_j <x_j u, omega(D) x_j u> of the radial samples u(r_j).
@@ -313,22 +330,18 @@ class RadialKernel:
 
 
 @lru_cache(maxsize=8)
-def _cached_kernel(grid: RadialGrid, params: ModelParams) -> RadialKernel:
+def kernel(grid: RadialGrid, params: ModelParams) -> RadialKernel:
+    """The RadialKernel of (grid, params), built once per pair passed positionally."""
     return RadialKernel(grid, params)
-
-
-def kernel(grid: RadialGrid, params: ModelParams | None = None) -> RadialKernel:
-    """The cached RadialKernel of (grid, params); params default to m = 0."""
-    return _cached_kernel(grid, ModelParams() if params is None else params)
 
 
 def radial_transform(f: Field) -> SpectralField:
     """Forward transform of a Field (see RadialKernel.forward)."""
-    return SpectralField(f.grid, kernel(f.grid).forward(f.values))
+    return SpectralField(f.grid, kernel(f.grid, ModelParams()).forward(f.values))
 
 
 def inverse_radial_transform(sf: SpectralField) -> Field:
-    return Field(sf.grid, kernel(sf.grid).inverse(sf.coefficients))
+    return Field(sf.grid, kernel(sf.grid, ModelParams()).inverse(sf.coefficients))
 
 
 def mass(f: Field) -> float:
@@ -340,25 +353,14 @@ def mass(f: Field) -> float:
 def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Newton potential |x|^-1 * rho of a radial density rho >= 0: the sine-basis
     Poisson solve of RadialKernel.potential, spectrally accurate for resolved densities."""
-    return kernel(grid).potential(np.asarray(rho, dtype=np.float64))
-
-
-def interaction_energy(f: Field) -> float:
-    """Quartic interaction functional D(|u|^2, |u|^2) (the self-Coulomb energy, twice)."""
-    return kernel(f.grid).interaction(np.abs(f.values) ** 2)
+    return kernel(grid, ModelParams()).potential(np.asarray(rho, dtype=np.float64))
 
 
 def energy(f: Field, params: ModelParams) -> float:
     """Conserved energy: (1/2)<u, sqrt(-Delta+m^2) u> - (1/4) D(|u|^2)."""
     kern = kernel(f.grid, params)
     kinetic = float(np.sum(kern.omega * np.abs(kern.forward(f.values)) ** 2))
-    return 0.5 * kinetic - 0.25 * interaction_energy(f)
-
-
-def homogeneous_half_sq(f: Field) -> float:
-    """Squared homogeneous H^{1/2} seminorm: sum k |c_k|^2 = || |grad|^{1/2} u ||_2^2."""
-    kern = kernel(f.grid)
-    return float(np.sum(kern.k * np.abs(kern.forward(f.values)) ** 2))
+    return 0.5 * kinetic - 0.25 * kern.interaction(np.abs(f.values) ** 2)
 
 
 # --- constructors -----------------------------------------------------------
@@ -392,8 +394,3 @@ def field_from_json(obj: dict) -> Field:
     grid = RadialGrid(int(obj["grid"]["n_points"]), float(obj["grid"]["r_max"]))
     vals = np.array([complex(re, im) for re, im in obj["values"]])
     return Field(grid, vals)
-
-
-def load_field_json(path) -> Field:
-    with open(path) as fh:
-        return field_from_json(json.load(fh))

@@ -11,8 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from bosonstar.operator_lab import (PeriodicGrid1D, _composite_t_nodes,
                                     build_fractional, operator_norm_matrix)
-from bosonstar.spectral import (Field, ModelParams, RadialGrid, energy, homogeneous_half_sq,
-                                kernel, mass)
+from bosonstar.spectral import Field, ModelParams, RadialGrid, energy, kernel, mass
 
 
 def zero_field(grid: RadialGrid) -> Field:
@@ -46,7 +45,7 @@ def rescale_field(f: Field, lam: float) -> Field:
 
 def hs_norm(f: Field, s: float) -> float:
     """Inhomogeneous Sobolev norm ||(1+k^2)^{s/2} u^||_2 for s in [-1, 1]."""
-    kern = kernel(f.grid)
+    kern = kernel(f.grid, ModelParams())
     c = kern.forward(f.values)
     return float(np.sqrt(np.sum((1.0 + kern.k * kern.k) ** s * np.abs(c) ** 2)))
 
@@ -60,7 +59,7 @@ def free_evolution(u0: Field, params: ModelParams, t: float) -> Field:
 def energy_threshold_check(f: Field, gs, params: ModelParams) -> dict:
     """Slack of the sharp energy lower bound E[f] >= (1/2)(1 - M[f]/M_c) ||grad^{1/2}f||^2."""
     m = mass(f)
-    kin = homogeneous_half_sq(f)
+    kin = kernel(f.grid, params).homogeneous_half_sq(f.values)
     e = energy(f, params)
     bound = 0.5 * (1.0 - m / gs.critical_mass) * kin
     return {"energy": e, "mass": m, "bound": bound, "slack": e - bound}

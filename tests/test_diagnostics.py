@@ -82,18 +82,20 @@ class TestLocalizedMass:
     def test_unit_cutoff_gives_mass(self):
         f = gaussian_field(GRID, 1.0, 2.0)
         one = Cutoff(kind="custom", samples=np.ones(GRID.n_points), grad_inf=0.0)
-        assert localized_mass(density(f), GRID, one) == pytest.approx(mass(f), rel=1e-12)
+        rho = density(f)
+        assert localized_mass(rho, kernel(GRID, P0), one) == pytest.approx(mass(f), rel=1e-12)
 
     def test_disjoint_support_gives_zero(self):
         f = field_from_profile(GRID, lambda r: np.where(r < 4.0, 1.0, 0.0))
         chi = smooth_exterior(GRID, 40.0, width=2.0)
-        assert localized_mass(density(f), GRID, chi) < 1e-12 * mass(f)
+        assert localized_mass(density(f), kernel(GRID, P0), chi) < 1e-12 * mass(f)
 
     def test_partition_sums_to_mass(self):
         f = gaussian_field(GRID, 1.0, 3.0)
         b = smooth_bump(GRID, 8.0)
         e = smooth_exterior(GRID, 8.0)
-        total = localized_mass(density(f), GRID, b) + localized_mass(density(f), GRID, e)
+        kern = kernel(GRID, P0)
+        total = localized_mass(density(f), kern, b) + localized_mass(density(f), kern, e)
         assert total == pytest.approx(mass(f), rel=1e-12)
 
 
@@ -151,13 +153,13 @@ class TestTightness:
 class TestConcentration:
     def test_whole_domain_ball(self):
         f = gaussian_field(GRID, 1.0, 2.0)
-        center, value = concentration_function(density(f), GRID, GRID.r_max + 1.0)
+        center, value = concentration_function(density(f), kernel(GRID, P0), GRID.r_max + 1.0)
         assert center == 0.0
         assert value == pytest.approx(mass(f), rel=1e-12)
 
     def test_origin_bump_concentrates_at_origin(self):
         f = gaussian_field(GRID, 1.0, 0.5)
-        center, value = concentration_function(density(f), GRID, 1.5)
+        center, value = concentration_function(density(f), kernel(GRID, P0), 1.5)
         assert abs(center) <= 2 * GRID.dr
         assert value > 0.99 * mass(f)
 
@@ -165,9 +167,10 @@ class TestConcentration:
         a = 6.0
         f = field_from_profile(GRID, lambda r: np.exp(-((r - a) ** 2) / 0.25))
         R = 2.0
-        center, value = concentration_function(density(f), GRID, R)
+        kern = kernel(GRID, P0)
+        center, value = concentration_function(density(f), kern, R)
         # oracle: exhaustive scan of every grid center
-        vals = np.array([ball_mass(density(f), GRID, d, R) for d in GRID.r])
+        vals = np.array([ball_mass(density(f), kern, d, R) for d in GRID.r])
         best = GRID.r[int(np.argmax(vals))]
         assert abs(center - best) <= 2 * GRID.dr
         assert value >= vals.max() * (1 - 1e-9)
@@ -176,7 +179,7 @@ class TestConcentration:
         for d in (0.5, 1.0, 1.5, 2.0, 3.0, a, 9.0):
             cstar = np.clip((r**2 + d**2 - R**2) / (2.0 * r * d), -1.0, 1.0)
             all_shells = 2.0 * np.pi * GRID.dr * np.sum(density(f) * r**2 * (1.0 - cstar))
-            assert ball_mass(density(f), GRID, d, R) == pytest.approx(
+            assert ball_mass(density(f), kern, d, R) == pytest.approx(
                 all_shells, rel=1e-13, abs=1e-15 * vals.max())
 
     def test_origin_ball_mass_matches_direct_sum(self):
@@ -192,7 +195,7 @@ class TestConcentration:
         for grid, rho, radius in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = ball_mass(rho, grid, 0.0, radius)
+                got = ball_mass(rho, kernel(grid, P0), 0.0, radius)
             assert got == float(grid.weight * np.sum((rho * grid.r**2)[grid.r <= radius]))
 
     def test_gate_on_subcritical_run(self, subcritical_traj, acceptance_gs):
@@ -395,6 +398,14 @@ class TestReportPlumbing:
             tracemalloc.stop()
         assert len(records) > len(CHECKS)
         assert peak - held < traj.fields.nbytes / 2
+
+    def test_run_checks_builds_one_kernel(self, blowup_traj, acceptance_gs):
+        # every check reads the run's (grid, params) kernel: no m = 0 kernel beside it
+        kernel.cache_clear()
+        run_checks(blowup_traj, acceptance_gs, Tolerances(), "all")
+        assert kernel.cache_info().currsize == 1
+        kernel(blowup_traj.grid, P1)  # the one entry is the run's m = 1 kernel
+        assert kernel.cache_info().currsize == 1
 
     def test_run_checks_propagation_matches_one_cutoff_at_a_time(self, subcritical_traj):
         bank = cutoff_bank(subcritical_traj.grid, TOL.bank_radii)

@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+import bosonstar
 from bosonstar.spectral import (
     Field,
     ModelParams,
@@ -10,12 +16,12 @@ from bosonstar.spectral import (
     RadialKernel,
     SpectralField,
     coulomb_potential_density,
+    dot,
     energy,
     field_from_json,
     field_from_profile,
     field_to_json,
     gaussian_field,
-    homogeneous_half_sq,
     inverse_radial_transform,
     kernel,
     mass,
@@ -32,7 +38,7 @@ def potential(f, route=coulomb_potential_density):
 
 def multiply(f, symbol):
     """f with its coefficients times symbol(k), the way the kernel applies every multiplier."""
-    kern = kernel(f.grid)
+    kern = kernel(f.grid, ModelParams())
     return Field(f.grid, kern.inverse(kern.forward(f.values) * symbol(kern.k)))
 
 
@@ -94,11 +100,15 @@ class TestTransform:
 
 class TestKernel:
     def test_cached_per_grid_and_params(self):
-        assert kernel(GRID) is kernel(RadialGrid(2048, 64.0))
-        assert kernel(GRID) is kernel(GRID, ModelParams(0.0))
-        assert kernel(GRID, ModelParams(1.0)) is not kernel(GRID)
+        assert kernel(GRID, ModelParams()) is kernel(RadialGrid(2048, 64.0), ModelParams(0.0))
+        assert kernel(GRID, ModelParams(1.0)) is not kernel(GRID, ModelParams(0.0))
         assert np.array_equal(kernel(GRID, ModelParams(1.0)).omega,
                               np.sqrt(GRID.frequencies**2 + 1.0))
+
+    def test_energy_builds_only_its_params_kernel(self):
+        kernel.cache_clear()
+        energy(gaussian_field(GRID, 1.0, 2.0), ModelParams(1.0))
+        assert kernel.cache_info().currsize == 1
 
     def test_only_spectral_imports_scipy_fft(self):
         # every DST and DCT in the package goes through the one kernel in
@@ -268,7 +278,7 @@ class TestCoulomb:
     def test_kernel_interaction_matches_quadrature(self):
         # the Parseval form equals the quadrature 4 pi dr sum V rho r^2 of the solved V
         rng = np.random.default_rng(4)
-        kern = kernel(GRID)
+        kern = kernel(GRID, ModelParams())
         for _ in range(10):
             rho = np.abs(random_smooth_field(GRID, rng).values) ** 2
             quadrature = GRID.weight * np.sum(kern.potential(rho) * rho * GRID.r**2)
@@ -320,15 +330,64 @@ class TestFunctionals:
     def test_homogeneous_half_sq_matches_symbol(self):
         f = sine_mode(GRID, 4)
         k4 = GRID.frequencies[3]
-        assert homogeneous_half_sq(f) == pytest.approx(k4 * mass(f), rel=1e-10)
+        kern = kernel(GRID, ModelParams())
+        assert kern.homogeneous_half_sq(f.values) == pytest.approx(k4 * mass(f), rel=1e-10)
 
     def test_boundary_mass_of_resolved_field(self):
         # the zone r >= 0.9 r_max of the kernel's mask, which records.csv reports
         f = gaussian_field(GRID, 1.0, 2.0)
-        zone = kernel(GRID).boundary
+        zone = kernel(GRID, ModelParams()).boundary
         assert np.array_equal(zone, GRID.r >= 0.9 * GRID.r_max)
         edge = GRID.weight * np.sum(np.abs(f.values[zone]) ** 2 * GRID.r[zone] ** 2)
         assert edge < 1e-10 * mass(f)
+
+
+# prints the record row of an n = 16384 state and dot at lengths past two 10,000-entry blocks
+THREAD_PROBE = """
+import numpy as np
+from bosonstar.evolution import trajectory_from_snapshots
+from bosonstar.spectral import ModelParams, RadialGrid, dot, sech_field
+f = sech_field(RadialGrid(16384, 16.0))
+records = trajectory_from_snapshots([f], [0.0], ModelParams(1.0)).records
+print(*(float(records[c][0]).hex() for c in sorted(records)))
+rng = np.random.default_rng(7)
+print(*(dot(rng.standard_normal(n), rng.standard_normal(n)).hex() for n in (20001, 30000)))
+"""
+
+
+@pytest.fixture(scope="module")
+def thread_probe():
+    """THREAD_PROBE's output lines with OpenBLAS pinned to 1 thread and to 2 threads."""
+    src = str(pathlib.Path(bosonstar.__file__).parents[1])
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        out[threads] = run.stdout.splitlines()
+    return out
+
+
+class TestDot:
+    def test_is_np_dot_up_to_one_block(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 9999, 10000):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            assert dot(a, b) == float(np.dot(a, b))
+
+    def test_splits_longer_arrays_in_halves(self):
+        rng = np.random.default_rng(9)
+        for n in (10001, 16383, 30000):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            h = (n + 1) // 2
+            assert dot(a, b) == dot(a[:h], b[:h]) + dot(a[h:], b[h:])
+            assert abs(dot(a, b) - np.dot(a, b)) <= 1e-14 * n * np.dot(np.abs(a), np.abs(b))
+
+    def test_record_row_is_thread_independent(self, thread_probe):
+        assert thread_probe["1"][0] == thread_probe["2"][0]
+
+    def test_dot_is_thread_independent(self, thread_probe):
+        assert thread_probe["1"][1] == thread_probe["2"][1]
 
 
 class TestSerialization:
