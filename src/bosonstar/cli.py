@@ -142,7 +142,8 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
                                  resolved_width_cells=cfg.tolerances.resolved_width_cells)
     u0 = _make_u0(cfg, RadialGrid(**cfg.grid))
     try:
-        traj = evolve(u0, ModelParams(**cfg.params), controls)
+        traj = evolve(u0, ModelParams(**cfg.params), controls,
+                      os.path.join(out_dir, "snapshots.npy"))
     except Unresolved as exc:
         raise InputError(f"cannot start evolve: {exc}") from exc
     files = save_trajectory(traj, out_dir)

@@ -11,18 +11,28 @@ mirroring the rescaling by || |grad|^{1/2} u ||^2 that governs the blowup
 scale: the phase rotation per step stays bounded as the solution focuses.
 Hitting dt_floor is the operational "blowup suspected" flag; a state whose
 record row is not finite raises NonFinite instead.
+
+Snapshot samples live only in an .npy file, never all in memory: evolve appends
+each kept row to the file as the row is produced (thinning compacts rows inside
+it) and writes np.save's header when the run returns, and a SnapshotRows store
+reads one row per index.  So evolve and diagnose hold O(n) plus one row, and the
+reclaimable page cache holds the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .spectral import (
     Field,
@@ -31,13 +41,13 @@ from .spectral import (
     RadialKernel,
     abs2,
     dot,
-    frozen,
     kernel,
 )
 
 __all__ = [
     "EvolutionControls",
     "Snapshot",
+    "SnapshotRows",
     "Trajectory",
     "NonFinite",
     "Unresolved",
@@ -94,26 +104,152 @@ class EvolutionControls:
             raise ValueError("max_snapshots must be >= 2: a run keeps its first and last snapshot")
 
 
+_ROW_DTYPE = np.dtype(np.complex128)
+
+
+def _npy_header(rows: int, n: int) -> bytes:
+    """The header np.save writes for a C-order complex128 (rows, n) array; numpy pads it so
+    that its length does not change as the row count grows."""
+    buf = io.BytesIO()
+    npy_format.write_array_header_1_0(buf, {"descr": npy_format.dtype_to_descr(_ROW_DTYPE),
+                                            "fortran_order": False, "shape": (rows, n)})
+    return buf.getvalue()
+
+
+class SnapshotRows:
+    """The rows of a C-order complex128 (rows, grid.n_points) .npy file, one per snapshot.
+
+    `rows[i]` (negative i too) reads row i into a new read-only array, so no row stays
+    in memory.  The store keeps its file open and closes it when it is collected.  A
+    store from `create` is a sink first: `append` and `keep` build the file, and
+    leaving its `with` block writes the header, or removes the file on an exception.
+    """
+
+    def __init__(self, grid: RadialGrid, fd: int, offset: int, rows: int, rename=None):
+        self.grid, self.fd, self.offset, self.rows = grid, fd, offset, rows
+        self.row_nbytes = grid.n_points * _ROW_DTYPE.itemsize
+        self._rename = rename  # (temporary path, path) of a sink given a path
+        self._close = weakref.finalize(self, os.close, fd)
+
+    @classmethod
+    def create(cls, grid: RadialGrid, path=None) -> "SnapshotRows":
+        """An empty sink: with a path, a sibling temporary file renamed to it on success;
+        without, an anonymous file."""
+        if path is None:
+            fd, partial = tempfile.mkstemp()
+            os.remove(partial)
+        else:
+            partial = f"{path}.partial"
+            fd = os.open(partial, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        header = _npy_header(0, grid.n_points)
+        os.pwrite(fd, header, 0)
+        return cls(grid, fd, len(header), 0, None if path is None else (partial, path))
+
+    @classmethod
+    def open(cls, grid: RadialGrid, path, rows: int) -> "SnapshotRows":
+        """The store of the .npy file at path; ValueError unless it holds a C-order
+        complex128 (rows, grid.n_points) array and nothing past it."""
+        with open(path, "rb") as fh:
+            version = npy_format.read_magic(fh)
+            read_header = (npy_format.read_array_header_1_0 if version == (1, 0)
+                           else npy_format.read_array_header_2_0)
+            shape, fortran_order, dtype = read_header(fh)
+            expected = (rows, grid.n_points)
+            offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+            expected_size = offset + rows * grid.n_points * _ROW_DTYPE.itemsize
+            if (dtype, fortran_order, shape, size) != (_ROW_DTYPE, False, expected, expected_size):
+                order = "Fortran" if fortran_order else "C"
+                raise ValueError(f"{path} holds {order}-order {dtype} {shape} in {size} bytes, "
+                                 f"expected C-order complex128 {expected}, one row per record "
+                                 f"index, in {expected_size} bytes")
+            return cls(grid, os.dup(fh.fileno()), offset, rows)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows * self.row_nbytes
+
+    def _at(self, i: int) -> int:
+        return self.offset + i * self.row_nbytes
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(self.rows)[i]
+        row = np.empty(self.grid.n_points, _ROW_DTYPE)
+        if os.preadv(self.fd, [row], self._at(i)) != self.row_nbytes:
+            raise OSError(f"the snapshot file ends inside row {i}")
+        row.flags.writeable = False
+        return row
+
+    def _write(self, i: int, values: np.ndarray) -> None:
+        row = np.ascontiguousarray(values, _ROW_DTYPE)
+        if os.pwrite(self.fd, row, self._at(i)) != row.nbytes:
+            raise OSError(f"short write of snapshot row {i}")
+
+    def append(self, values: np.ndarray) -> None:
+        self._write(self.rows, values)
+        self.rows += 1
+
+    def keep(self, indices: list) -> None:
+        """Keep only the rows at the ascending indices, moved down in place."""
+        for dst, src in enumerate(indices):  # ascending, so no row is overwritten unread
+            if dst != src:
+                self._write(dst, self[src])
+        self.rows = len(indices)
+
+    def __enter__(self) -> "SnapshotRows":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self._close()
+            if self._rename is not None:
+                os.remove(self._rename[0])
+            return
+        os.pwrite(self.fd, _npy_header(self.rows, self.grid.n_points), 0)  # as long as before
+        os.ftruncate(self.fd, self._at(self.rows))
+        if self._rename is not None:
+            os.replace(*self._rename)
+            self._rename = None
+
+    def save(self, path) -> None:
+        """Write the file np.save would write for these rows to path, a row at a time;
+        nothing when path is this store's own file."""
+        if os.path.exists(path) and os.path.samestat(os.fstat(self.fd), os.stat(path)):
+            return
+        with open(path, "wb") as fh:
+            fh.write(_npy_header(self.rows, self.grid.n_points))
+            for i in range(self.rows):
+                fh.write(self[i])
+
+
 @dataclass(frozen=True)
 class Snapshot:
     t: float
-    field: Field  # a view of this snapshot's row of Trajectory.fields
     record_index: int
     resolved: bool  # its half-max width spans at least controls.resolved_width_cells cells
+    rows: SnapshotRows = dataclasses.field(repr=False)  # Trajectory.fields
+    row: int  # this snapshot's row of it
+
+    @property
+    def field(self) -> Field:
+        """This snapshot's samples, read from its row on each access."""
+        return Field(self.rows.grid, self.rows[self.row])
 
 
 @dataclass
 class Trajectory:
     """Time-ordered snapshots plus per-accepted-step conserved-quantity records; `fields` is
-    the read-only (snapshots, n_points) array that snapshots.npy stores, one row per snapshot,
-    and the only copy of the snapshot samples: `evolve` writes each kept step into it, and
-    `density(i)` computes |u|^2 of row i when a check reads it."""
+    the SnapshotRows store of the snapshot samples, one row per snapshot and the only home
+    of them: `evolve` appends each kept step to its file, and `density(i)` computes |u|^2
+    of row i when a check reads it."""
 
     grid: RadialGrid
     params: ModelParams
     controls: EvolutionControls
     records: dict  # columns: t, dt, mass, energy, h_half, boundary_mass
-    fields: np.ndarray
+    fields: SnapshotRows
     snapshots: list
     termination: str
 
@@ -185,79 +321,76 @@ def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np
 
 
 def _trajectory(grid: RadialGrid, params: ModelParams, controls: EvolutionControls, cols: dict,
-                record_indices: list, fields: np.ndarray, termination: str) -> Trajectory:
+                record_indices: list, fields: SnapshotRows, termination: str) -> Trajectory:
     """Package record columns and the snapshot rows `fields`, taken at `record_indices`;
     the one builder of a Snapshot, so its time and resolved flag are always derived."""
     records = {name: np.asarray(vals) for name, vals in cols.items()}
     min_width = controls.resolved_width_cells * grid.dr
     snapshots = []
-    for rec_idx, row in zip(record_indices, frozen(fields)):
-        f = Field(grid, row)
-        snapshots.append(Snapshot(t=float(records["t"][rec_idx]), field=f, record_index=rec_idx,
-                                  resolved=bool(half_max_width(f) >= min_width)))
+    for row, rec_idx in enumerate(record_indices):
+        resolved = bool(half_max_width(Field(grid, fields[row])) >= min_width)
+        snapshots.append(Snapshot(t=float(records["t"][rec_idx]), record_index=rec_idx,
+                                  resolved=resolved, rows=fields, row=row))
     return Trajectory(grid=grid, params=params, controls=controls, records=records,
                       fields=fields, snapshots=snapshots, termination=termination)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises NonFinite
-def evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
-    """Integrate from u0 with adaptive Strang stepping and per-step conservation records."""
+def evolve(u0: Field, params: ModelParams, controls: EvolutionControls,
+           fields_path=None) -> Trajectory:
+    """Integrate from u0 with adaptive Strang stepping and per-step conservation records.
+
+    Each kept snapshot row is appended to an .npy file as it is produced: with a
+    `fields_path`, to a sibling temporary file renamed to it when the run returns and
+    removed when it raises; without, to an anonymous file."""
     grid = u0.grid
     kern = kernel(grid, params)
     require_resolved(u0, kern)
     cols = {name: [] for name in RECORD_COLUMNS}
-    # the record index of each kept snapshot, and its samples as a row of one array grown a
-    # row at a time by ndarray.resize (a realloc); refcheck is off, since a tracer's frame
-    # reference fails it, and that is safe because nothing views the array before it returns
-    snap_idx = []
-    fields = np.empty((0, grid.n_points), dtype=np.complex128)
+    snap_idx = []  # the record index of each kept snapshot, the rows of `fields`
 
     def push_snapshot(u_vals):
-        kept = len(snap_idx)
-        if kept == len(fields):
-            fields.resize((kept + 1, grid.n_points), refcheck=False)
-        fields[kept] = u_vals
+        fields.append(u_vals)
         snap_idx.append(steps_accepted)
         if len(snap_idx) > controls.max_snapshots:
             keep_from = (3 * len(snap_idx)) // 4
             rows = [*range(0, keep_from, 2), *range(keep_from, len(snap_idx))]
-            for dst_row, src_row in enumerate(rows):  # ascending, so no row is overwritten unread
-                fields[dst_row] = fields[src_row]
+            fields.keep(rows)
             snap_idx[:] = [snap_idx[i] for i in rows]
 
-    u = u0.values
-    c = kern.forward(u)
-    steps_accepted = 0
-    _, h_hom_sq = _push_record(cols, kern, 0.0, 0.0, u, c)
-    push_snapshot(u)
-
-    t = 0.0
-    termination = HORIZON_REACHED
-    v_ctrl = kern.potential(abs2(u))
-
-    while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
-        rate = max(h_hom_sq, float(np.max(v_ctrl)), 1e-300)
-        dt = min(controls.dt0, controls.cfl / rate)
-        if dt < controls.dt_floor:
-            termination = STEP_FLOOR
-            break
-        if t + 1.05 * dt >= controls.t_end:
-            dt = controls.t_end - t  # absorb the float remainder into the last step
-
-        c, v_ctrl = kern.strang(c, dt)
-        u = kern.inverse(c)
-        t += dt
-        steps_accepted += 1
-        h_half, h_hom_sq = _push_record(cols, kern, t, dt, u, c)
-        if steps_accepted % controls.snapshot_stride == 0:
-            push_snapshot(u)
-        if h_half > controls.h_half_cap:
-            termination = NORM_CAP
-            break
-
-    if snap_idx[-1] < steps_accepted:
+    with SnapshotRows.create(grid, fields_path) as fields:
+        u = u0.values
+        c = kern.forward(u)
+        steps_accepted = 0
+        _, h_hom_sq = _push_record(cols, kern, 0.0, 0.0, u, c)
         push_snapshot(u)
-    fields.resize((len(snap_idx), grid.n_points), refcheck=False)
+
+        t = 0.0
+        termination = HORIZON_REACHED
+        v_ctrl = kern.potential(abs2(u))
+
+        while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
+            rate = max(h_hom_sq, float(np.max(v_ctrl)), 1e-300)
+            dt = min(controls.dt0, controls.cfl / rate)
+            if dt < controls.dt_floor:
+                termination = STEP_FLOOR
+                break
+            if t + 1.05 * dt >= controls.t_end:
+                dt = controls.t_end - t  # absorb the float remainder into the last step
+
+            c, v_ctrl = kern.strang(c, dt)
+            u = kern.inverse(c)
+            t += dt
+            steps_accepted += 1
+            h_half, h_hom_sq = _push_record(cols, kern, t, dt, u, c)
+            if steps_accepted % controls.snapshot_stride == 0:
+                push_snapshot(u)
+            if h_half > controls.h_half_cap:
+                termination = NORM_CAP
+                break
+
+        if snap_idx[-1] < steps_accepted:
+            push_snapshot(u)
     return _trajectory(grid, params, controls, cols, snap_idx, fields, termination)
 
 
@@ -273,10 +406,12 @@ def trajectory_from_snapshots(fields, times, params: ModelParams,
         controls = EvolutionControls(dt0=1.0, t_end=float(times[-1]) if times[-1] > 0 else 1.0)
     kern = kernel(grid, params)
     cols = {name: [] for name in RECORD_COLUMNS}
-    for t, prev_t, f in zip(times, [0.0, *times[:-1]], fields):
-        _push_record(cols, kern, float(t), float(t - prev_t), f.values, kern.forward(f.values))
-    return _trajectory(grid, params, controls, cols, list(range(len(fields))),
-                       np.stack([f.values for f in fields]), termination)
+    with SnapshotRows.create(grid) as rows:
+        for t, prev_t, f in zip(times, [0.0, *times[:-1]], fields):
+            _push_record(cols, kern, float(t), float(t - prev_t), f.values,
+                         kern.forward(f.values))
+            rows.append(f.values)
+    return _trajectory(grid, params, controls, cols, list(range(len(fields))), rows, termination)
 
 
 def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
@@ -298,7 +433,8 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
     """Write records as CSV, what cannot be derived from them as JSON and `traj.fields` as .npy.
 
     `snapshots.npy` holds one complex128 row per snapshot, in the order of the
-    `record_indices` in `snapshots.json`; returns the file map.
+    `record_indices` in `snapshots.json`, and is not rewritten when it is already the file
+    of `traj.fields`; returns the file map.
     """
     os.makedirs(out_dir, exist_ok=True)
     rec_path = os.path.join(out_dir, "records.csv")
@@ -317,7 +453,7 @@ def save_trajectory(traj: Trajectory, out_dir) -> dict:
     with open(snap_path, "w") as fh:
         json.dump(payload, fh)
     fields_path = os.path.join(out_dir, "snapshots.npy")
-    np.save(fields_path, traj.fields, allow_pickle=False)
+    traj.fields.save(fields_path)
     return {"records": rec_path, "snapshots": snap_path, "fields": fields_path}
 
 
@@ -344,10 +480,6 @@ def load_trajectory(out_dir) -> Trajectory:
     fields_path = os.path.join(out_dir, "snapshots.npy")
     if not os.path.isfile(fields_path):
         raise ValueError(f"{fields_path} is missing (snapshots.json holds metadata only)")
-    fields = np.load(fields_path, allow_pickle=False)
-    expected = (len(indices), grid.n_points)
-    if fields.dtype != np.complex128 or fields.shape != expected:
-        raise ValueError(f"{fields_path} holds {fields.dtype} {fields.shape}, "
-                         f"expected complex128 {expected}, one row per record index")
+    fields = SnapshotRows.open(grid, fields_path, len(indices))
     records = {c: rows[:, i] for i, c in enumerate(RECORD_COLUMNS)}
     return _trajectory(grid, params, controls, records, indices, fields, payload["termination"])

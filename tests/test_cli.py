@@ -762,6 +762,16 @@ class TestNumericalFailureExit:
         assert "mass=inf" in err
         assert not (out_dir / "manifest.json").exists()
 
+    def test_failed_evolve_leaves_no_snapshots_npy(self, tmp_path):
+        # the rows go to a temporary file that a failed run removes, not to snapshots.npy
+        out_dir = tmp_path / "ev"
+        config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 1024, "r_max": 32.0},
+            "u0": {"kind": "gaussian", "amplitude": 1e154, "width": 1.0},
+            "out_dir": str(out_dir)})
+        assert main(["--quiet", "evolve", "--config", config]) == EXIT_NUMERICAL
+        assert os.listdir(out_dir) == []
+
 
 class TestTolerancesTable:
     def test_all_slack_constants_positive(self):

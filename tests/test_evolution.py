@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bosonstar import evolution
 from bosonstar.evolution import (
     HORIZON_REACHED,
     NORM_CAP,
     EvolutionControls,
     NonFinite,
+    SnapshotRows,
     Unresolved,
     evolve,
     h_minus1_rhs_bound,
@@ -251,22 +253,99 @@ class TestTrajectoryPlumbing:
         elif source == "trajectory_from_snapshots":
             traj = trajectory_from_snapshots([s.field for s in traj.snapshots],
                                              [s.t for s in traj.snapshots], P1)
-        assert traj.fields.shape == (len(traj.snapshots), GRID.n_points) and len(traj.snapshots) > 1
-        assert not traj.fields.flags.writeable
-        with pytest.raises(ValueError):
-            traj.fields[0, 0] = 1.0
-        assert all(np.shares_memory(s.field.values, traj.fields) for s in traj.snapshots)
+        fields = traj.fields
+        assert len(fields) == len(traj.snapshots) > 1
+        assert fields.nbytes == len(fields) * GRID.n_points * 16
+        rows = [fields[i] for i in range(len(fields))]
+        # each index reads a new read-only row, which a snapshot's Field keeps uncopied
+        assert all(row.dtype == np.complex128 and row.shape == (GRID.n_points,)
+                   and not row.flags.writeable for row in rows)
+        assert fields[0] is not fields[0]
+        assert fields[-1].tobytes() == rows[-1].tobytes()
+        assert fields[-len(fields)].tobytes() == rows[0].tobytes()
+        for beyond in (len(fields), -len(fields) - 1):
+            with pytest.raises(IndexError):
+                fields[beyond]
+        for i, s in enumerate(traj.snapshots):
+            assert s.field.values.base is None
+            assert s.field.values.tobytes() == rows[i].tobytes()
+            assert np.array_equal(traj.density(i), np.abs(rows[i]) ** 2)
         files = save_trajectory(traj, tmp_path / "saved")
-        assert np.load(files["fields"]).tobytes() == traj.fields.tobytes()
-        for i, row in enumerate(traj.fields):
-            assert np.array_equal(traj.density(i), np.abs(row) ** 2)
+        with open(files["fields"], "rb") as fh:
+            saved = fh.read()
+        np.save(tmp_path / "ref.npy", np.stack(rows))
+        assert saved == (tmp_path / "ref.npy").read_bytes()
 
-    def test_save_allocates_no_copy_of_the_fields(self, tmp_path):
+    @pytest.mark.parametrize("n", [4, 1024])
+    @pytest.mark.parametrize("count", [1, 2, 9, 10, 99, 100, 513])
+    @pytest.mark.parametrize("cap", [None, 8])
+    def test_row_sink_file_is_np_save_of_the_kept_rows(self, tmp_path, n, count, cap):
+        # rows arrive one at a time; with a cap, evolve's thinning rule compacts them
+        rng = np.random.default_rng(count)
+        rows = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        kept, path = [], tmp_path / "snapshots.npy"
+        with SnapshotRows.create(RadialGrid(n, 1.0), path) as sink:
+            for i, row in enumerate(rows):
+                sink.append(row)
+                kept.append(i)
+                if cap is not None and len(kept) > cap:
+                    keep_from = (3 * len(kept)) // 4
+                    idx = [*range(0, keep_from, 2), *range(keep_from, len(kept))]
+                    sink.keep(idx)
+                    kept = [kept[j] for j in idx]
+        assert (cap is not None and count > cap) == (len(kept) < count)
+        np.save(tmp_path / "ref.npy", rows[kept])
+        assert path.read_bytes() == (tmp_path / "ref.npy").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["ref.npy", "snapshots.npy"]  # no partial file
+        assert [sink[i].tobytes() for i in range(len(sink))] == [r.tobytes() for r in rows[kept]]
+
+    def test_blowup_file_is_np_save_of_its_rows(self, tmp_path, blowup_traj):
+        fields = blowup_traj.fields
+        stored = os.pread(fields.fd, os.fstat(fields.fd).st_size, 0)
+        np.save(tmp_path / "ref.npy", np.stack([s.field.values for s in blowup_traj.snapshots]))
+        assert stored == (tmp_path / "ref.npy").read_bytes()
+
+    @pytest.mark.parametrize("failure", ["non_finite", "interrupted"])
+    def test_failed_evolve_leaves_no_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "snapshots.npy"
+        controls = EvolutionControls(dt0=5e-3, t_end=0.2, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=1)
+        if failure == "non_finite":  # |u|^2 overflows at the first record
+            u0, error = Field(GRID, 1e154 * gaussian_field(GRID, 1.0, 2.0).values), NonFinite
+        else:  # any exception after rows were written, here in the tenth record
+            push, calls = evolution._push_record, []
+
+            def failing_push(*args):
+                calls.append(1)
+                if len(calls) == 10:
+                    raise KeyboardInterrupt
+                return push(*args)
+            monkeypatch.setattr(evolution, "_push_record", failing_push)
+            u0, error = gaussian_field(GRID, 0.5, 2.0), KeyboardInterrupt
+        with pytest.raises(error):
+            evolve(u0, P1, controls, path)
+        assert os.listdir(tmp_path) == []
+
+    def test_save_skips_the_store_s_own_file(self, tmp_path):
+        f = gaussian_field(GRID, 0.5, 2.0)
+        controls = EvolutionControls(dt0=5e-3, t_end=0.2, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=5)
+        traj = evolve(f, P1, controls, tmp_path / "snapshots.npy")
+        before = os.stat(tmp_path / "snapshots.npy")
+        files = save_trajectory(traj, tmp_path)
+        after = os.stat(files["fields"])
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert sorted(os.listdir(tmp_path)) == ["records.csv", "snapshots.json", "snapshots.npy"]
+        back = load_trajectory(tmp_path)
+        assert [s.field.values.tobytes() for s in back.snapshots] == \
+            [s.field.values.tobytes() for s in traj.snapshots]
+
+    def test_save_streams_the_fields_a_row_at_a_time(self, tmp_path):
         grid = RadialGrid(4096, 64.0)
-        controls = EvolutionControls(dt0=1e-3, t_end=0.04, cfl=1.0, dt_floor=1e-12,
+        controls = EvolutionControls(dt0=1e-3, t_end=0.063, cfl=1.0, dt_floor=1e-12,
                                      snapshot_stride=1)
         traj = evolve(gaussian_field(grid, 0.5, 2.0), P1, controls)
-        assert len(traj.snapshots) >= 32
+        assert len(traj.snapshots) == 64
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -274,23 +353,26 @@ class TestTrajectoryPlumbing:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - held < traj.fields.nbytes / 4
+        assert peak - held < 2 * 16 * grid.n_points  # 64 rows on file, at most two in memory
 
-    def test_evolve_holds_one_copy_of_the_fields(self):
+    def test_evolve_peak_does_not_grow_with_the_snapshots(self):
         grid = RadialGrid(4096, 64.0)
-        controls = EvolutionControls(dt0=1e-3, t_end=0.04, cfl=1.0, dt_floor=1e-12,
-                                     snapshot_stride=1)
         u0 = gaussian_field(grid, 0.5, 2.0)
         kernel(grid, P1)  # the cached kernel is not part of the run's peak
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            traj = evolve(u0, P1, controls)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(traj.snapshots) >= 32
-        assert peak - held <= traj.fields.nbytes + 2e6
+        peaks = {}
+        for stride in (1, 64):  # 64 snapshots, then the first and last only
+            controls = EvolutionControls(dt0=1e-3, t_end=0.063, cfl=1.0, dt_floor=1e-12,
+                                         snapshot_stride=stride)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                traj = evolve(u0, P1, controls)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks[len(traj.snapshots)] = (peak - held) / (16 * grid.n_points)  # in rows
+        assert set(peaks) == {64, 2}
+        assert peaks[64] < 10 and peaks[64] - peaks[2] < 1
 
     def test_load_rejects_bad_or_missing_fields(self, tmp_path):
         f = gaussian_field(GRID, 0.5, 2.0)
@@ -298,12 +380,18 @@ class TestTrajectoryPlumbing:
                                      snapshot_stride=5)
         files = save_trajectory(evolve(f, P1, controls), tmp_path)
         fields = np.load(files["fields"])
-        np.save(files["fields"], fields[:, :-1])
-        with pytest.raises(ValueError, match="expected"):
-            load_trajectory(tmp_path)
-        np.save(files["fields"], fields.astype(np.complex64))
-        with pytest.raises(ValueError, match="expected"):
-            load_trajectory(tmp_path)
+        with open(files["fields"], "rb") as fh:
+            good = fh.read()
+        assert len(fields) > 1
+        for bad in (fields[:, :-1], fields.astype(np.complex64), np.asfortranarray(fields)):
+            np.save(files["fields"], bad)
+            with pytest.raises(ValueError, match="expected"):
+                load_trajectory(tmp_path)
+        for cut in (good[:-16], good + bytes(16)):  # a truncated file, and one with a tail
+            with open(files["fields"], "wb") as fh:
+                fh.write(cut)
+            with pytest.raises(ValueError, match="expected"):
+                load_trajectory(tmp_path)
         os.remove(files["fields"])
         with pytest.raises(ValueError, match="missing"):
             load_trajectory(tmp_path)
