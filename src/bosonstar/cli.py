@@ -9,7 +9,8 @@ identical config and seed reproduce byte-identical numeric outputs.
 Exit codes: 0 success; 2 a config that fails validation, an input file that
 cannot be read, lies on another grid or has a non-finite sample, a trajectory
 that does not match its manifest or was written by another artifact version, an
-unresolved datum, or an --out that cannot be written; 3 numerical failure
+unresolved datum, an out_dir that cannot be made (it is made before any compute)
+or written into, or an --out that cannot be written; 3 numerical failure
 (non-convergence, a non-finite record), one line on stderr with --quiet too;
 4 a check failed.
 """
@@ -199,14 +200,14 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
     """Dispatch a validated config; returns (exit_code, out_dir).  Only a run that
     exits 0 or 4 leaves a manifest.json in out_dir."""
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    # an earlier run's manifest would vouch for out_dir if this run fails; a diagnose
-    # trajectory is never out_dir (config_from_dict rejects that)
-    manifest = os.path.join(out_dir, "manifest.json")
-    if os.path.exists(manifest):
-        os.remove(manifest)
     t0 = time.time()
     try:
+        os.makedirs(out_dir, exist_ok=True)
+        # an earlier run's manifest would vouch for out_dir if this run fails; a diagnose
+        # trajectory is never out_dir (config_from_dict rejects that)
+        manifest = os.path.join(out_dir, "manifest.json")
+        if os.path.exists(manifest):
+            os.remove(manifest)
         if cfg.command == "evolve":
             outputs, records = run_evolve(cfg, out_dir, quiet), []
         else:
@@ -214,15 +215,18 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
             result, records = runner(cfg, quiet)
             outputs = [os.path.join(out_dir, name)]
             _write_json(outputs[0], result)
+        write_manifest(cfg, out_dir, time.time() - t0, outputs)
     except (GroundStateError, NonFinite) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, out_dir
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, out_dir
+    except OSError as exc:  # an input that cannot be read raises InputError instead
+        print(f"output error: cannot write into {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION, out_dir
     for rec in records:
         _say(quiet, rec.line())
-    write_manifest(cfg, out_dir, time.time() - t0, outputs)
     return (EXIT_OK if all(r.passed for r in records) else EXIT_CHECK_FAILED), out_dir
 
 

@@ -90,16 +90,17 @@ class Cutoff:
         object.__setattr__(self, "samples", s)
 
 
-def smooth_bump(grid: RadialGrid, radius: float, width: float | None = None) -> Cutoff:
-    """tanh step: 1 well inside radius, 0 well outside; |chi'| max = 1/(2*width)."""
-    w = radius / 4.0 if width is None else width
+def smooth_bump(grid: RadialGrid, radius: float) -> Cutoff:
+    """tanh step of width w = radius/4: 1 well inside radius, 0 well outside;
+    |chi'| max = 1/(2*w)."""
+    w = radius / 4.0
     chi = 0.5 * (1.0 - np.tanh((grid.r - radius) / w))
     return Cutoff(kind="smooth_bump", samples=chi, grad_inf=1.0 / (2.0 * w), radius=radius)
 
 
-def smooth_exterior(grid: RadialGrid, radius: float, width: float | None = None) -> Cutoff:
+def smooth_exterior(grid: RadialGrid, radius: float) -> Cutoff:
     """Complement of smooth_bump: 0 inside, 1 outside."""
-    w = radius / 4.0 if width is None else width
+    w = radius / 4.0
     chi = 0.5 * (1.0 + np.tanh((grid.r - radius) / w))
     return Cutoff(kind="smooth_exterior", samples=chi, grad_inf=1.0 / (2.0 * w), radius=radius)
 

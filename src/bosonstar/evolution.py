@@ -167,10 +167,6 @@ class SnapshotRows:
     def __len__(self) -> int:
         return self.rows
 
-    @property
-    def nbytes(self) -> int:
-        return self.rows * self.row_nbytes
-
     def _at(self, i: int) -> int:
         return self.offset + i * self.row_nbytes
 

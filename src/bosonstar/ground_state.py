@@ -24,7 +24,6 @@ from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
-    RadialKernel,
     dot,
     kernel,
     mass,
@@ -46,11 +45,7 @@ DIVERGENCE_NORM = 1e12
 
 
 class GroundStateError(Exception):
-    """Base class for ground-state solver failures; carries the iterate history length."""
-
-    def __init__(self, message, iterations):
-        super().__init__(message)
-        self.iterations = iterations
+    """Base class for ground-state solver failures; the message names the sweep that failed."""
 
 
 class NonConvergence(GroundStateError):
@@ -78,24 +73,13 @@ class GroundState:
     equation_residual: float
 
 
-def _iterate(coeffs: np.ndarray, kern: RadialKernel, gamma: float):
-    """One Petviashvili sweep on spectral coefficients; returns the new coefficients."""
-    k = kern.k
-    q = kern.inverse(coeffs).real
-    nl_coeffs = kern.forward(kern.potential(q * q) * q)
-    num = float(np.sum((k + 1.0) * np.abs(coeffs) ** 2))
-    den = float(np.real(np.sum(np.conj(coeffs) * nl_coeffs)))
-    if den <= 0:
-        raise DivergentIterate("nonlinear pairing lost positivity", 0)
-    return (num / den) ** gamma * nl_coeffs / (k + 1.0)
-
-
 def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 2000,
                        gamma: float = 1.5, seed: Field | str = "gaussian") -> GroundState:
     """Run the normalized fixed-point iteration until the H^{1/2} update stalls below tol.
 
     seed may be a Field or a name in spectral.PROFILES.  Raises NonConvergence when
-    max_iter is exhausted and DivergentIterate when an iterate norm passes 1e12.
+    max_iter is exhausted and DivergentIterate when the pairing <Q, N(Q)> is not
+    positive or an iterate norm passes 1e12; each message names its sweep.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -104,21 +88,28 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
             raise ValueError(f"unknown seed profile {seed!r}")
         seed = PROFILES[seed](grid)
     kern = kernel(grid, ModelParams())
+    k = kern.k
     coeffs = kern.forward(seed.values).real.astype(np.complex128)
     update = np.inf
-    for it in range(1, max_iter + 1):
-        new_coeffs = _iterate(coeffs, kern, gamma)
+    for it in range(1, max_iter + 1):  # one Petviashvili sweep on the coefficients
+        q = kern.inverse(coeffs).real
+        nl_coeffs = kern.forward(kern.potential(q * q) * q)
+        num = float(np.sum((k + 1.0) * np.abs(coeffs) ** 2))
+        den = float(np.real(np.sum(np.conj(coeffs) * nl_coeffs)))
+        if den <= 0:
+            raise DivergentIterate(f"nonlinear pairing lost positivity in sweep {it}")
+        new_coeffs = (num / den) ** gamma * nl_coeffs / (k + 1.0)
         wold = np.sqrt(np.sum(kern.h_half_weight * np.abs(coeffs) ** 2))
         wdiff = np.sqrt(np.sum(kern.h_half_weight * np.abs(new_coeffs - coeffs) ** 2))
         update = wdiff / wold
         coeffs = new_coeffs
         norm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise DivergentIterate(f"iterate norm {norm:.3e} after {it} sweeps", it)
+            raise DivergentIterate(f"iterate norm {norm:.3e} after {it} sweeps")
         if update < tol:
             break
     else:
-        raise NonConvergence(f"update {update:.3e} > tol {tol:.3e} after {max_iter} sweeps", max_iter)
+        raise NonConvergence(f"update {update:.3e} > tol {tol:.3e} after {max_iter} sweeps")
 
     q = Field(grid, np.abs(kern.inverse(coeffs).real).astype(np.complex128))  # positivity of the profile
     m_c = mass(q)

@@ -403,8 +403,7 @@ def subcritical_check(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
     hs = max(hs_norm_1d(grid, u, s) ** 2 for u in tail)
     mloc = highest_local_mass(grid, family, radius)
     ratio = lp / (mloc ** (2.0 * s) * hs)
-    return {"ratio": float(ratio), "bound": c_cal, "pass": bool(ratio <= c_cal),
-            "lp": float(lp), "hs_sq": float(hs), "local_mass": float(mloc)}
+    return {"ratio": float(ratio), "bound": c_cal, "pass": bool(ratio <= c_cal)}
 
 
 def _chi_eta(grid: PeriodicGrid1D, center: float, radius: float):

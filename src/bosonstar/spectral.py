@@ -105,7 +105,8 @@ def _as_values(values, n):
 class Field:
     """Complex radial function sampled on a RadialGrid; values[j] = u(r_{j+1}), read-only.
 
-    Values that another handle could write are copied; a row of a frozen array is kept.
+    An array that is read-only and views no other array (base None), as every
+    SnapshotRows row is, is kept; anything else is copied once and the copy made read-only.
     """
 
     grid: RadialGrid
@@ -113,25 +114,10 @@ class Field:
 
     def __post_init__(self):
         v = _as_values(self.values, self.grid.n_points)
-        object.__setattr__(self, "values", v if _read_only(v) else frozen(v.copy()))
-
-
-def _read_only(a) -> bool:
-    """True when neither a nor any array it views is writable."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
-
-
-def frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only together with every array it views."""
-    base = a
-    while isinstance(base, np.ndarray):
-        base.setflags(write=False)
-        base = base.base
-    return a
+        if v.flags.writeable or v.base is not None:  # another handle could write it
+            v = v.copy()
+            v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -147,8 +133,9 @@ class SpectralField:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           frozen(_as_values(self.coefficients, self.grid.n_points).copy()))
+        c = _as_values(self.coefficients, self.grid.n_points).copy()
+        c.flags.writeable = False
+        object.__setattr__(self, "coefficients", c)
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
@@ -312,17 +299,15 @@ class RadialKernel:
             self._phase_dt = dt
         return self._phase
 
-    def strang(self, c: np.ndarray, dt: float,
-               potential: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def strang(self, c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """One Strang step on coefficients; returns (new coefficients, V).
 
         Free half step, exact rotation exp(+i dt V) in physical space, free
-        half step.  V is the self-consistent potential of the half-stepped
-        field unless `potential` forces it.
+        half step.  V is the self-consistent potential of the half-stepped field.
         """
         phase_half = self._half_phase(dt)
         u_mid = self.inverse(phase_half * c)
-        v = self.potential(abs2(u_mid)) if potential is None else potential
+        v = self.potential(abs2(u_mid))
         u_mid *= _rotation(dt * v)
         c_new = self.forward(u_mid)
         c_new *= phase_half

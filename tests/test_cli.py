@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -363,7 +364,7 @@ class TestMainEntry:
     def test_ground_state_critical_mass_is_checked(self, tmp_path, capsys, small_run,
                                                    critical_mass):
         gs_json, traj_dir = small_run
-        data = json.loads(open(gs_json).read())
+        data = json.loads(pathlib.Path(gs_json).read_text())
         data["critical_mass"] = critical_mass
         bad = tmp_path / "gs.json"
         bad.write_text(json.dumps(data))
@@ -392,6 +393,27 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip()
         assert err.startswith("output error:") and "\n" not in err
         assert verify_manifest(out_dir)  # the run itself finished and keeps its outputs
+
+    @pytest.mark.parametrize("command", ["ground-state", "evolve", "diagnose", "operator-check"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below_file"])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, small_run, command, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out_dir = str(blocker / under) if under else str(blocker)
+        gs_json, traj_dir = small_run
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5}})
+        args = {"ground-state": ["--n", "256", "--rmax", "32", "--tol", "1e-8"],
+                "evolve": ["--config", ev_config],
+                "diagnose": ["--trajectory", traj_dir, "--ground-state", gs_json],
+                "operator-check": ["--suite", "ims", "--n", "8"]}[command]
+        code = main(["--quiet", "--out-dir", out_dir, command, *args])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("output error:") and out_dir in err and "\n" not in err
+        assert sorted(os.listdir(tmp_path)) == ["ev.json", "file"]  # nothing was written
+        assert blocker.read_text() == "kept"
 
     def test_out_that_cannot_be_written_after_a_failed_check(self, tmp_path, capsys, small_run):
         ev_config = write_config(tmp_path / "ev.json", {
@@ -702,8 +724,6 @@ class TestMainEntry:
 
 class TestSchemaStability:
     def test_emitted_json_matches_shipped_schema(self, tmp_path):
-        import pathlib
-
         schema_path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "output_schemas.json"
         schema = json.loads(schema_path.read_text())
         gs_cfg = config_from_dict({
@@ -711,7 +731,7 @@ class TestSchemaStability:
             "ground_state": {"tol": 1e-8, "max_iter": 500},
             "out_dir": str(tmp_path / "gs")})
         _, gs_dir = run(gs_cfg, quiet=True)
-        gs_data = json.loads(open(os.path.join(gs_dir, "ground_state.json")).read())
+        gs_data = json.loads(pathlib.Path(gs_dir, "ground_state.json").read_text())
         assert set(schema["ground_state.json"]) <= set(gs_data)
         assert set(schema["field"]) <= set(gs_data["profile"])
         ev_cfg = config_from_dict({
@@ -721,14 +741,14 @@ class TestSchemaStability:
             "u0": {"kind": "gaussian", "amplitude": 0.4, "width": 1.5},
             "out_dir": str(tmp_path / "ev")})
         _, ev_dir = run(ev_cfg, quiet=True)
-        snap = json.loads(open(os.path.join(ev_dir, "snapshots.json")).read())
+        snap = json.loads(pathlib.Path(ev_dir, "snapshots.json").read_text())
         assert set(schema["snapshots.json"]) == set(snap)  # nothing that records.csv derives
         fields = np.load(os.path.join(ev_dir, "snapshots.npy"), allow_pickle=False)
         assert fields.dtype == np.dtype(schema["snapshots.npy"]["dtype"])
         assert fields.shape == (len(snap["record_indices"]), snap["grid"]["n_points"])
-        header = open(os.path.join(ev_dir, "records.csv")).readline().strip().split(",")
+        header = pathlib.Path(ev_dir, "records.csv").read_text().splitlines()[0].split(",")
         assert header == schema["records.csv.columns"]
-        manifest = json.loads(open(os.path.join(ev_dir, "manifest.json")).read())
+        manifest = json.loads(pathlib.Path(ev_dir, "manifest.json").read_text())
         assert set(schema["manifest.json"]) <= set(manifest)
         assert manifest["version"] == schema["version"]
 

@@ -87,7 +87,9 @@ class TestLocalizedMass:
 
     def test_disjoint_support_gives_zero(self):
         f = field_from_profile(GRID, lambda r: np.where(r < 4.0, 1.0, 0.0))
-        chi = smooth_exterior(GRID, 40.0, width=2.0)
+        # a tanh exterior at 40 with width 2, sharper than the bank's radius / 4
+        chi = Cutoff(kind="custom", samples=0.5 * (1.0 + np.tanh((GRID.r - 40.0) / 2.0)),
+                     grad_inf=0.25)
         assert localized_mass(density(f), kernel(GRID, P0), chi) < 1e-12 * mass(f)
 
     def test_partition_sums_to_mass(self):

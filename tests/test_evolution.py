@@ -35,10 +35,10 @@ GRID = RadialGrid(1024, 64.0)
 P1 = ModelParams(1.0)
 
 
-def strang_step(f, dt, potential=None):
+def strang_step(f, dt):
     """One RadialKernel.strang step of f's samples, as evolve takes it."""
     kern = kernel(GRID, P1)
-    c, _ = kern.strang(kern.forward(f.values), dt, potential)
+    c, _ = kern.strang(kern.forward(f.values), dt)
     return Field(GRID, kern.inverse(c))
 
 
@@ -54,13 +54,14 @@ class TestStep:
             out = strang_step(f, 1e-3)
             assert abs(mass(out) - mass(f)) < 1e-13 * mass(f)
 
-    def test_forced_constant_potential_oracle(self):
+    def test_forced_constant_potential_oracle(self, monkeypatch):
         # with V = const the step is a global phase times the free flow,
         # assembled here from the two diagonal multipliers independently
         rng = np.random.default_rng(1)
         f = random_smooth_field(GRID, rng)
         c, dt = 0.37, 1e-3
-        forced = strang_step(f, dt, potential=np.full(GRID.n_points, c))
+        monkeypatch.setattr(RadialKernel, "potential", lambda kern, rho: np.full(len(rho), c))
+        forced = strang_step(f, dt)
         oracle = free_evolution(f, P1, dt)
         oracle = Field(GRID, oracle.values * np.exp(1j * dt * c))
         err = np.linalg.norm(forced.values - oracle.values) / np.linalg.norm(f.values)
@@ -68,7 +69,7 @@ class TestStep:
 
     def test_nonfinite_raises(self, monkeypatch):
         # evolve stops at the first step whose coefficients are not finite
-        def nan_step(kern, c, dt, potential=None):
+        def nan_step(kern, c, dt):
             return np.full_like(c, np.nan), np.zeros(len(c))
 
         monkeypatch.setattr(RadialKernel, "strang", nan_step)
@@ -255,7 +256,7 @@ class TestTrajectoryPlumbing:
                                              [s.t for s in traj.snapshots], P1)
         fields = traj.fields
         assert len(fields) == len(traj.snapshots) > 1
-        assert fields.nbytes == len(fields) * GRID.n_points * 16
+        assert os.fstat(fields.fd).st_size == fields.offset + len(fields) * GRID.n_points * 16
         rows = [fields[i] for i in range(len(fields))]
         # each index reads a new read-only row, which a snapshot's Field keeps uncopied
         assert all(row.dtype == np.complex128 and row.shape == (GRID.n_points,)
@@ -325,6 +326,22 @@ class TestTrajectoryPlumbing:
         with pytest.raises(error):
             evolve(u0, P1, controls, path)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_the_store_leaks_no_file_descriptor(self, tmp_path):
+        # each store closes its descriptor (os.dup'd by load_trajectory) when it is dropped,
+        # and a failed evolve closes its own at once
+        f = gaussian_field(GRID, 0.5, 2.0)
+        controls = EvolutionControls(dt0=5e-3, t_end=0.05, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=2)
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(20):
+            save_trajectory(evolve(f, P1, controls), tmp_path / "saved")
+            load_trajectory(tmp_path / "saved")
+            evolve(f, P1, controls, tmp_path / f"run{i}.npy")
+        with pytest.raises(NonFinite):
+            evolve(Field(GRID, 1e154 * f.values), P1, controls, tmp_path / "failed.npy")
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_save_skips_the_store_s_own_file(self, tmp_path):
         f = gaussian_field(GRID, 0.5, 2.0)

@@ -14,6 +14,7 @@ from bosonstar.spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    RadialKernel,
     energy,
     gaussian_field,
     kernel,
@@ -58,9 +59,15 @@ class TestSolver:
         assert abs(sech.critical_mass - gs.critical_mass) < 1e-6 * gs.critical_mass
 
     def test_non_convergence_error(self):
-        with pytest.raises(NonConvergence) as err:
+        with pytest.raises(NonConvergence, match=r"after 3 sweeps$"):
             solve_ground_state(GRID, tol=1e-14, max_iter=3)
-        assert err.value.iterations == 3
+
+    def test_lost_pairing_names_its_sweep(self, monkeypatch):
+        # a repulsive potential makes <Q, V_Q Q> negative in the first sweep
+        potential = RadialKernel.potential
+        monkeypatch.setattr(RadialKernel, "potential", lambda kern, rho: -potential(kern, rho))
+        with pytest.raises(DivergentIterate, match=r"positivity in sweep 1$"):
+            solve_ground_state(GRID, tol=1e-10, max_iter=50)
 
     def test_divergent_iterate_error(self):
         # a destabilizing normalization exponent amplifies the scaling mode

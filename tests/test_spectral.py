@@ -146,9 +146,8 @@ class TestKernel:
         u = as_dtype(random_smooth_field(grid, np.random.default_rng(4)).values)
         c = as_dtype(kern.forward(u))
         rho = np.abs(u) ** 2
-        v = np.full(grid.n_points, 0.3)
         calls = [(kern.forward, u), (kern.inverse, c), (kern.potential, rho),
-                 (kern.interaction, rho), (kern.strang, c, 1e-3), (kern.strang, c, 1e-3, v)]
+                 (kern.interaction, rho), (kern.strang, c, 1e-3)]
         for method, *args in calls:
             copies = [np.copy(a) for a in args]
             method(*args)
@@ -409,11 +408,17 @@ class TestSerialization:
         f = Field(GRID, src)
         src[:] = 7.0
         assert f.values[0] == 0.0 and not f.values.flags.writeable
-        # a read-only view of a writable array is copied too
-        view = src[:]
-        view.setflags(write=False)
-        assert not np.shares_memory(Field(GRID, view).values, src)
-        # a read-only array that nothing can write is kept as it is
-        frozen = np.ones((2, GRID.n_points), dtype=np.complex128)
-        frozen.setflags(write=False)
-        assert Field(GRID, frozen[1]).values.base is frozen
+        # a read-only row that views no other array is kept, as a SnapshotRows row is
+        row = np.ones(GRID.n_points, dtype=np.complex128)
+        row.setflags(write=False)
+        assert Field(GRID, row).values is row
+        # a read-only view is copied, even of a read-only array, and the copy is read-only
+        rows = np.ones((2, GRID.n_points), dtype=np.complex128)
+        rows.setflags(write=False)
+        for view in (src[:], rows[1]):
+            view.setflags(write=False)
+            copied = Field(GRID, view).values
+            assert copied.base is None and not copied.flags.writeable
+            assert not np.shares_memory(copied, view)
+        coefficients = SpectralField(GRID, src).coefficients
+        assert not np.shares_memory(coefficients, src) and not coefficients.flags.writeable
