@@ -12,13 +12,15 @@ Operators are plain real symmetric float64 arrays: the circulant of one
 inverse FFT of their real, even Fourier symbol, copied out of one strided view
 of that column, so building one allocates a single n x n array.  Every
 integral over t in (0, inf) uses one node rule, whose Gauss-Jacobi ends carry
-the fractional weight at 0 and the decay at infinity exactly.  Resolvent
-quadratures run in the eigenbasis of A = 1 - Delta from one `eigh`, where
-every (A + t)^{-1} is a diagonal divide; multiplication by chi is applied
-elementwise, never as a dense diagonal matrix.  The eigenbasis is released
-before the projector phase, so the working set stays near five n x n arrays;
-memory grows as n^2.  `run_suite` runs the checks as the `operator-check`
-suite.
+the fractional weight at 0 and the decay at infinity exactly; its Gauss-Jacobi
+nodes come from numpy (Golub-Welsch), so the lab never imports scipy.linalg.
+The resolvent quadrature of L_chi runs in the Fourier modes, the eigenbasis of
+A = 1 - Delta, where every (A + t)^{-1} is a diagonal divide and [chi, A] is a
+band as wide as chi's spectrum: the node sum is a band sum, and only L_chi
+itself is a dense n x n array.  Multiplication by chi is otherwise applied
+elementwise, never as a dense diagonal matrix.  The working set stays near
+four n x n arrays; memory grows as n^2.  `run_suite` runs the checks as the
+`operator-check` suite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import roots_jacobi
 
 from .diagnostics import CheckRecord
 
@@ -58,7 +59,7 @@ __all__ = [
 
 MAX_PROFILES = 32
 _T_NODES = 16  # nodes per panel of `_composite_t_nodes` in `localization_defect`
-_BAND_REL_TOL = 1e-9  # relative size of the smallest mode `bandwidth_cells` counts
+_BAND_REL_TOL = 1e-9  # relative size of the smallest chi mode the projector clears
 _CHI_MODES = 10  # Fourier modes of `random_smooth_chi`
 _CHI_DAMPING = 3.0  # mode m of `random_smooth_chi` carries exp(-(m / damping)^2)
 
@@ -130,13 +131,12 @@ def band_projector(grid: PeriodicGrid1D, margin_cells: int) -> np.ndarray:
     return _symbol_operator(grid, keep)
 
 
-def bandwidth_cells(grid: PeriodicGrid1D, chi: np.ndarray) -> int:
-    """Effective bandwidth of chi in grid cells (largest mode above _BAND_REL_TOL)."""
+def bandwidth_cells(grid: PeriodicGrid1D, chi: np.ndarray, rel_tol: float) -> int:
+    """Effective bandwidth of chi in grid cells: its largest mode whose Fourier
+    coefficient exceeds rel_tol times the largest one, the mean included."""
     ch = np.abs(np.fft.fft(np.asarray(chi, dtype=np.float64)))
-    ch[0] = 0.0
     idx = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n))
-    keep = ch > _BAND_REL_TOL * max(ch.max(), 1e-300)
-    return int(idx[keep].max()) if keep.any() else 0
+    return int(idx[ch > rel_tol * ch.max()].max(initial=0))
 
 
 def spectral_gradient(grid: PeriodicGrid1D, chi: np.ndarray) -> np.ndarray:
@@ -168,9 +168,21 @@ def commutator_norm(grid: PeriodicGrid1D, s: float, a: float, chi: np.ndarray) -
 # --- quadrature of the resolvent integral representation ---------------------
 
 def _jacobi01(n_nodes: int, beta: float):
-    """Nodes/weights for Int_0^1 g(y) y^beta dy with g analytic (beta > -1)."""
-    x, w = roots_jacobi(n_nodes, 0.0, beta)
-    return 0.5 * (1.0 + x), w * 0.5 ** (beta + 1.0)
+    """Nodes/weights for Int_0^1 g(y) y^beta dy with g analytic (beta > -1).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    weight y^beta on [0, 1], the Jacobi recurrence (alpha = 0) mapped from
+    [-1, 1], and the weights are mu0 = Int_0^1 y^beta dy = 1/(beta + 1) times
+    the squared first components of the eigenvectors.
+    """
+    k = np.arange(1, n_nodes)
+    c = 2.0 * k + beta
+    a = np.empty(n_nodes)
+    a[0] = beta / (beta + 2.0)
+    a[1:] = beta * beta / (c * (c + 2.0))
+    off = k * (k + beta) / (c * np.sqrt(c * c - 1.0))
+    y, v = np.linalg.eigh(np.diag(0.5 * (1.0 + a)) + np.diag(off, 1) + np.diag(off, -1))
+    return y, v[0] ** 2 / (beta + 1.0)
 
 
 def _composite_t_nodes(sigma: float, decay: float, t_hi: float, n_nodes: int):
@@ -206,6 +218,57 @@ def _composite_t_nodes(sigma: float, decay: float, t_hi: float, n_nodes: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _fourier_band(grid: PeriodicGrid1D, s: float, chi: np.ndarray):
+    """The band of L_chi in the Fourier basis, as `localization_defect` sums it:
+    (lb, band) with lb[p, o] = L^[p, p + band[o]]."""
+    n = grid.n
+    lam = 1.0 + grid.k**2  # the symbol of 1 - Delta
+    c_hat = np.fft.fft(chi) / n
+    b = bandwidth_cells(grid, chi, n * np.finfo(np.float64).eps)
+    offs = np.arange(-b, b + 1 if 2 * b < n else b)  # the band of chi, distinct mod n
+    band = np.arange(2 * offs[0], 2 * offs[-1] + 1)  # the offsets m = j + i of L^
+    inner = slice(offs[0] - band[0], offs[-1] - band[0] + 1)  # j within band
+    i_of = band[:, None] - offs  # [m, j]: i = m - j
+    coef = np.where((i_of >= offs[0]) & (i_of <= offs[-1]),  # c^_{-j} conj(c^_i), i in offs
+                    c_hat[-offs % n] * np.conj(c_hat[i_of % n]), 0.0)
+
+    t, w = _composite_t_nodes(s, 3.0, 4.0 * lam.max(), _T_NODES)
+    lam_ext = lam[(np.arange(n + band.size - 1) + band[0]) % n]
+    lam_at = sliding_window_view(lam_ext, band.size)  # [p, o]: lam_{p + band[o]}
+    d_at = sliding_window_view(1.0 / (lam_ext + t[:, None]), band.size, axis=1)
+    lb = np.empty((n, band.size), dtype=np.complex128)
+    rows = max(1, n * n // (2 * offs.size * (t.size + 2 * band.size)))  # ~n^2/2 values a block
+    for p0 in range(0, n, rows):
+        p = slice(p0, p0 + rows)
+        dp = d_at[:, p]  # [k, p, o]: d_k(p + band[o])
+        lq = lam_at[p, inner]
+        y = (w[:, None] * dp[:, :, -band[0]])[:, :, None] * dp[:, :, inner]
+        y *= lq - lam[p, None]  # w d(p) d(p+j) (lam_{p+j} - lam_p)
+        tj = np.matmul(dp.transpose(1, 2, 0), y.transpose(1, 0, 2))  # [p, m, j]
+        tj *= lq[:, None, :] - lam_at[p][:, :, None]
+        lb.real[p] = np.einsum("pmj,mj->pm", tj, coef.real)
+        lb.imag[p] = np.einsum("pmj,mj->pm", tj, coef.imag)
+    lb *= np.sin(np.pi * s) / np.pi
+    return lb, band
+
+
+def _from_fourier_band(lb: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """The real n x n matrix F L^ F^* whose Fourier band is (lb, band).
+
+    With g the inverse FFT of lb over p, (F L^ F^*)[a, c] =
+    Re sum_o g[(a - c) mod n, o] e^{-2 pi i band[o] c/n}, formed in column
+    blocks; offsets that wrap mod n add up on their column.
+    """
+    n = lb.shape[0]
+    g = np.fft.ifft(lb, axis=0)
+    phase = np.exp(-2j * np.pi * ((band[:, None] * np.arange(n)) % n) / n)
+    out = np.empty((n, n))
+    for cols in np.array_split(np.arange(n), 8):
+        blk = (g @ phase[:, cols]).real  # [(a - c) mod n, c]
+        out[:, cols] = np.take_along_axis(blk, (np.arange(n)[:, None] - cols) % n, axis=0)
+    return out
+
+
 def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict:
     """Assemble the localization defect L_chi of (1-Delta)^s and report its spectrum.
 
@@ -214,52 +277,46 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict
         L_chi = (sin pi s/pi) Int R_t [-Delta, chi] R_t [chi, -Delta] R_t t^s dt,
         R_t = (t + 1 - Delta)^{-1}.
 
-    The quadrature runs in the eigenbasis of A = 1 - Delta = V diag(lam) V^T,
-    where R_t = V diag(d) V^T with d = 1/(lam + t).  With C^ = V^T [chi, A] V
-    each node term is B B^T, B = diag(d) C^ diag(d)^{1/2}: one product per
-    node, every node term PSD, so 0 <= L_chi <= 4 s ||grad chi||_inf^2 holds
-    at the discrete level.  The sum is transformed back once.
+    The quadrature runs in the Fourier basis F (F[x, p] = e^{i k_p x}/sqrt n),
+    the eigenbasis of A = 1 - Delta, so no `eigh` is needed: mode p has
+    eigenvalue lam_p = 1 + k_p^2, and R_t = F D F^* with D = diag(d),
+    d(p) = 1/(lam_p + t).  With c^ = fft(chi)/n, C^ = F^* [chi, A] F has
+    C^[p, q] = c^_{p-q} (lam_q - lam_p), which vanishes unless |q - p| <= b,
+    b being chi's largest mode above FFT rounding (n eps max|c^|).  Each node
+    term w D C^ D C^* D is PSD, so 0 <= L_chi <= 4 s ||grad chi||_inf^2 holds
+    at the discrete level, and its offsets are m = j + i with |j|, |i| <= b.
+    The node sum L^ = F^* L_chi F is therefore the band
+
+        L^[p, p+m] = (sin pi s/pi) sum_j c^_{-j} conj(c^_{m-j})
+                     (lam_{p+j} - lam_p) (lam_{p+j} - lam_{p+m}) T[p, m, j],
+        T[p, m, j] = sum_k w_k d_k(p) d_k(p+m) d_k(p+j),
+
+    with T one batched product over the nodes per block of rows p: O(n b^2)
+    work per node where a dense node term costs O(n^3).  Offsets that wrap
+    mod n (4b + 1 > n) add up on their column in the transform back, so the
+    sum is exact for any chi; a wide chi is only slower.
 
     The t-integral covers all of (0, inf) with the nodes of
     `_composite_t_nodes` (t_hi = 4 lam_max, _T_NODES per panel); the
     triple-resolvent integrand decays like t^-3.
 
-    At most five n x n arrays are alive at once: V, C^, the sum and the two
-    node buffers.  The eigenbasis is released once L_chi is formed in the
-    sum's buffer, before the projector and double-commutator phase.
+    Beside L_chi, only the band arrays (O(n b)), the node table d_k (O(n)
+    per node) and row or column blocks of at most about n^2 / 2 values live
+    while it is built, and they are gone before the projector and
+    double-commutator phase, which holds L_chi and three n x n arrays.
     """
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
     chi = np.asarray(chi, dtype=np.float64)
     grad_inf = float(np.max(np.abs(spectral_gradient(grid, chi))))
-    lam, V = np.linalg.eigh(build_fractional(grid, 1.0, 1.0))  # 1 - Delta
-    # the node loop's buffers hold the set-up temporaries too, so no freed
-    # n x n block is left behind for small allocations to split
-    acc = np.multiply(chi[:, None], V)
-    B = np.empty_like(V)
-    BBt = np.empty_like(V)
-    Ch = V.T @ acc
-    Ch *= np.subtract(lam, lam[:, None], out=B)  # V^T [chi, -Delta] V, antisymmetric
-    acc.fill(0.0)
-
-    t, w = _composite_t_nodes(s, 3.0, 4.0 * lam[-1], _T_NODES)
-    for tk, wk in zip(t, w):
-        dk = 1.0 / (lam + tk)  # the diagonal of R_t in the eigenbasis
-        np.multiply(Ch, np.sqrt(dk), out=B)
-        B *= (np.sqrt(wk) * dk)[:, None]
-        acc += np.matmul(B, B.T, out=BBt)  # w R C R C^T R
-    del Ch, B, BBt
-    VA = V @ acc
-    lchi = np.matmul(VA, V.T, out=acc)  # V acc V^T, in acc's buffer
-    del V, VA
-    lchi *= np.sin(np.pi * s) / np.pi
+    lchi = _from_fourier_band(*_fourier_band(grid, s, chi))
     lchi += lchi.T
     lchi *= 0.5
     evals = np.linalg.eigvalsh(lchi)
     # the continuum double-commutator bound concerns the operator below the
     # aliasing edge; project out the wrapped top band before taking the norm
     double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0)))
-    proj = band_projector(grid, 2 * bandwidth_cells(grid, chi) + 1)
+    proj = band_projector(grid, 2 * bandwidth_cells(grid, chi, _BAND_REL_TOL) + 1)
     pd = proj @ double
     np.matmul(pd, proj, out=double)
     del pd, proj

@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import beta
+from scipy.special import beta, roots_jacobi
+
+import bosonstar
 
 from bosonstar.operator_lab import (
     MaxProfilesExceeded,
@@ -25,7 +31,8 @@ from bosonstar.operator_lab import (
     subcritical_check,
     tanh_bump,
 )
-from bosonstar.operator_lab import _T_NODES, _composite_t_nodes, _symbol_operator, band_projector
+from bosonstar.operator_lab import (_T_NODES, _composite_t_nodes, _jacobi01, _symbol_operator,
+                                    band_projector, bandwidth_cells)
 from oracles import (fractional_via_quadrature, gather_circulant, hermiticity_defect,
                      scalar_power_quadrature)
 
@@ -76,6 +83,17 @@ class TestBuildFractional:
                 t, w = _composite_t_nodes(sigma, p, t_hi, _T_NODES)
                 exact = beta(sigma + 1.0, p - sigma - 1.0)
                 assert abs(np.sum(w * (1.0 + t) ** -p) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("b", [0.01, 0.3, 0.5, 0.7, 0.99, 1.0])
+    def test_jacobi_rule_golub_welsch(self, b):
+        # the 16-node rule integrates y^(j + b) exactly for j < 32, and its nodes
+        # are the Gauss-Jacobi nodes of scipy's roots_jacobi, mapped to [0, 1]
+        y, w = _jacobi01(_T_NODES, b)
+        for j in range(2 * _T_NODES):
+            exact = 1.0 / (j + b + 1.0)
+            assert abs(np.sum(w * y**j) - exact) <= 1e-13 * exact
+        x, _ = roots_jacobi(_T_NODES, 0.0, b)
+        assert np.max(np.abs(y - 0.5 * (1.0 + x))) <= 1e-14
 
     def test_scalar_quadrature_across_spectrum(self):
         lam = 1.0 + GRID.k**2
@@ -144,6 +162,16 @@ class TestCommutator:
         assert operator_norm_matrix(np.zeros((GRID.n, GRID.n))) == 0.0
 
 
+# runs the whole operator-check suite and reports whether scipy.linalg got imported
+LINALG_PROBE = """
+import sys
+from bosonstar.config import Tolerances
+from bosonstar.operator_lab import PeriodicGrid1D, run_suite
+run_suite("all", PeriodicGrid1D(128, 32.0), 0.5, Tolerances(), 0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
 class TestLocalization:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_spectrum_bounds_random_chi(self, s):
@@ -168,6 +196,31 @@ class TestLocalization:
         ref = dense_localization(g, 0.5, chi)
         assert np.max(np.abs(out["l_chi"] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @staticmethod
+    def assert_matches_dense(g, s, chi):
+        ref = dense_localization(g, s, chi)
+        err = np.max(np.abs(localization_defect(g, s, chi)["l_chi"] - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, b", [(32, 15), (64, 31)])
+    def test_full_band_chi_matches_dense_resolvents(self, n, b):
+        # every mode but the (exactly zero) Nyquist one is above rounding, so
+        # most offsets of the band sum wrap mod n
+        g = PeriodicGrid1D(n, 16.0)
+        chi = tanh_bump(g, 4.0, 0.5)
+        assert bandwidth_cells(g, chi, n * np.finfo(np.float64).eps) == b
+        self.assert_matches_dense(g, 0.5, chi)
+
+    def test_nyquist_chi_matches_dense_resolvents(self):
+        g = PeriodicGrid1D(64, 16.0)
+        chi = random_smooth_chi(g, np.random.default_rng(6)) + 0.1 * np.cos(np.pi * np.arange(g.n))
+        assert bandwidth_cells(g, chi, g.n * np.finfo(np.float64).eps) == g.n // 2
+        self.assert_matches_dense(g, 0.3, chi)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.99])
+    def test_suite_chi_matches_dense_resolvents(self, s):
+        self.assert_matches_dense(GRID, s, random_smooth_chi(GRID, np.random.default_rng(8)))
+
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 0.99])
     def test_node_rule_converged(self, s):
         # the shipped node count agrees with a 48-node rule; 12 nodes miss by ~1e-12
@@ -178,9 +231,10 @@ class TestLocalization:
         assert np.max(np.abs(lchi - ref)) <= 1e-13 * np.max(np.abs(lchi))
 
     def test_working_set(self):
-        # V, C^, the sum and the two node buffers: five n x n float64s, plus
-        # n-sized vectors; numpy's arrays are traced, LAPACK's workspace is not.
-        # A sixth n x n array would exceed the bound.
+        # L_chi and the double-commutator phase's three n x n arrays: four
+        # n x n float64s, plus band arrays and vectors; numpy's arrays are
+        # traced, LAPACK's workspace is not.  A fifth n x n array would exceed
+        # the bound.
         g = PeriodicGrid1D(256, 32.0)
         chi = random_smooth_chi(g, np.random.default_rng(3))
         localization_defect(GRID, 0.5, chi[::2])  # the first call's lazy imports stay untraced
@@ -190,7 +244,13 @@ class TestLocalization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.75 * g.n**2 * 8
+        assert peak <= 4.2 * g.n**2 * 8
+
+    def test_suite_never_imports_scipy_linalg(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(bosonstar.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", LINALG_PROBE], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.split() == ["False"]
 
     def test_constant_chi_gives_zero(self):
         out = localization_defect(GRID, 0.5, np.full(GRID.n, 0.4))
