@@ -18,6 +18,7 @@ all-rows density.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -25,10 +26,10 @@ import numpy as np
 
 from .evolution import STEP_FLOOR
 from .spectral import (
-    Field,
     ModelParams,
     RadialGrid,
     RadialKernel,
+    abs2,
     kernel,
 )
 
@@ -154,7 +155,7 @@ class CheckRecord:
 
 def localized_mass(rho: np.ndarray, kern: RadialKernel, chi: Cutoff) -> float:
     """Mass of the density rho = |u|^2 weighted by chi."""
-    return float(kern.grid.weight * np.sum(chi.samples * rho * kern.r_squared))
+    return kern.mass(chi.samples * rho)
 
 
 def localized_mass_series(traj, cutoffs, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +214,10 @@ def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:
 def tightness_check(traj, eps: float) -> float:
     """Smallest grid radius R with sup over snapshots of the exterior mass <= eps."""
     g = traj.grid
-    r2w = g.weight * g.r**2
+    mass_weight = kernel(g, traj.params).mass_weight
     sup_ext = None
     for i in range(len(traj.snapshots)):
-        ext = np.cumsum((traj.density(i) * r2w)[::-1])[::-1]  # mass in r >= r_j
+        ext = np.cumsum((traj.density(i) * mass_weight)[::-1])[::-1]  # mass in r >= r_j
         sup_ext = ext if sup_ext is None else np.maximum(sup_ext, ext)
     if sup_ext is None:
         raise InsufficientSnapshots("no snapshots")
@@ -250,7 +251,7 @@ def concentration_function(rho: np.ndarray, kern: RadialKernel, R: float) -> tup
     """
     grid = kern.grid
     if R >= grid.r_max:
-        return 0.0, float(grid.weight * np.sum(rho * kern.r_squared))
+        return 0.0, kern.mass(rho)
     centers = np.linspace(0.0, grid.r_max, _COARSE_CENTERS)
     vals = np.array([ball_mass(rho, kern, d, R) for d in centers])
     i = int(np.argmax(vals))
@@ -317,7 +318,7 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     """
     g = traj.grid
     edges = np.linspace(0.0, g.r_max, bins + 1)
-    shell = g.weight * g.r**2
+    shell = kernel(g, traj.params).mass_weight
     bin_idx = np.minimum((g.r / (g.r_max / bins)).astype(int), bins - 1)
     hists = [np.bincount(bin_idx, weights=traj.density(i) * shell, minlength=bins)
              for i in range(len(traj.snapshots))]
@@ -342,13 +343,6 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
 
 # --- exterior convergence ------------------------------------------------------
 
-def _exterior_l2(u: Field, v: Field, R: float) -> float:
-    g = u.grid
-    sel = g.r >= R
-    d = u.values[sel] - v.values[sel]
-    return float(np.sqrt(g.weight * np.sum(np.abs(d) ** 2 * g.r[sel] ** 2)))
-
-
 def _zeta_exterior(grid: RadialGrid, R: float) -> np.ndarray:
     """Smooth radial cutoff vanishing for r <= R, equal to 1 for r >= 2R."""
     x = np.clip((grid.r - R) / R, 0.0, 1.0)
@@ -368,7 +362,9 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
     window = _last_resolved(traj)
     g = traj.grid
     m0 = traj.initial_mass
-    dists = [_exterior_l2(b.field, a.field, R) for (a, _), (b, _) in zip(window, window[1:])]
+    kern = kernel(g, params)
+    dists = [math.sqrt(kern.mass(abs2(b.field.values - a.field.values), R))
+             for (a, _), (b, _) in zip(window, window[1:])]
     decreasing = bool(np.all(np.diff(dists) <= 1e-14))
     final_ok = bool(dists[-1] <= final_frac * np.sqrt(m0))
     rec_cauchy = CheckRecord(
@@ -379,7 +375,6 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
 
     zeta = _zeta_exterior(g, R)
     zeta_half = _zeta_exterior(g, R / 2.0)
-    kern = kernel(g, params)
     sup_vzeta = 0.0
     sup_vur = 0.0
     sup_fr = 0.0
@@ -387,11 +382,11 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
         v = kern.potential(rho)
         sup_vzeta = max(sup_vzeta, float(np.max(v * zeta_half)))
         ur = zeta * s.field.values
-        vur = float(np.sqrt(g.weight * np.sum((v * np.abs(ur)) ** 2 * g.r**2)))
+        vur = math.sqrt(kern.mass(abs2(v * ur)))
         sup_vur = max(sup_vur, vur)
         fr = zeta * kern.inverse(kern.omega * kern.forward(s.field.values))
         fr -= kern.inverse(kern.omega * kern.forward(ur))
-        sup_fr = max(sup_fr, float(np.sqrt(g.weight * np.sum(np.abs(fr) ** 2 * g.r**2))))
+        sup_fr = max(sup_fr, math.sqrt(kern.mass(abs2(fr))))
     return [rec_cauchy, CheckRecord("newton_potential_sup", {"R": R}, sup_vzeta, 2.0 * m0 / R),
             CheckRecord("duhamel_potential_term", {"R": R, "commutator_source_l2": sup_fr},
                         sup_vur, 2.0 * m0**2 / R)]

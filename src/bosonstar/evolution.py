@@ -251,7 +251,7 @@ class Trajectory:
 
     def density(self, i: int) -> np.ndarray:
         """|u|^2 of snapshot i, in a new array on every call: no density is kept."""
-        return np.square(np.abs(self.fields[i]))
+        return abs2(self.fields[i])
 
     @property
     def initial_mass(self) -> float:
@@ -282,14 +282,9 @@ def half_max_width(f: Field) -> float:
 def require_resolved(u0: Field, kern: RadialKernel) -> None:
     """Raise Unresolved unless u0 carries at most 1e-6 of its mass in kern's boundary zone."""
     rho = abs2(u0.values)
-    m0 = dot(rho, kern.mass_weight)
-    if m0 > 0 and _boundary_mass(kern, rho) > 1e-6 * m0:
+    m0 = kern.mass(rho)
+    if m0 > 0 and kern.mass(rho, kern.grid.boundary_radius) > 1e-6 * m0:
         raise Unresolved("initial datum is not resolved: boundary mass exceeds 1e-6 of total")
-
-
-def _boundary_mass(kern: RadialKernel, rho: np.ndarray) -> float:
-    """Mass of the density rho in kern's boundary zone."""
-    return dot(rho[kern.boundary], kern.mass_weight[kern.boundary])
 
 
 def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np.ndarray,
@@ -305,9 +300,8 @@ def _push_record(cols: dict, kern: RadialKernel, t: float, dt: float, u_vals: np
     rho = abs2(u_vals)
     power = abs2(c_vals)
     h_half = math.sqrt(dot(kern.h_half_weight, power))
-    row = (t, dt, float(np.sum(power)),
-           0.5 * dot(kern.omega, power) - 0.25 * kern.interaction(rho), h_half,
-           _boundary_mass(kern, rho))
+    row = (t, dt, float(np.sum(power)), kern.energy(power, rho), h_half,
+           kern.mass(rho, kern.grid.boundary_radius))
     if not all(map(math.isfinite, row)):
         raise NonFinite("non-finite record " + ", ".join(
             f"{name}={val:.6g}" for name, val in zip(RECORD_COLUMNS, row)))
@@ -418,9 +412,9 @@ def h_minus1_rhs_bound(u: Field, params: ModelParams) -> float:
     construction.
     """
     kern = kernel(u.grid, params)
-    v = kern.potential(np.abs(u.values) ** 2)
+    v = kern.potential(abs2(u.values))
     rhs = kern.omega * kern.forward(u.values) - kern.forward(v * u.values)
-    return float(np.sqrt(np.sum(np.abs(rhs / kern.h_half_weight) ** 2)))
+    return math.sqrt(dot(abs2(rhs), 1.0 / (1.0 + kern.k * kern.k)))
 
 
 # --- persistence -------------------------------------------------------------

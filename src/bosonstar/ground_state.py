@@ -24,6 +24,7 @@ from .spectral import (
     Field,
     ModelParams,
     RadialGrid,
+    abs2,
     dot,
     kernel,
     mass,
@@ -94,16 +95,16 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
     for it in range(1, max_iter + 1):  # one Petviashvili sweep on the coefficients
         q = kern.inverse(coeffs).real
         nl_coeffs = kern.forward(kern.potential(q * q) * q)
-        num = float(np.sum((k + 1.0) * np.abs(coeffs) ** 2))
+        num = float(np.sum((k + 1.0) * abs2(coeffs)))
         den = float(np.real(np.sum(np.conj(coeffs) * nl_coeffs)))
         if den <= 0:
             raise DivergentIterate(f"nonlinear pairing lost positivity in sweep {it}")
         new_coeffs = (num / den) ** gamma * nl_coeffs / (k + 1.0)
-        wold = np.sqrt(np.sum(kern.h_half_weight * np.abs(coeffs) ** 2))
-        wdiff = np.sqrt(np.sum(kern.h_half_weight * np.abs(new_coeffs - coeffs) ** 2))
+        wold = np.sqrt(np.sum(kern.h_half_weight * abs2(coeffs)))
+        wdiff = np.sqrt(np.sum(kern.h_half_weight * abs2(new_coeffs - coeffs)))
         update = wdiff / wold
         coeffs = new_coeffs
-        norm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
+        norm = np.sqrt(np.sum(abs2(coeffs)))
         if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise DivergentIterate(f"iterate norm {norm:.3e} after {it} sweeps")
         if update < tol:
@@ -141,7 +142,7 @@ def _norm(x: np.ndarray) -> float:
 def pohozaev_residual(q: Field) -> float:
     """Relative defect of the dilation identity 2||grad^{1/2}Q||^2 = D(|Q|^2)."""
     kern = kernel(q.grid, ModelParams())
-    kin, dd = kern.homogeneous_half_sq(q.values), kern.interaction(np.abs(q.values) ** 2)
+    kin, dd = kern.homogeneous_half_sq(q.values), kern.interaction(abs2(q.values))
     return abs(2.0 * kin - dd) / (2.0 * kin)
 
 
@@ -154,5 +155,5 @@ def gn_ratio(f: Field) -> float:
     if m == 0.0:
         raise ZeroField("gn_ratio undefined for the zero field")
     kern = kernel(f.grid, ModelParams())
-    return kern.interaction(np.abs(f.values) ** 2) / (kern.homogeneous_half_sq(f.values) * m)
+    return kern.interaction(abs2(f.values)) / (kern.homogeneous_half_sq(f.values) * m)
 

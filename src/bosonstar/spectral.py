@@ -198,13 +198,14 @@ def _rotation(theta: np.ndarray) -> np.ndarray:
 class RadialKernel:
     """The spectral kernel of one (grid, params): every sine-basis operation.
 
-    Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale, the
-    H^{1/2} weight sqrt(1 + k^2) and the boundary-zone mask r >= 0.9*r_max,
-    computed once, and offers the DST-I pair on raw arrays, the Poisson
-    solve, the Coulomb interaction, the H^{1/2} seminorm, one Strang step and the virial weight.
-    The transform weights scale*r and 1/(scale*r), the Poisson weight
-    4*pi/k^2, 1/r, r^2 and the mass weight 4*pi*dr*r^2 are precomputed too, and
-    the free half-step phase of the last dt is kept for the next step.
+    Holds r, k, omega = sqrt(k^2 + m^2), the sqrt(4*pi*dr) scale and the
+    H^{1/2} weight sqrt(1 + k^2), computed once, and offers the DST-I pair on
+    raw arrays, `mass(rho, radius)` (the one radial mass sum), the Poisson
+    solve, the Coulomb interaction, the H^{1/2} seminorm, the energy, one
+    Strang step and the virial weight.  The transform weights scale*r and
+    1/(scale*r), the Poisson weight 4*pi/k^2, 1/r and the mass weight
+    4*pi*dr*r^2 are precomputed too, and the free half-step phase of the
+    last dt is kept for the next step.
     Obtain it through `kernel`, which builds one per (grid, params).
     """
 
@@ -215,17 +216,14 @@ class RadialKernel:
         self.omega = np.sqrt(self.k * self.k + params.mass**2)
         self.h_half_weight = np.sqrt(1.0 + self.k * self.k)
         self.scale = np.sqrt(grid.weight)
-        self.boundary = self.r >= grid.boundary_radius
-        self.r_squared = self.r * self.r
         self.mass_weight = grid.weight * self.r * self.r  # sum(rho * mass_weight) = mass of rho
         interior = self.r[:-1]
         self._to_coefficients = self.scale * interior
         self._to_samples = 1.0 / self._to_coefficients
         self._inv_r = 1.0 / interior
         self._poisson = 4.0 * np.pi / (self.k[:-1] * self.k[:-1])
-        for a in (self.r, self.k, self.omega, self.h_half_weight, self.boundary, self.r_squared,
-                  self.mass_weight, self._to_coefficients, self._to_samples, self._inv_r,
-                  self._poisson):
+        for a in (self.r, self.k, self.omega, self.h_half_weight, self.mass_weight,
+                  self._to_coefficients, self._to_samples, self._inv_r, self._poisson):
             a.setflags(write=False)
         self._phase_dt, self._phase = None, None
 
@@ -247,10 +245,14 @@ class RadialKernel:
         v[-1] = 0.0
         return v
 
+    def mass(self, rho: np.ndarray, radius: float = 0.0) -> float:
+        """Mass 4*pi int_{r >= radius} rho r^2 dr of the density rho, over the r_j >= radius."""
+        i = int(np.searchsorted(self.r, radius))
+        return dot(rho[i:], self.mass_weight[i:])
+
     def density_transform(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """(sine coefficients of r*rho on the interior, total mass of rho)."""
-        return (_sine(dst, rho[:-1] * self.r[:-1], overwrite_x=True),
-                dot(rho, self.mass_weight))
+        return _sine(dst, rho[:-1] * self.r[:-1], overwrite_x=True), self.mass(rho)
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
         """Newton potential |x|^-1 * rho by the sine-basis Poisson solve.
@@ -275,7 +277,12 @@ class RadialKernel:
 
     def homogeneous_half_sq(self, values: np.ndarray) -> float:
         """Squared homogeneous H^{1/2} seminorm sum k |c_k|^2 = || |grad|^{1/2} u ||_2^2 of u(r_j)."""
-        return float(np.sum(self.k * np.abs(self.forward(values)) ** 2))
+        return dot(self.k, abs2(self.forward(values)))
+
+    def energy(self, power: np.ndarray, rho: np.ndarray) -> float:
+        """(1/2) sum omega |c|^2 - (1/4) D(rho): the energy of the state with coefficient
+        power |c|^2 and density rho = |u|^2."""
+        return 0.5 * dot(self.omega, power) - 0.25 * self.interaction(rho)
 
     def virial_weight(self, values: np.ndarray) -> float:
         """W = sum_j <x_j u, omega(D) x_j u> of the radial samples u(r_j).
@@ -288,8 +295,7 @@ class RadialKernel:
         dr, n = self.grid.dr, self.grid.n_points
         s = self.forward(values) * (dr * np.sqrt(n / 2.0) / self.scale)
         c = 0.5 * dr * dct(np.concatenate(([0.0], self.r * self.r * values)), type=1)[1:]
-        return float(8.0 * np.pi / self.grid.r_max
-                     * np.sum(self.omega * np.abs(c - s / self.k) ** 2))
+        return 8.0 * np.pi / self.grid.r_max * dot(self.omega, abs2(c - s / self.k))
 
     def _half_phase(self, dt: float) -> np.ndarray:
         """The free half-step multiplier exp(-i dt/2 omega), read-only; kept for the last dt."""
@@ -330,9 +336,12 @@ def inverse_radial_transform(sf: SpectralField) -> Field:
 
 
 def mass(f: Field) -> float:
-    """L2 mass on R^3: 4*pi * sum |u|^2 r^2 dr."""
+    """L2 mass on R^3: 4*pi * sum |u|^2 r^2 dr.
+
+    Kept as np.sum, not RadialKernel.mass: the dot order moves the last bits of M_c and of
+    every mass that is scaled from it, and so every stored output."""
     g = f.grid
-    return float(g.weight * np.sum(np.abs(f.values) ** 2 * g.r**2))
+    return float(g.weight * np.sum(abs2(f.values) * g.r**2))
 
 
 def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -344,8 +353,7 @@ def coulomb_potential_density(rho: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def energy(f: Field, params: ModelParams) -> float:
     """Conserved energy: (1/2)<u, sqrt(-Delta+m^2) u> - (1/4) D(|u|^2)."""
     kern = kernel(f.grid, params)
-    kinetic = float(np.sum(kern.omega * np.abs(kern.forward(f.values)) ** 2))
-    return 0.5 * kinetic - 0.25 * kern.interaction(np.abs(f.values) ** 2)
+    return kern.energy(abs2(kern.forward(f.values)), abs2(f.values))
 
 
 # --- constructors -----------------------------------------------------------

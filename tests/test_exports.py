@@ -114,3 +114,28 @@ def test_names_the_benchmark_reads_resolve():
     assert unbound == []
     assert {"coulomb_potential_density", "evolve", "exterior_convergence_check",
             "virial_check"} <= bound
+
+
+# the radial modules, where abs2 is the one spelling of the density |u|^2
+RADIAL_MODULES = ("spectral.py", "evolution.py", "diagnostics.py", "ground_state.py")
+
+
+def _calls_np_abs(node) -> bool:
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr == "abs" and getattr(sub.func.value, "id", None) == "np"
+               for sub in ast.walk(node))
+
+
+def test_the_radial_density_is_spelled_abs2():
+    # np.abs(z) ** 2 and np.square(np.abs(z)) square the rounded hypot, whose bits differ
+    # from abs2's re^2 + im^2, so a second spelling would give a second density
+    sites = []
+    for name in RADIAL_MODULES:
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            squared = (node.left if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                       and getattr(node.right, "value", None) == 2
+                       else node.args[0] if isinstance(node, ast.Call) and node.args
+                       and getattr(node.func, "attr", None) == "square" else None)
+            if squared is not None and _calls_np_abs(squared):
+                sites.append(f"{name}:{node.lineno}")
+    assert sites == []

@@ -9,12 +9,14 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import bosonstar
+from bosonstar.evolution import trajectory_from_snapshots
 from bosonstar.spectral import (
     Field,
     ModelParams,
     RadialGrid,
     RadialKernel,
     SpectralField,
+    abs2,
     coulomb_potential_density,
     dot,
     energy,
@@ -333,12 +335,43 @@ class TestFunctionals:
         assert kern.homogeneous_half_sq(f.values) == pytest.approx(k4 * mass(f), rel=1e-10)
 
     def test_boundary_mass_of_resolved_field(self):
-        # the zone r >= 0.9 r_max of the kernel's mask, which records.csv reports
+        # the mass in the zone r >= 0.9 r_max, which records.csv reports
         f = gaussian_field(GRID, 1.0, 2.0)
-        zone = kernel(GRID, ModelParams()).boundary
-        assert np.array_equal(zone, GRID.r >= 0.9 * GRID.r_max)
-        edge = GRID.weight * np.sum(np.abs(f.values[zone]) ** 2 * GRID.r[zone] ** 2)
+        edge = kernel(GRID, ModelParams()).mass(abs2(f.values), GRID.boundary_radius)
         assert edge < 1e-10 * mass(f)
+
+    def test_energy_is_the_record_energy(self):
+        # one formula: the energy of a Field is the energy column of its record row, bit for bit
+        grid, p = RadialGrid(16384, 16.0), ModelParams(1.0)
+        u = gaussian_field(grid, 1.0, 0.5)
+        f = Field(grid, u.values * np.sqrt(1.2 * 2.69239443233116 / mass(u)))
+        assert energy(f, p) == trajectory_from_snapshots([f], [0.0], p).records["energy"][0]
+
+
+class TestKernelMass:
+    """RadialKernel.mass(rho, radius), the mass of rho on r >= radius."""
+
+    def test_radius_selects_the_samples_at_or_beyond_it(self):
+        kern = kernel(GRID, ModelParams())
+        rho = abs2(random_smooth_field(GRID, np.random.default_rng(11)).values)
+        assert kern.mass(rho) == dot(rho, kern.mass_weight)
+        j = 1000
+        spike = np.zeros(GRID.n_points)
+        spike[j] = 1.0
+        assert kern.mass(spike, GRID.r[j]) == kern.mass_weight[j]  # a grid radius keeps its sample
+        assert kern.mass(spike, np.nextafter(GRID.r[j], np.inf)) == 0.0
+        assert kern.mass(rho, 1.5 * GRID.r_max) == 0.0
+
+    def test_boundary_zone_is_the_mask_sum(self):
+        # the boundary mass of records.csv, bit for bit as the sum over the mask r >= 0.9 r_max
+        grid = RadialGrid(16384, 16.0)
+        kern = kernel(grid, ModelParams(1.0))
+        mask = grid.r >= 0.9 * grid.r_max
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            decay, k, phase = rng.uniform(0.2, 4.0), rng.uniform(0.0, 20.0), rng.uniform(0, np.pi)
+            rho = np.exp(-grid.r / decay) * (1.0 + 0.5 * np.cos(k * grid.r + phase))
+            assert kern.mass(rho, grid.boundary_radius) == dot(rho[mask], kern.mass_weight[mask])
 
 
 # prints the record row of an n = 16384 state and dot at lengths past two 10,000-entry blocks
