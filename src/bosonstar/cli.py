@@ -4,7 +4,8 @@ Subcommands: ground-state, evolve, diagnose, operator-check.  This module
 parses flags into one RunConfig (a flag overrides its config key only when it
 is given), calls one function per command, prints, and writes each run's
 outputs plus a manifest with content digests into the output directory;
-identical config and seed reproduce byte-identical numeric outputs.
+identical config and seed reproduce byte-identical numeric outputs.  Importing
+it calls gc.freeze(), so an importer keeps the cyclic garbage it had until exit.
 
 Exit codes: 0 success; 2 a config that fails validation, an input file that
 cannot be read, lies on another grid or has a non-finite sample, a trajectory
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -62,6 +64,9 @@ from .spectral import (
     field_to_json,
     mass,
 )
+
+# the collector never traverses the imported heap again, which cuts each command's exit by ~50 ms
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

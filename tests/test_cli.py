@@ -2,10 +2,13 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bosonstar
 from bosonstar.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -835,3 +838,33 @@ class TestTolerancesTable:
         with pytest.raises(ValidationError):
             config_from_dict({"command": "ground-state",
                               "tolerances": {"made_up_constant": 1.0}})
+
+
+def python(*args):
+    """Run the interpreter in a fresh process that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(bosonstar.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestProcessEntry:
+    """`python -m bosonstar`, the path a user takes: the import, sys.exit(main()) and the exit."""
+
+    def test_importing_the_cli_freezes_the_imported_heap(self):
+        # the interpreter's exit then skips traversing numpy, scipy.fft and the package
+        run = python("-c", "import gc, bosonstar.cli; print(gc.get_freeze_count())")
+        assert run.returncode == 0 and int(run.stdout) > 10_000
+
+    def test_a_passing_check_exits_0_with_its_line_last(self, tmp_path):
+        out_dir = tmp_path / "od"
+        run = python("-m", "bosonstar", "operator-check", "--suite", "ims", "--n", "64",
+                     "--out-dir", str(out_dir))
+        assert run.returncode == EXIT_OK and run.stderr == ""
+        assert run.stdout.splitlines()[-1].strip().startswith("[PASS] ims_defect: ")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "report.json"]
+        assert verify_manifest(out_dir)
+
+    def test_a_config_error_exits_2_with_one_line(self):
+        run = python("-m", "bosonstar", "evolve")
+        assert run.returncode == EXIT_VALIDATION and run.stdout == ""
+        assert run.stderr.splitlines() == ["config error: evolve requires --config <json>"]

@@ -139,3 +139,18 @@ def test_the_radial_density_is_spelled_abs2():
             if squared is not None and _calls_np_abs(squared):
                 sites.append(f"{name}:{node.lineno}")
     assert sites == []
+
+
+def _gc_sites(path) -> list[int]:
+    # an import of gc, an import from it, or a read of a name gc
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+            or isinstance(node, ast.Name) and node.id == "gc"]
+
+
+def test_only_the_cli_touches_the_garbage_collector():
+    # cli.py freezes the imported heap for a command's exit; importing the package or any
+    # other module must leave a host process's collector as it found it
+    sites = {path.name: _gc_sites(path) for path in SRC.glob("*.py")}
+    assert sites.pop("cli.py") and {name: lines for name, lines in sites.items() if lines} == {}
