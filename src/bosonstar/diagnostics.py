@@ -12,8 +12,9 @@ Limits t -> T^- are replaced by windows over the last TAIL snapshots, resolved
 ones where a check says so; "resolved" excludes records whose concentration
 width has fallen below the grid scale (see
 EvolutionControls.resolved_width_cells).  Every check computes the density
-|u|^2 of each snapshot row it reads (Trajectory.density) once, and keeps no
-all-rows density.
+|u|^2 of each snapshot row it reads once, and keeps no all-rows density; the
+checks that state the paper's blowup results report not applicable unless
+Trajectory.blowup_suspected.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import STEP_FLOOR
 from .spectral import (
     ModelParams,
     RadialGrid,
@@ -42,7 +42,6 @@ __all__ = [
     "smooth_bump",
     "smooth_exterior",
     "cutoff_bank",
-    "localized_mass",
     "localized_mass_series",
     "propagation_bound_check",
     "dilation_decay_check",
@@ -153,17 +152,12 @@ class CheckRecord:
 
 # --- localized mass and propagation ------------------------------------------
 
-def localized_mass(rho: np.ndarray, kern: RadialKernel, chi: Cutoff) -> float:
-    """Mass of the density rho = |u|^2 weighted by chi."""
-    return kern.mass(chi.samples * rho)
-
-
 def localized_mass_series(traj, cutoffs, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Times of the snapshots from `first` on, and M_chi at each of them, one row per cutoff;
     each snapshot's density is computed once for all the cutoffs."""
     kern = kernel(traj.grid, traj.params)
     densities = map(traj.density, range(first, len(traj.snapshots)))
-    ms = np.array([[localized_mass(rho, kern, chi) for chi in cutoffs] for rho in densities])
+    ms = np.array([[kern.mass(chi.samples * rho) for chi in cutoffs] for rho in densities])
     return np.array([s.t for s in traj.snapshots[first:]]), ms.T
 
 
@@ -264,37 +258,43 @@ def concentration_function(rho: np.ndarray, kern: RadialKernel, R: float) -> tup
     return float(fine[j]), float(fvals[j])
 
 
-def _last_resolved(traj) -> list:
-    """(snapshot, density) of the last TAIL resolved snapshots."""
-    res = [i for i, s in enumerate(traj.snapshots) if s.resolved]
+def _last_resolved(traj):
+    """Yield (t, samples, density) of the last TAIL resolved snapshots, reading each row once
+    as the caller reaches it, so the caller holds only the rows it keeps."""
+    res = traj.resolved_snapshots()
     if len(res) < TAIL:
         raise InsufficientSnapshots(f"need {TAIL} resolved snapshots, have {len(res)}")
-    return [(traj.snapshots[i], traj.density(i)) for i in res[-TAIL:]]
+    for s in res[-TAIL:]:
+        values = traj.fields[s.row]
+        yield s.t, values, abs2(values)
+
+
+def _not_applicable(check: str, traj, bound: float, relation: str) -> list[CheckRecord]:
+    """The passed record of a blowup-only check on a run not Trajectory.blowup_suspected."""
+    return [CheckRecord(check, {"applicable": False, "termination": traj.termination},
+                        float("nan"), bound, passed=True, relation=relation)]
 
 
 def minimal_concentration_check(traj, gs, mass_fraction: float,
                                 center_cells: float) -> list[CheckRecord]:
     """Mass in the shrinking ball of radius lambda(t) = ||u||_{H^{1/2},hom}^{-1}.
 
-    Only applicable to runs flagged as blowup (StepFloor); the liminf is
+    Only applicable when Trajectory.blowup_suspected; the liminf is
     replaced by the min over the last TAIL resolved snapshots.
     """
-    if traj.termination != STEP_FLOOR:
-        return [CheckRecord(check="minimal_concentration",
-                            params={"applicable": False, "termination": traj.termination},
-                            statistic=float("nan"), bound=mass_fraction, passed=True,
-                            relation=">=")]
+    if not traj.blowup_suspected:
+        return _not_applicable("minimal_concentration", traj, mass_fraction, ">=")
     kern = kernel(traj.grid, traj.params)
     fractions = []
     centers = []
     trace = []
-    for s, rho in _last_resolved(traj):
-        lam = 1.0 / np.sqrt(kern.homogeneous_half_sq(s.field.values))
+    for t, values, rho in _last_resolved(traj):
+        lam = 1.0 / np.sqrt(kern.homogeneous_half_sq(values))
         ball = ball_mass(rho, kern, 0.0, lam)
         y, best = concentration_function(rho, kern, lam)
         fractions.append(ball / gs.critical_mass)
         centers.append(y)
-        trace.append({"t": s.t, "lambda": lam, "origin_ball_mass": ball,
+        trace.append({"t": t, "lambda": lam, "origin_ball_mass": ball,
                       "best_center": y, "best_value": best})
     params = {"applicable": True, "lambda_rule": "inverse_hom_half_norm", "trace": trace}
     return [CheckRecord("minimal_concentration", params, float(np.min(fractions)), mass_fraction,
@@ -359,34 +359,30 @@ def exterior_convergence_check(traj, R: float, params: ModelParams,
     term against its Newton bounds sup V_u zeta_{R/2} <= 2 mass / R and
     ||V_u u_R||_2 <= 2 mass^2 / R.
     """
-    window = _last_resolved(traj)
     g = traj.grid
     m0 = traj.initial_mass
     kern = kernel(g, params)
-    dists = [math.sqrt(kern.mass(abs2(b.field.values - a.field.values), R))
-             for (a, _), (b, _) in zip(window, window[1:])]
-    decreasing = bool(np.all(np.diff(dists) <= 1e-14))
-    final_ok = bool(dists[-1] <= final_frac * np.sqrt(m0))
-    rec_cauchy = CheckRecord(
-        check="exterior_cauchy",
-        params={"R": R, "distances": [float(d) for d in dists]},
-        statistic=float(dists[-1]), bound=final_frac * float(np.sqrt(m0)),
-        passed=decreasing and final_ok)
-
     zeta = _zeta_exterior(g, R)
     zeta_half = _zeta_exterior(g, R / 2.0)
-    sup_vzeta = 0.0
-    sup_vur = 0.0
-    sup_fr = 0.0
-    for s, rho in window:
+    dists = []
+    sup_vzeta = sup_vur = sup_fr = 0.0
+    prev = None
+    for _, values, rho in _last_resolved(traj):
+        if prev is not None:
+            dists.append(math.sqrt(kern.mass(abs2(values - prev), R)))
+        prev = values
         v = kern.potential(rho)
         sup_vzeta = max(sup_vzeta, float(np.max(v * zeta_half)))
-        ur = zeta * s.field.values
+        ur = zeta * values
         vur = math.sqrt(kern.mass(abs2(v * ur)))
         sup_vur = max(sup_vur, vur)
-        fr = zeta * kern.inverse(kern.omega * kern.forward(s.field.values))
+        fr = zeta * kern.inverse(kern.omega * kern.forward(values))
         fr -= kern.inverse(kern.omega * kern.forward(ur))
         sup_fr = max(sup_fr, math.sqrt(kern.mass(abs2(fr))))
+    bound = final_frac * float(np.sqrt(m0))
+    decreasing = bool(np.all(np.diff(dists) <= 1e-14))
+    rec_cauchy = CheckRecord("exterior_cauchy", {"R": R, "distances": [float(d) for d in dists]},
+                             float(dists[-1]), bound, passed=decreasing and dists[-1] <= bound)
     return [rec_cauchy, CheckRecord("newton_potential_sup", {"R": R}, sup_vzeta, 2.0 * m0 / R),
             CheckRecord("duhamel_potential_term", {"R": R, "commutator_source_l2": sup_fr},
                         sup_vur, 2.0 * m0**2 / R)]
@@ -446,8 +442,8 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
 
     A check that lacks the snapshots or the cutoff bank it needs reports one
     failed record that carries the error.  Exterior convergence is a statement
-    about blowup solutions: on a run that did not stop at StepFloor it reports
-    one passed, not-applicable record.
+    about blowup solutions: on a run that is not Trajectory.blowup_suspected it
+    reports one passed, not-applicable record.
     """
     wanted = parse_checks(checks)
     grid = traj.grid
@@ -477,10 +473,8 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
         return cauchy
 
     def exterior():
-        if traj.termination != STEP_FLOOR:
-            return [CheckRecord("exterior_cauchy",
-                                {"applicable": False, "termination": traj.termination},
-                                nan, nan, passed=True)]
+        if not traj.blowup_suspected:
+            return _not_applicable("exterior_cauchy", traj, nan, "<=")
         return exterior_convergence_check(traj, tol.exterior_radius, traj.params,
                                           final_frac=tol.exterior_final_frac)
 

@@ -264,6 +264,12 @@ class Trajectory:
     def resolved_snapshots(self) -> list:
         return [s for s in self.snapshots if s.resolved]
 
+    @property
+    def blowup_suspected(self) -> bool:
+        """The paper's hypothesis on the grid, that u blows up in H^{1/2} at a finite time T:
+        the run stopped at StepFloor.  The blowup-only checks read this and nothing else."""
+        return self.termination == STEP_FLOOR
+
 
 def half_max_width(f: Field) -> float:
     """Radius where |u| first drops below half of its peak (core width estimate)."""

@@ -503,16 +503,13 @@ def profile_decompose(grid: PeriodicGrid1D, family: SequenceFamily, s: float,
         if len(profiles) >= MAX_PROFILES:
             raise MaxProfilesExceeded(f"more than {MAX_PROFILES} extraction rounds")
         centers = []
-        extracts = []
         remainders = []
         for u in members:
             c, _ = local_mass_sup(grid, u, radius)
             chi, eta = _chi_eta(grid, c, radius)
-            v = np.roll(chi * u, -int(round(c / grid.dx)))  # recentered extract
             centers.append(c)
-            extracts.append(v)
             remainders.append(eta * u)
-        limit = extracts[-1]
+        limit = np.roll(chi * u, -int(round(c / grid.dx)))  # the last member's recentered extract
         profiles.append({"profile": limit, "centers": centers,
                          "mass": l2_norm(grid, limit) ** 2})
         schedule.append(radius)

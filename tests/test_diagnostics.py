@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from bosonstar.diagnostics import (
     CHECKS,
+    TAIL,
     CheckRecord,
     Cutoff,
     InsufficientSnapshots,
@@ -19,7 +20,6 @@ from bosonstar.diagnostics import (
     cutoff_bank,
     dilation_decay_check,
     exterior_convergence_check,
-    localized_mass,
     localized_mass_series,
     minimal_concentration_check,
     propagation_bound_check,
@@ -30,7 +30,13 @@ from bosonstar.diagnostics import (
     virial_check,
 )
 from bosonstar.config import Tolerances
-from bosonstar.evolution import trajectory_from_snapshots
+from bosonstar.evolution import (
+    HORIZON_REACHED,
+    NORM_CAP,
+    STEP_FLOOR,
+    SnapshotRows,
+    trajectory_from_snapshots,
+)
 from bosonstar.spectral import (
     Field,
     ModelParams,
@@ -53,11 +59,12 @@ def density(f):
     return np.abs(f.values) ** 2
 
 
-def stationary_traj(grid=GRID, omega=2.0, n_snaps=8, width=1.5, params=P1):
+def stationary_traj(grid=GRID, omega=2.0, n_snaps=8, width=1.5, params=P1,
+                    termination=HORIZON_REACHED):
     prof = gaussian_field(grid, 1.0, width)
     times = [0.2 * i for i in range(n_snaps)]
     fields = [Field(grid, np.exp(1j * omega * t) * prof.values) for t in times]
-    return trajectory_from_snapshots(fields, times, params)
+    return trajectory_from_snapshots(fields, times, params, termination=termination)
 
 
 class TestCutoffs:
@@ -83,21 +90,21 @@ class TestLocalizedMass:
         f = gaussian_field(GRID, 1.0, 2.0)
         one = Cutoff(kind="custom", samples=np.ones(GRID.n_points), grad_inf=0.0)
         rho = density(f)
-        assert localized_mass(rho, kernel(GRID, P0), one) == pytest.approx(mass(f), rel=1e-12)
+        assert kernel(GRID, P0).mass(one.samples * rho) == pytest.approx(mass(f), rel=1e-12)
 
     def test_disjoint_support_gives_zero(self):
         f = field_from_profile(GRID, lambda r: np.where(r < 4.0, 1.0, 0.0))
         # a tanh exterior at 40 with width 2, sharper than the bank's radius / 4
         chi = Cutoff(kind="custom", samples=0.5 * (1.0 + np.tanh((GRID.r - 40.0) / 2.0)),
                      grad_inf=0.25)
-        assert localized_mass(density(f), kernel(GRID, P0), chi) < 1e-12 * mass(f)
+        assert kernel(GRID, P0).mass(chi.samples * density(f)) < 1e-12 * mass(f)
 
     def test_partition_sums_to_mass(self):
         f = gaussian_field(GRID, 1.0, 3.0)
         b = smooth_bump(GRID, 8.0)
         e = smooth_exterior(GRID, 8.0)
         kern = kernel(GRID, P0)
-        total = localized_mass(density(f), kern, b) + localized_mass(density(f), kern, e)
+        total = kern.mass(b.samples * density(f)) + kern.mass(e.samples * density(f))
         assert total == pytest.approx(mass(f), rel=1e-12)
 
 
@@ -269,6 +276,46 @@ class TestExteriorConvergence:
         traj = stationary_traj(n_snaps=3)
         with pytest.raises(InsufficientSnapshots):
             exterior_convergence_check(traj, 5.0, P1, TOL.exterior_final_frac)
+
+
+class TestBlowupHypothesis:
+    @pytest.mark.parametrize("termination", [NORM_CAP, HORIZON_REACHED])
+    def test_a_stop_that_is_not_a_blowup_is_not_applicable(self, termination, acceptance_gs):
+        traj = stationary_traj(termination=termination)
+        assert not traj.blowup_suspected
+        records, _ = run_checks(traj, acceptance_gs, TOL, "concentration,exterior")
+        assert [(r.check, r.passed, r.params) for r in records] == [
+            (name, True, {"applicable": False, "termination": termination})
+            for name in ("minimal_concentration", "exterior_cauchy")]
+
+    def test_the_same_fields_at_the_step_floor_are_checked(self, acceptance_gs):
+        traj = stationary_traj(termination=STEP_FLOOR)
+        assert traj.blowup_suspected
+        records, _ = run_checks(traj, acceptance_gs, TOL, "concentration,exterior")
+        assert [r.check for r in records] == [
+            "minimal_concentration", "concentration_center", "exterior_cauchy",
+            "newton_potential_sup", "duhamel_potential_term"]
+        assert all(np.isfinite(r.statistic) for r in records)
+        assert records[0].params["applicable"] is True
+        assert len(records[2].params["distances"]) == TAIL - 1
+
+    @pytest.mark.parametrize("check", ["concentration", "exterior"])
+    def test_a_window_check_reads_each_row_once(self, check, monkeypatch, acceptance_gs):
+        traj = stationary_traj(termination=STEP_FLOOR)
+        reads = []
+        read = SnapshotRows.__getitem__
+
+        def counted(rows, i):
+            reads.append(range(len(rows))[i])
+            return read(rows, i)
+
+        monkeypatch.setattr(SnapshotRows, "__getitem__", counted)
+        if check == "concentration":
+            minimal_concentration_check(traj, acceptance_gs, TOL.conc_mass_fraction,
+                                        TOL.conc_center_cells)
+        else:
+            exterior_convergence_check(traj, 5.0, P1, TOL.exterior_final_frac)
+        assert reads == [s.row for s in traj.resolved_snapshots()[-TAIL:]]
 
 
 class TestVirial:

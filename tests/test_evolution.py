@@ -127,11 +127,15 @@ class TestEvolve:
         assert np.max(np.abs(m - m[0])) < 1e-9 * m[0]
 
     def test_time_reversal(self):
+        # a random datum scaled to mass 2.0 (0.74 M_c), so it does not collapse; at this
+        # cfl the H^{1/2} rate sets every dt, and each direction takes about 100 steps
         rng = np.random.default_rng(3)
         f = random_smooth_field(GRID, rng)
-        controls = EvolutionControls(dt0=1e-3, t_end=0.05, cfl=1.0, dt_floor=1e-12,
+        f = Field(GRID, f.values * np.sqrt(2.0 / mass(f)))
+        controls = EvolutionControls(dt0=1e-3, t_end=0.05, cfl=3e-4, dt_floor=1e-12,
                                      snapshot_stride=1000)
         fwd = evolve(f, P1, controls)
+        assert np.all(fwd.records["dt"][1:] < controls.dt0)
         back = evolve(Field(GRID, np.conj(fwd.fields[-1])), P1, controls)
         recovered = np.conj(back.fields[-1])
         assert np.linalg.norm(recovered - f.values) / np.linalg.norm(f.values) < 1e-8

@@ -154,3 +154,19 @@ def test_only_the_cli_touches_the_garbage_collector():
     # other module must leave a host process's collector as it found it
     sites = {path.name: _gc_sites(path) for path in SRC.glob("*.py")}
     assert sites.pop("cli.py") and {name: lines for name, lines in sites.items() if lines} == {}
+
+
+def _step_floor_sites(path) -> list[int]:
+    # an import of STEP_FLOOR, a read of it as a name or an attribute, or its string
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "STEP_FLOOR" for a in node.names)
+            or isinstance(node, ast.Name) and node.id == "STEP_FLOOR"
+            or isinstance(node, ast.Attribute) and node.attr == "STEP_FLOOR"
+            or isinstance(node, ast.Constant) and node.value == "StepFloor"]
+
+
+def test_only_evolution_reads_the_step_floor():
+    # evolve sets StepFloor and Trajectory.blowup_suspected reads it; every other module
+    # asks the trajectory, so a new blowup reason goes into that one predicate
+    sites = {path.name: _step_floor_sites(path) for path in SRC.glob("*.py")}
+    assert sites.pop("evolution.py") and {name: lines for name, lines in sites.items() if lines} == {}
