@@ -123,9 +123,7 @@ def run_ground_state(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     if seed.startswith("file:"):
         seed = _load_field(seed[len("file:"):], grid)
     gs = solve_ground_state(grid, tol=cfg.ground_state["tol"],
-                            max_iter=cfg.ground_state["max_iter"],
-                            gamma=cfg.ground_state["gamma"],
-                            seed=seed)
+                            max_iter=cfg.ground_state["max_iter"], seed=seed)
     _say(quiet, f"converged in {gs.iterations} sweeps: M_c = {gs.critical_mass:.12g}, "
                 f"residual = {gs.equation_residual:.3g}, pohozaev = {gs.pohozaev_residual:.3g}")
     return {**{name: getattr(gs, name) for name in _GS_SCALARS},
@@ -188,7 +186,7 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
 
 def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     op = cfg.operator_check
-    records = lab.run_suite(op["suite"], lab.PeriodicGrid1D(op["n"], op["length"]), op["s"],
+    records = lab.run_suite(op["suite"], lab.PeriodicGrid1D(op["n"]), op["s"],
                             cfg.tolerances, cfg.seed)
     return {"suite": op["suite"], "n": op["n"], "s": op["s"],
             "checks": [r.to_dict() for r in records]}, records

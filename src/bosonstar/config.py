@@ -98,11 +98,10 @@ class RunConfig:
     params: dict = dc_field(default_factory=lambda: {"mass": 0.0})
     controls: dict = dc_field(default_factory=dict)
     ground_state: dict = dc_field(default_factory=lambda: {
-        "tol": 1e-10, "max_iter": 2000, "gamma": 1.5, "seed_profile": "gaussian"})
+        "tol": 1e-10, "max_iter": 2000, "seed_profile": "gaussian"})
     u0: dict = dc_field(default_factory=lambda: {"kind": "gaussian", "amplitude": 1.0, "width": 1.0})
     diagnose: dict = dc_field(default_factory=lambda: {"checks": "all"})
-    operator_check: dict = dc_field(default_factory=lambda: {
-        "suite": "all", "n": 128, "length": 32.0, "s": 0.5})
+    operator_check: dict = dc_field(default_factory=lambda: {"suite": "all", "n": 128, "s": 0.5})
     tolerances: Tolerances = dc_field(default_factory=Tolerances)
     seed: int = 0
     out_dir: str = "runs/out"
@@ -168,7 +167,7 @@ def config_from_dict(data: dict) -> RunConfig:
             ("grid", RadialGrid, cfg["grid"]), ("params", ModelParams, cfg["params"]),
             ("controls", EvolutionControls, cfg["controls"]),
             ("tolerances", Tolerances, cfg["tolerances"]),
-            ("operator_check", PeriodicGrid1D, {"n": op["n"], "length": op["length"]}),
+            ("operator_check", PeriodicGrid1D, {"n": op["n"]}),
             ("diagnose", parse_checks, {"checks": dg["checks"]})):
         try:
             make(**kwargs)
@@ -179,7 +178,6 @@ def config_from_dict(data: dict) -> RunConfig:
     rules = [("command", cfg["command"] in _COMMANDS, "must be one of " + ", ".join(_COMMANDS)),
              ("ground_state.tol", gs["tol"] > 0, "must be positive"),
              ("ground_state.max_iter", gs["max_iter"] >= 1, "must be >= 1"),
-             ("ground_state.gamma", gs["gamma"] > 0, "must be positive"),
              ("ground_state.seed_profile", gs["seed_profile"] in PROFILES
               or gs["seed_profile"].startswith("file:"), f"must be in {tuple(PROFILES)} or file:<path>"),
              ("u0.kind", u0["kind"] in (*PROFILES, "file"), f"must be in {tuple(PROFILES)} or file"),

@@ -11,9 +11,9 @@ suite.
 Limits t -> T^- are replaced by windows over the last TAIL snapshots, resolved
 ones where a check says so; "resolved" excludes records whose concentration
 width has fallen below the grid scale (see
-EvolutionControls.resolved_width_cells).  Every check computes the density
-|u|^2 of each snapshot row it reads once, and keeps no all-rows density; the
-checks that state the paper's blowup results report not applicable unless
+EvolutionControls.resolved_width_cells).  Every check reads each row it needs
+once, through Snapshot.field, and keeps no all-rows density |u|^2; the checks
+that state the paper's blowup results report not applicable unless
 Trajectory.blowup_suspected.
 """
 
@@ -152,13 +152,17 @@ class CheckRecord:
 
 # --- localized mass and propagation ------------------------------------------
 
-def localized_mass_series(traj, cutoffs, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Times of the snapshots from `first` on, and M_chi at each of them, one row per cutoff;
+def _localized_masses(kern: RadialKernel, cutoffs, rho: np.ndarray) -> list:
+    """M_chi of the density rho for each cutoff chi."""
+    return [kern.mass(chi.samples * rho) for chi in cutoffs]
+
+
+def localized_mass_series(traj, cutoffs) -> tuple[np.ndarray, np.ndarray]:
+    """Times of the snapshots, and M_chi at each of them, one row per cutoff;
     each snapshot's density is computed once for all the cutoffs."""
     kern = kernel(traj.grid, traj.params)
-    densities = map(traj.density, range(first, len(traj.snapshots)))
-    ms = np.array([[kern.mass(chi.samples * rho) for chi in cutoffs] for rho in densities])
-    return np.array([s.t for s in traj.snapshots[first:]]), ms.T
+    ms = np.array([_localized_masses(kern, cutoffs, abs2(s.field.values)) for s in traj.snapshots])
+    return np.array([s.t for s in traj.snapshots]), ms.T
 
 
 def _max_rate(ts: np.ndarray, ms: np.ndarray) -> float:
@@ -210,8 +214,8 @@ def tightness_check(traj, eps: float) -> float:
     g = traj.grid
     mass_weight = kernel(g, traj.params).mass_weight
     sup_ext = None
-    for i in range(len(traj.snapshots)):
-        ext = np.cumsum((traj.density(i) * mass_weight)[::-1])[::-1]  # mass in r >= r_j
+    for s in traj.snapshots:
+        ext = np.cumsum((abs2(s.field.values) * mass_weight)[::-1])[::-1]  # mass in r >= r_j
         sup_ext = ext if sup_ext is None else np.maximum(sup_ext, ext)
     if sup_ext is None:
         raise InsufficientSnapshots("no snapshots")
@@ -265,7 +269,7 @@ def _last_resolved(traj):
     if len(res) < TAIL:
         raise InsufficientSnapshots(f"need {TAIL} resolved snapshots, have {len(res)}")
     for s in res[-TAIL:]:
-        values = traj.fields[s.row]
+        values = s.field.values
         yield s.t, values, abs2(values)
 
 
@@ -317,24 +321,27 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     snapshots.
     """
     g = traj.grid
-    edges = np.linspace(0.0, g.r_max, bins + 1)
-    shell = kernel(g, traj.params).mass_weight
+    cauchy = bool(cutoffs) and c_cal is not None
+    if cauchy and len(traj.snapshots) < 2:
+        raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
+    kern = kernel(g, traj.params)
     bin_idx = np.minimum((g.r / (g.r_max / bins)).astype(int), bins - 1)
-    hists = [np.bincount(bin_idx, weights=traj.density(i) * shell, minlength=bins)
-             for i in range(len(traj.snapshots))]
+    tail = traj.snapshots[-TAIL:]
+    hists, tail_masses = [], []
+    for i, s in enumerate(traj.snapshots):  # each row's density gives its histogram and tail M_chi
+        rho = abs2(s.field.values)
+        hists.append(np.bincount(bin_idx, weights=rho * kern.mass_weight, minlength=bins))
+        if cauchy and i >= len(traj.snapshots) - len(tail):
+            tail_masses.append(_localized_masses(kern, cutoffs, rho))
     histogram = {
-        "bin_edges": [float(e) for e in edges],
+        "bin_edges": [float(e) for e in np.linspace(0.0, g.r_max, bins + 1)],
         "times": [float(s.t) for s in traj.snapshots],
         "masses": [[float(x) for x in h] for h in hists],
     }
     records = []
-    if cutoffs and c_cal is not None:
-        tail = traj.snapshots[-TAIL:]
-        if len(tail) < 2:
-            raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
+    if cauchy:
         span = tail[-1].t - tail[0].t
-        _, masses = localized_mass_series(traj, cutoffs, len(traj.snapshots) - len(tail))
-        for chi, ms in zip(cutoffs, masses):
+        for chi, ms in zip(cutoffs, np.array(tail_masses).T):
             records.append(CheckRecord(
                 "measure_cauchy", {"kind": chi.kind, "radius": chi.radius, "window": span},
                 float(np.max(ms) - np.min(ms)), c_cal * chi.grad_inf * span + pad))
@@ -431,7 +438,7 @@ def parse_checks(checks="all") -> set:
     """The CHECKS named by "all", a comma-separated string or a list; ValueError for others."""
     names = set(CHECKS if checks == "all" else checks.split(",") if isinstance(checks, str) else checks)
     if names - set(CHECKS):
-        raise ValueError(f"checks has unknown names {', '.join(sorted(names - set(CHECKS)))}")
+        raise ValueError(f"checks has unknown names {', '.join(map(repr, sorted(names - set(CHECKS))))}")
     return names
 
 
@@ -486,8 +493,8 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
 
     def newton():
         kern = kernel(grid, traj.params)
-        worst = max(float(np.max(kern.r * kern.potential(traj.density(i))))
-                    for i in range(len(traj.snapshots)))
+        worst = max(float(np.max(kern.r * kern.potential(abs2(s.field.values))))
+                    for s in traj.snapshots)
         return [CheckRecord("newton_bound", {}, worst, m0 * (1.0 + tol.newton_slack))]
 
     runners = {"tightness": tightness, "measure": measure, "exterior": exterior, "newton": newton,

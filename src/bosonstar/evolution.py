@@ -238,8 +238,8 @@ class Snapshot:
 class Trajectory:
     """Time-ordered snapshots plus per-accepted-step conserved-quantity records; `fields` is
     the SnapshotRows store of the snapshot samples, one row per snapshot and the only home
-    of them: `evolve` appends each kept step to its file, and `density(i)` computes |u|^2
-    of row i when a check reads it."""
+    of them: `evolve` appends each kept step to its file, and a check reads a row through
+    its snapshot's `field`."""
 
     grid: RadialGrid
     params: ModelParams
@@ -248,10 +248,6 @@ class Trajectory:
     fields: SnapshotRows
     snapshots: list
     termination: str
-
-    def density(self, i: int) -> np.ndarray:
-        """|u|^2 of snapshot i, in a new array on every call: no density is kept."""
-        return abs2(self.fields[i])
 
     @property
     def initial_mass(self) -> float:

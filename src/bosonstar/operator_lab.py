@@ -75,7 +75,7 @@ class MaxProfilesExceeded(RuntimeError):
 @dataclass(frozen=True)
 class PeriodicGrid1D:
     n: int
-    length: float
+    length: float = 32.0
 
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 4:
@@ -535,13 +535,14 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
 
     tol (config.Tolerances) supplies c_cal_commutator and c_cal_subcritical;
     seed draws the random cutoffs of the commutator and localization checks.
-    The lower bounds -1e-8 and the relative pads 1e-6 are rounding slack.
+    The localization and ims checks need s < 1: they run, and record, order
+    min(s, 0.99).  The lower bounds -1e-8 and the relative pads 1e-6 are rounding slack.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"suite must be all or one of {', '.join(SUITES)}")
     commutator, localization, ims, subcritical, profiles = (suite in (n, "all") for n in SUITES)
     rng = np.random.default_rng(seed)
-    length = grid.length
+    length, s_open = grid.length, min(s, 0.99)
     records = []
 
     def add(check, params, stat, bound, relation="<="):
@@ -554,15 +555,15 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
             bound = tol.c_cal_commutator * float(np.max(np.abs(spectral_gradient(grid, chi))))
             add("commutator_norm", {"s": s}, cn, bound)
     if localization:
-        out = localization_defect(grid, min(s, 0.99), random_smooth_chi(grid, rng))
+        out = localization_defect(grid, s_open, random_smooth_chi(grid, rng))
         high = out["upper_bound"] * (1 + 1e-6)
-        add("localization_spectrum_low", {"s": s}, out["eig_min"], -1e-8, ">=")
-        add("localization_spectrum_high", {"s": s}, out["eig_max"], high)
-        add("double_commutator", {"s": s}, out["double_commutator_norm"],
+        add("localization_spectrum_low", {"s": s_open}, out["eig_min"], -1e-8, ">=")
+        add("localization_spectrum_high", {"s": s_open}, out["eig_max"], high)
+        add("double_commutator", {"s": s_open}, out["double_commutator_norm"],
             out["double_commutator_bound"])
     if ims:
-        d = ims_defect(grid, min(s, 0.99), partition_pair(grid, length / 4.0, length / 24.0))
-        add("ims_defect", {"s": s}, d, -1e-8, ">=")
+        d = ims_defect(grid, s_open, partition_pair(grid, length / 4.0, length / 24.0))
+        add("ims_defect", {"s": s_open}, d, -1e-8, ">=")
     if subcritical:
         fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
                               for k in range(8)])

@@ -92,6 +92,8 @@ class TestConfigValidation:
         ("controls", "resolved_width_cells"),  # tolerances.resolved_width_cells is the one knob
         ("tolerances", "boundary_mass_fraction"),  # read by nothing, so no knob
         ("controls", "include_nonlinearity"),  # evolve integrates the nonlinear equation only
+        ("ground_state", "gamma"),  # solve_ground_state's default 3/2; nothing set another
+        ("operator_check", "length"),  # PeriodicGrid1D's default 32; nothing set another
     ])
     def test_unknown_nested_key_rejected(self, section, key):
         with pytest.raises(ValidationError) as err:
@@ -215,7 +217,7 @@ class TestRunDispatch:
     def test_operator_check_run(self, tmp_path):
         cfg = config_from_dict({
             "command": "operator-check",
-            "operator_check": {"suite": "commutator", "n": 64, "length": 32.0, "s": 0.5},
+            "operator_check": {"suite": "commutator", "n": 64, "s": 0.5},
             "out_dir": str(tmp_path / "op"),
             "seed": 1,
         })
@@ -453,6 +455,7 @@ class TestMainEntry:
         ("evolve", [], {"controls": {"dt_floor": 0}}, "controls.dt_floor"),
         ("evolve", [], {"controls": {"dt0": 1e-3, "dt_floor": 1e-3}}, "controls.dt0"),
         ("diagnose", ["--checks", "tightnes"], {}, "diagnose.checks"),
+        ("diagnose", ["--checks", "newton,,virial"], {}, "diagnose.checks"),
         ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": 0.5, "width": 0}}, "u0.width"),
         ("evolve", [], {"u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5, "mass": -1}},
          "u0.mass"),
@@ -467,7 +470,8 @@ class TestMainEntry:
             "seed_profile_unknown", "seed_profile_flag_unknown", "gamma_not_a_number",
             "bank_radii_not_a_list", "cauchy_pad_not_a_number", "histogram_bins_zero",
             "histogram_bins_not_an_int", "max_snapshots_zero",
-            "max_snapshots_one", "dt_floor_zero", "dt0_not_above_floor", "unknown_check", "u0_width_zero",
+            "max_snapshots_one", "dt_floor_zero", "dt0_not_above_floor", "unknown_check",
+            "empty_check_name", "u0_width_zero",
             "u0_mass_negative", "u0_amplitude_nan", "u0_amplitude_zero", "r_max_too_large",
             "t_end_infinite", "h_half_cap_zero", "grid_not_an_object_with_a_grid_flag"])
     def test_rejected_when_the_config_is_read(self, tmp_path, capsys, command, flags, bad, field):

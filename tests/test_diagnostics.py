@@ -22,6 +22,7 @@ from bosonstar.diagnostics import (
     exterior_convergence_check,
     localized_mass_series,
     minimal_concentration_check,
+    parse_checks,
     propagation_bound_check,
     run_checks,
     smooth_bump,
@@ -299,8 +300,9 @@ class TestBlowupHypothesis:
         assert records[0].params["applicable"] is True
         assert len(records[2].params["distances"]) == TAIL - 1
 
-    @pytest.mark.parametrize("check", ["concentration", "exterior"])
+    @pytest.mark.parametrize("check", list(CHECKS))
     def test_a_window_check_reads_each_row_once(self, check, monkeypatch, acceptance_gs):
+        # every check, not only the window ones: each row it needs, once, in order
         traj = stationary_traj(termination=STEP_FLOOR)
         reads = []
         read = SnapshotRows.__getitem__
@@ -310,12 +312,12 @@ class TestBlowupHypothesis:
             return read(rows, i)
 
         monkeypatch.setattr(SnapshotRows, "__getitem__", counted)
-        if check == "concentration":
-            minimal_concentration_check(traj, acceptance_gs, TOL.conc_mass_fraction,
-                                        TOL.conc_center_cells)
-        else:
-            exterior_convergence_check(traj, 5.0, P1, TOL.exterior_final_frac)
-        assert reads == [s.row for s in traj.resolved_snapshots()[-TAIL:]]
+        records, _ = run_checks(traj, acceptance_gs, TOL, check)
+        assert records and all(np.isfinite(r.statistic) for r in records)
+        needed = {"virial": traj.resolved_snapshots(),
+                  "concentration": traj.resolved_snapshots()[-TAIL:],
+                  "exterior": traj.resolved_snapshots()[-TAIL:]}.get(check, traj.snapshots)
+        assert reads == [s.row for s in needed]
 
 
 class TestVirial:
@@ -466,6 +468,11 @@ class TestReportPlumbing:
     def test_run_checks_rejects_an_unknown_check(self):
         with pytest.raises(ValueError, match="tightnes"):
             run_checks(stationary_traj(n_snaps=3), None, TOL, "tightnes")
+
+    @pytest.mark.parametrize("checks", ["newton,,virial", ""])
+    def test_an_empty_check_name_is_named(self, checks):
+        with pytest.raises(ValueError, match="^checks has unknown names ''$"):
+            parse_checks(checks)
 
     def test_printed_direction_agrees_with_the_verdict(self, blowup_traj, acceptance_gs):
         from bosonstar.operator_lab import PeriodicGrid1D, run_suite

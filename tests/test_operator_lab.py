@@ -10,6 +10,7 @@ from scipy.special import beta, roots_jacobi
 
 import bosonstar
 
+from bosonstar.config import Tolerances
 from bosonstar.operator_lab import (
     MaxProfilesExceeded,
     NotAPartition,
@@ -27,6 +28,7 @@ from bosonstar.operator_lab import (
     partition_pair,
     profile_decompose,
     random_smooth_chi,
+    run_suite,
     spectral_gradient,
     subcritical_check,
     tanh_bump,
@@ -294,6 +296,17 @@ class TestIMS:
         defect = acc + np.diag(grad_sq)
         proj = band_projector(g, 2 * m + 1)
         assert operator_norm_matrix(proj @ defect @ proj) < 1e-10 * operator_norm_matrix(lap)
+
+
+class TestSuiteRecords:
+    def test_a_record_states_the_order_it_ran_at(self):
+        # localization and ims need s < 1: at s = 1 they run, and say so, at 0.99
+        records = run_suite("all", PeriodicGrid1D(64), 1.0, Tolerances(), 0)
+        below_one = {"localization_spectrum_low", "localization_spectrum_high",
+                     "double_commutator", "ims_defect"}
+        orders = {r.check: r.params["s"] for r in records if "s" in r.params}
+        assert orders == {"commutator_norm": 1.0, "subcritical_ratio": 1.0,
+                          **dict.fromkeys(below_one, 0.99)}
 
 
 class TestSequenceFamilies:
