@@ -1,17 +1,20 @@
 """Reference oracles the tests check the package against; no command calls them.
 
 Random and rescaled radial fields, the inhomogeneous Sobolev norm, the exact
-free flow, the sharp energy lower bound, Newton's shell formula by trapezoid
-sums, the resolvent-quadrature route to (a - Delta)^s, the index-gather
-circulant and the hermiticity defect of a matrix.
+free flow, evolve in one process, the sharp energy lower bound, Newton's shell
+formula by trapezoid sums, the resolvent-quadrature route to (a - Delta)^s, the
+index-gather circulant and the hermiticity defect of a matrix.
 """
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from bosonstar.evolution import (HORIZON_REACHED, NORM_CAP, RECORD_COLUMNS, STEP_FLOOR,
+                                 EvolutionControls, SnapshotRows, Trajectory, _push_record,
+                                 _trajectory, require_resolved)
 from bosonstar.operator_lab import (PeriodicGrid1D, _composite_t_nodes,
                                     build_fractional, operator_norm_matrix)
-from bosonstar.spectral import Field, ModelParams, RadialGrid, energy, kernel, mass
+from bosonstar.spectral import Field, ModelParams, RadialGrid, abs2, energy, kernel, mass
 
 
 def zero_field(grid: RadialGrid) -> Field:
@@ -54,6 +57,69 @@ def free_evolution(u0: Field, params: ModelParams, t: float) -> Field:
     """Exact free flow exp(-i t sqrt(-Delta+m^2)) u0 via a single multiplier."""
     kern = kernel(u0.grid, params)
     return Field(u0.grid, kern.inverse(kern.forward(u0.values) * np.exp(-1j * t * kern.omega)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_evolve(u0: Field, params: ModelParams, controls: EvolutionControls) -> Trajectory:
+    """evolve in one process: the serial loop that takes each step's record row and snapshot
+    row in line after its Strang step, and the dt rule's norm from that record."""
+    grid = u0.grid
+    kern = kernel(grid, params)
+    require_resolved(u0, kern)
+    cols = {name: [] for name in RECORD_COLUMNS}
+    snap_idx = []
+
+    def push_snapshot(u_vals):
+        fields.append(u_vals)
+        snap_idx.append(steps_accepted)
+        if len(snap_idx) > controls.max_snapshots:
+            keep_from = (3 * len(snap_idx)) // 4
+            rows = [*range(0, keep_from, 2), *range(keep_from, len(snap_idx))]
+            fields.keep(rows)
+            snap_idx[:] = [snap_idx[i] for i in rows]
+
+    with SnapshotRows.create(grid) as fields:
+        u = u0.values
+        c = kern.forward(u)
+        steps_accepted = 0
+        _, h_hom_sq = _push_record(cols, kern, 0.0, 0.0, u, c)
+        push_snapshot(u)
+
+        t = 0.0
+        termination = HORIZON_REACHED
+        v_ctrl = kern.potential(abs2(u))
+
+        while t < controls.t_end - 1e-15 * max(1.0, controls.t_end):
+            rate = max(h_hom_sq, float(np.max(v_ctrl)), 1e-300)
+            dt = min(controls.dt0, controls.cfl / rate)
+            if dt < controls.dt_floor:
+                termination = STEP_FLOOR
+                break
+            if t + 1.05 * dt >= controls.t_end:
+                dt = controls.t_end - t
+
+            c, v_ctrl = kern.strang(c, dt)
+            u = kern.inverse(c)
+            t += dt
+            steps_accepted += 1
+            h_half, h_hom_sq = _push_record(cols, kern, t, dt, u, c)
+            if steps_accepted % controls.snapshot_stride == 0:
+                push_snapshot(u)
+            if h_half > controls.h_half_cap:
+                termination = NORM_CAP
+                break
+
+        if snap_idx[-1] < steps_accepted:
+            push_snapshot(u)
+    return _trajectory(grid, params, controls, cols, snap_idx, fields, termination)
+
+
+def trajectory_bytes(traj: Trajectory) -> tuple:
+    """A run's termination, the bytes of each record column, its snapshot indices and the
+    bytes of each snapshot row: equal tuples are byte-identical runs, signed zeros too."""
+    return (traj.termination, [traj.records[name].tobytes() for name in RECORD_COLUMNS],
+            [s.record_index for s in traj.snapshots],
+            [traj.fields[i].tobytes() for i in range(len(traj.fields))])
 
 
 def energy_threshold_check(f: Field, gs, params: ModelParams) -> dict:

@@ -1,14 +1,19 @@
 import dataclasses
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import bosonstar
 from bosonstar import evolution
 from bosonstar.evolution import (
     HORIZON_REACHED,
     NORM_CAP,
+    STEP_FLOOR,
     EvolutionControls,
     NonFinite,
     SnapshotRows,
@@ -29,10 +34,18 @@ from bosonstar.spectral import (
     kernel,
     mass,
 )
-from oracles import free_evolution, hs_norm, random_smooth_field, zero_field
+from oracles import (
+    free_evolution,
+    hs_norm,
+    random_smooth_field,
+    reference_evolve,
+    trajectory_bytes,
+    zero_field,
+)
 
 GRID = RadialGrid(1024, 64.0)
 P1 = ModelParams(1.0)
+CALLER_MASK = os.sched_getaffinity(0)  # at collection, before any evolve has run
 
 
 def strang_step(f, dt):
@@ -87,25 +100,36 @@ class TestStep:
             assert np.array_equal(got, want) and np.array_equal(v, w)
             c = got
 
-    def test_six_transforms_per_step(self, monkeypatch):
+    def test_six_transforms_per_step(self, monkeypatch, tmp_path):
+        # each transform appends one byte naming its process to one O_APPEND file, which the
+        # forked record worker shares: s for the stepping process, w for the worker
         import bosonstar.spectral as spectral
 
-        calls = []
+        stepping, log = os.getpid(), tmp_path / "calls"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         for name in ("dst", "idst"):
             def counted(*args, _transform=getattr(spectral, name), **kwargs):
-                calls.append(1)
+                os.write(fd, b"s" if os.getpid() == stepping else b"w")
                 return _transform(*args, **kwargs)
             monkeypatch.setattr(spectral, name, counted)
         f = gaussian_field(GRID, 0.5, 2.0)
         counts = {}
-        for steps in (0, 5, 12):
-            calls.clear()
-            traj = evolve(f, P1, EvolutionControls(dt0=1e-3, t_end=steps * 1e-3, cfl=1.0,
-                                                   dt_floor=1e-12))
-            assert len(traj.records["t"]) == steps + 1
-            counts[steps] = len(calls)
-        # start-up: forward, the first record's interaction and the first potential
-        assert counts == {0: 4, 5: 4 + 6 * 5, 12: 4 + 6 * 12}
+        try:
+            for steps in (0, 5, 12):
+                os.ftruncate(fd, 0)
+                traj = evolve(f, P1, EvolutionControls(dt0=1e-3, t_end=steps * 1e-3, cfl=1.0,
+                                                       dt_floor=1e-12))
+                assert len(traj.records["t"]) == steps + 1
+                calls = log.read_bytes()
+                counts[steps] = (calls.count(b"s"), calls.count(b"w"))
+        finally:
+            os.close(fd)
+        assert {steps: s + w for steps, (s, w) in counts.items()} == {
+            0: 4, 5: 4 + 6 * 5, 12: 4 + 6 * 12}
+        # start-up: forward, the first record's interaction and the first potential; then
+        # per step the Strang pair and the Poisson pair while stepping, and in the worker
+        # the record's inverse and its interaction
+        assert counts == {0: (4, 0), 5: (4 + 4 * 5, 2 * 5), 12: (4 + 4 * 12, 2 * 12)}
 
     def test_nonpositive_dt_rejected(self):
         # evolve steps by at least dt_floor, which the controls require to be positive
@@ -190,6 +214,100 @@ class TestEvolve:
             drifts[dt] = abs(e[-1] - e[0]) / abs(e[0])
         ratio = drifts[2e-3] / drifts[1e-3]
         assert 3.0 <= ratio <= 5.0
+
+
+def collapsing_datum(grid=RadialGrid(2048, 16.0)):
+    """The blowup run's Gaussian of width 0.5 at about 1.2 M_c, on a small grid."""
+    u0 = gaussian_field(grid, 1.0, 0.5)
+    return Field(grid, u0.values * np.sqrt(1.2 * 2.6924 / mass(u0)))
+
+
+ONE_CPU_PROBE = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from bosonstar.evolution import EvolutionControls, evolve
+from bosonstar.spectral import ModelParams, RadialGrid, gaussian_field
+from oracles import reference_evolve, trajectory_bytes
+u0, params = gaussian_field(RadialGrid(1024, 64.0), 0.5, 2.0), ModelParams(1.0)
+controls = EvolutionControls(dt0=5e-3, t_end=0.3, cfl=1.0, dt_floor=1e-12, snapshot_stride=7)
+mask = os.sched_getaffinity(0)
+same = trajectory_bytes(evolve(u0, params, controls)) == trajectory_bytes(
+    reference_evolve(u0, params, controls))
+print(same, os.sched_getaffinity(0) == mask, len(mask))
+"""
+
+
+class TestRecordWorker:
+    """evolve takes each step's record and snapshot row in a forked worker; the serial loop
+    of oracles.reference_evolve is the reference it must match byte for byte."""
+
+    @pytest.mark.parametrize("u0, controls, termination", [
+        (gaussian_field(GRID, 0.5, 2.0),
+         EvolutionControls(dt0=5e-3, t_end=0.5, cfl=1.0, dt_floor=1e-12, snapshot_stride=10),
+         HORIZON_REACHED),
+        (gaussian_field(GRID, 0.5, 2.0),  # thinned four times over its 13 rows
+         EvolutionControls(dt0=1e-3, t_end=0.012, cfl=1.0, dt_floor=1e-12, snapshot_stride=1,
+                           max_snapshots=4),
+         HORIZON_REACHED),
+        (collapsing_datum(),
+         EvolutionControls(dt0=0.05, t_end=40.0, cfl=0.35, dt_floor=2e-3, snapshot_stride=2),
+         STEP_FLOOR),
+        (collapsing_datum(),
+         EvolutionControls(dt0=0.05, t_end=40.0, cfl=0.35, dt_floor=1e-6, snapshot_stride=3,
+                           h_half_cap=6.0),
+         NORM_CAP),
+    ], ids=["subcritical", "thinning", "step_floor", "norm_cap"])
+    def test_matches_the_serial_reference(self, u0, controls, termination):
+        got, want = evolve(u0, P1, controls), reference_evolve(u0, P1, controls)
+        assert got.termination == termination and len(got.records["t"]) > 12
+        assert trajectory_bytes(got) == trajectory_bytes(want)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_matches_the_serial_reference_on_one_cpu(self):
+        # a process allowed one CPU pins nothing: the two processes share it
+        src = pathlib.Path(bosonstar.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.path.dirname(__file__)]))
+        run = subprocess.run([sys.executable, "-c", ONE_CPU_PROBE], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True", "True", "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch):
+        # the worker raises at its ninth record (the tenth call; record 0 is the caller's),
+        # while the caller is blocked writing: 200 steps of 16 KiB outgrow the 1 MiB pipe, so
+        # the caller's write breaks, and it raises the worker's exception in its place
+        push, calls = evolution._push_record, []
+
+        def failing_push(*args):
+            calls.append(1)
+            if len(calls) == 10:
+                raise ZeroDivisionError("record 10 of 201")
+            return push(*args)
+        monkeypatch.setattr(evolution, "_push_record", failing_push)
+        controls = EvolutionControls(dt0=1e-3, t_end=0.2, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=1)
+        fds, mask = len(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)
+        with pytest.raises(ZeroDivisionError, match="^record 10 of 201$"):
+            evolve(gaussian_field(GRID, 0.5, 2.0), P1, controls, tmp_path / "snapshots.npy")
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(ChildProcessError):  # the worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert os.sched_getaffinity(0) == mask == CALLER_MASK
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_returned_run_leaves_no_process_descriptor_or_pin(self, tmp_path):
+        controls = EvolutionControls(dt0=1e-3, t_end=0.2, cfl=1.0, dt_floor=1e-12,
+                                     snapshot_stride=1)
+        fds, mask = len(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)
+        traj = evolve(gaussian_field(GRID, 0.5, 2.0), P1, controls, tmp_path / "snapshots.npy")
+        assert len(traj.snapshots) == 201
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == mask == CALLER_MASK
+        del traj  # its store holds the snapshot file open
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 class TestRhsBound:

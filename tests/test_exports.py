@@ -156,6 +156,38 @@ def test_only_the_cli_touches_the_garbage_collector():
     assert sites.pop("cli.py") and {name: lines for name, lines in sites.items() if lines} == {}
 
 
+# the calls that make or leave a process, or move a thread between CPUs
+PROCESS_CALLS = {"fork", "_exit", "sched_setaffinity"}
+
+
+def _process_sites(path) -> list[int]:
+    # a read of os.fork, os._exit or os.sched_setaffinity, or an import of one from os
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+            and getattr(node.value, "id", None) == "os"
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in PROCESS_CALLS for a in node.names)]
+
+
+def _stray_process_sites(src) -> dict:
+    # the modules of src other than evolution.py that fork, leave a process or pin a thread
+    sites = {path.name: _process_sites(path) for path in pathlib.Path(src).glob("*.py")}
+    assert sites.pop("evolution.py")
+    return {name: lines for name, lines in sites.items() if lines}
+
+
+def test_only_evolution_forks_or_pins(tmp_path):
+    # evolve forks its record worker, which leaves by os._exit, and pins both processes
+    # until it reaps the worker; no other module may fork, exit a process or pin a thread
+    assert _stray_process_sites(SRC) == {}
+    for path in SRC.glob("*.py"):  # a copy in which diagnostics forks too fails the guard
+        text = path.read_text()
+        if path.name == "diagnostics.py":
+            text += "\n\ndef _fork():\n    return os.fork()\n"
+        (tmp_path / path.name).write_text(text)
+    assert list(_stray_process_sites(tmp_path)) == ["diagnostics.py"]
+
+
 def _step_floor_sites(path) -> list[int]:
     # an import of STEP_FLOOR, a read of it as a name or an attribute, or its string
     return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
