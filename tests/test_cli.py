@@ -844,6 +844,26 @@ class TestTolerancesTable:
                               "tolerances": {"made_up_constant": 1.0}})
 
 
+# imports only bosonstar.cli, evolves the blowup datum (1.2 M_c) at n = 16384 to t_end = argv[1],
+# and prints the steps taken and the minor page faults of the stepping process and of the
+# reaped record worker during evolve
+FAULT_PROBE = """
+import resource, sys
+import bosonstar.cli
+from bosonstar.evolution import EvolutionControls, evolve
+from bosonstar.spectral import Field, ModelParams, RadialGrid, gaussian_field, mass
+grid = RadialGrid(16384, 16.0)
+u0 = gaussian_field(grid, 1.0, 0.5)
+u0 = Field(grid, u0.values * (1.2 * 2.69239443233 / mass(u0)) ** 0.5)
+controls = EvolutionControls(dt0=0.05, t_end=float(sys.argv[1]), cfl=0.35, dt_floor=2.2e-4,
+                             snapshot_stride=2, h_half_cap=1e7, max_snapshots=400)
+faults = lambda who: resource.getrusage(who).ru_minflt
+before = faults(resource.RUSAGE_SELF), faults(resource.RUSAGE_CHILDREN)
+steps = len(evolve(u0, ModelParams(1.0), controls).records["t"]) - 1
+print(steps, faults(resource.RUSAGE_SELF) - before[0], faults(resource.RUSAGE_CHILDREN) - before[1])
+"""
+
+
 def python(*args):
     """Run the interpreter in a fresh process that imports the package from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(bosonstar.__file__).parents[1]))
@@ -855,9 +875,24 @@ class TestProcessEntry:
     """`python -m bosonstar`, the path a user takes: the import, sys.exit(main()) and the exit."""
 
     def test_importing_the_cli_freezes_the_imported_heap(self):
-        # the interpreter's exit then skips traversing numpy, scipy.fft and the package
+        # the interpreter's exit then skips traversing numpy, pocketfft and the package
         run = python("-c", "import gc, bosonstar.cli; print(gc.get_freeze_count())")
         assert run.returncode == 0 and int(run.stdout) > 10_000
+
+    def test_steps_take_no_fresh_pages(self):
+        # 20 more steps of the blowup datum at n = 16384 take under 10 minor page faults per
+        # step in the stepping process and in the record worker.  Each run is a fresh process,
+        # so both pay the same start-up (about 1,900 and 1,000 faults); a second evolve in one
+        # process would reuse the first one's kernel and heap, and so understate the steps.
+        def faults(t_end):
+            run = python("-c", FAULT_PROBE, repr(t_end))
+            assert run.returncode == 0, run.stderr
+            return tuple(map(int, run.stdout.split()))
+
+        (steps_a, stepper_a, worker_a), (steps_b, stepper_b, worker_b) = faults(0.3), faults(1.0)
+        assert (steps_a, steps_b) == (7, 27)
+        assert stepper_b - stepper_a < 10 * (steps_b - steps_a)
+        assert worker_b - worker_a < 10 * (steps_b - steps_a)
 
     def test_a_passing_check_exits_0_with_its_line_last(self, tmp_path):
         out_dir = tmp_path / "od"

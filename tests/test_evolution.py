@@ -107,11 +107,10 @@ class TestStep:
 
         stepping, log = os.getpid(), tmp_path / "calls"
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        for name in ("dst", "idst"):
-            def counted(*args, _transform=getattr(spectral, name), **kwargs):
-                os.write(fd, b"s" if os.getpid() == stepping else b"w")
-                return _transform(*args, **kwargs)
-            monkeypatch.setattr(spectral, name, counted)
+        def counted(*args, _sine=spectral._sine, **kwargs):
+            os.write(fd, b"s" if os.getpid() == stepping else b"w")
+            return _sine(*args, **kwargs)
+        monkeypatch.setattr(spectral, "_sine", counted)
         f = gaussian_field(GRID, 0.5, 2.0)
         counts = {}
         try:

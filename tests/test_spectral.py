@@ -112,29 +112,66 @@ class TestKernel:
         energy(gaussian_field(GRID, 1.0, 2.0), ModelParams(1.0))
         assert kernel.cache_info().currsize == 1
 
-    def test_only_spectral_imports_scipy_fft(self):
-        # every DST and DCT in the package goes through the one kernel in
-        # spectral.py, and no check carries a root-finding basis of its own
+    def test_only_spectral_names_scipy(self):
+        # every DST and DCT in the package goes through the one kernel in spectral.py, which
+        # loads pocketfft from its file; no module imports scipy.fft, and no check carries a
+        # root-finding basis of its own
         import ast
-        import pathlib
 
-        import bosonstar
-
-        offenders, optimize_users = [], []
-        for path in pathlib.Path(bosonstar.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+        importers, namers = [], []
+        for path in sorted(pathlib.Path(bosonstar.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
                 elif isinstance(node, ast.ImportFrom):
                     names = [f"{node.module}.{a.name}" for a in node.names]
                 else:
-                    continue
-                if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
-                    offenders.append(path.name)
-                if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
-                    optimize_users.append(path.name)
-        assert offenders == ["spectral.py"]
-        assert optimize_users == []
+                    names = []
+                if any(n.split(".")[:2] in (["scipy", "fft"], ["scipy", "optimize"])
+                       for n in names):
+                    importers.append(path.name)
+                if (any(n.split(".")[0] == "scipy" for n in names)
+                        or isinstance(node, ast.Constant) and id(node) not in docstrings
+                        and "scipy" in str(node.value)):
+                    namers.append(path.name)
+        assert importers == []
+        assert sorted(set(namers)) == ["spectral.py"]
+
+    def test_importing_the_cli_loads_only_pocketfft_of_scipy(self):
+        # the extension alone: importing scipy.fft would also load scipy.special and f2py.  A
+        # later import of scipy.fft in the same process reuses the extension, not a second copy
+        run = subprocess.run(
+            [sys.executable, "-c", "import bosonstar.cli, sys; "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+             "from scipy.fft._pocketfft import pypocketfft; "
+             "print(pypocketfft is bosonstar.spectral._pocketfft)"],
+            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(bosonstar.__file__).parents[1])),
+            capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.splitlines() == ["scipy.fft._pocketfft.pypocketfft", "True"]
+
+    def test_missing_extension_is_one_clear_import_error(self, tmp_path):
+        # a scipy package without the extension first on the path: the error names the file;
+        # with no scipy at all, it says so
+        import importlib.machinery
+
+        def last_line(code):
+            src = str(pathlib.Path(bosonstar.__file__).parents[1])
+            run = subprocess.run([sys.executable, "-c", code + "import bosonstar.spectral"],
+                                 env=dict(os.environ, PYTHONPATH=f"{tmp_path}{os.pathsep}{src}"),
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 1
+            return run.stderr.splitlines()[-1]
+
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        missing = (tmp_path / "scipy" / "fft" / "_pocketfft"
+                   / ("pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]))
+        need = "ImportError: bosonstar.spectral needs scipy's pocketfft extension"
+        assert last_line("") == f"{need}, not found at {missing}"
+        assert last_line("import sys; sys.modules['scipy'] = None; ") == (
+            f"{need}, and scipy is not installed")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("grid", [GRID, RadialGrid(16384, 64.0)])  # both complex paths
@@ -163,23 +200,34 @@ class TestKernel:
         theta = np.random.default_rng(6).uniform(-50.0, 50.0, 4096)
         assert np.allclose(_rotation(theta), np.exp(1j * theta), rtol=0.0, atol=2.0**-52)
 
-    @pytest.mark.parametrize("length", [511, 16383])  # the interleaved view, the complex call
+    @pytest.mark.parametrize("length", [511, 4095, 8191, 16383])  # the interleaved view up to 8191
     def test_complex_transform_matches_scipy_complex_call(self, length):
-        # either path gives the bits of scipy's complex call, signed zeros included
-        from scipy.fft import dst, idst
+        # the bits of scipy.fft's dst, idst and of virial_weight's type-I dct, on complex and
+        # real inputs, signed zeros included
+        import scipy.fft
+        from scipy.fft._pocketfft import pypocketfft
 
-        from bosonstar.spectral import _sine
+        from bosonstar import spectral
+
+        assert pypocketfft is spectral._pocketfft  # scipy.fft reuses the loaded extension
+        assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is spectral._pocketfft
 
         rng = np.random.default_rng(5)
         z = rng.normal(size=length) + 1j * rng.normal(size=length)
         z[::7] = -0.0 + 0.0j
         z[3::7] = complex(1.0, -0.0)
-        for transform in (dst, idst):
-            want = transform(z, type=1, norm="ortho")
-            got = _sine(transform, z)
-            assert np.array_equal(got.view(np.float64), want.view(np.float64))
-            assert np.array_equal(np.signbit(got.view(np.float64)),
-                                  np.signbit(want.view(np.float64)))
+        for x in (z, np.ascontiguousarray(z.real)):
+            ortho = scipy.fft.dst(x, type=1, norm="ortho")
+            pairs = [(spectral._sine(x), ortho),
+                     (spectral._sine(x), scipy.fft.idst(x, type=1, norm="ortho")),
+                     (spectral._sine(x.copy(), overwrite_x=True), ortho),
+                     (spectral._type_one(spectral._pocketfft.dct, x.copy(), 0, overwrite_x=True),
+                      scipy.fft.dct(x, type=1))]
+            for got, want in pairs:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
+                assert np.array_equal(np.signbit(got.view(np.float64)),
+                                      np.signbit(want.view(np.float64)))
 
 
 class TestMultiplier:
