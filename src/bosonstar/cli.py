@@ -5,9 +5,7 @@ parses flags into one RunConfig (a flag overrides its config key only when it
 is given), calls one function per command, prints, and writes each run's
 outputs plus a manifest with content digests into the output directory;
 identical config and seed reproduce byte-identical numeric outputs.  Importing
-it calls gc.freeze(), so an importer keeps the cyclic garbage it had until exit,
-and frees one untouched 4 MiB block, which raises glibc's dynamic mmap threshold
-to 4 MiB (and its trim threshold to 8 MiB) for the rest of the process.
+it calls gc.freeze(), so an importer keeps the cyclic garbage it had until exit.
 
 Exit codes: 0 success; 2 a config that fails validation, an input file that
 cannot be read, lies on another grid or has a non-finite sample, a trajectory
@@ -69,10 +67,6 @@ from .spectral import (
 
 # the collector never traverses the imported heap again, which cuts each command's exit by ~50 ms
 gc.freeze()
-# freeing an mmapped block raises glibc's mmap threshold to its size (mallopt(3)), so the
-# n-sized temporaries of each step and of the lab reuse heap pages instead of mapping fresh
-# ones; the block's pages are never touched, so this takes no page faults
-np.empty(1 << 22, np.uint8)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -28,8 +28,8 @@ The worker runs on the highest CPU of the caller's mask and the caller on the
 others until the worker is reaped, and the caller's mask is then restored; with
 one CPU in the mask, neither is pinned and the two share it.  The peak resident
 memory is the larger of the two processes' (the worker starts as a copy of the
-caller): 39.8-40.1 MB on the benchmark's blowup run, the stepping process's;
-the worker peaks at 29.3 MB.  From Python 3.12 on, os.fork in a process with
+caller): 40.3-40.4 MB on the benchmark's blowup run, the stepping process's;
+the worker peaks at 29.7-29.9 MB.  From Python 3.12 on, os.fork in a process with
 threads (OpenBLAS starts some) emits a DeprecationWarning.
 """
 

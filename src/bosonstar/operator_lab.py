@@ -561,6 +561,7 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
         add("localization_spectrum_high", {"s": s_open}, out["eig_max"], high)
         add("double_commutator", {"s": s_open}, out["double_commutator_norm"],
             out["double_commutator_bound"])
+        del out  # its n x n l_chi would otherwise live on through the ims phase
     if ims:
         d = ims_defect(grid, s_open, partition_pair(grid, length / 4.0, length / 24.0))
         add("ims_defect", {"s": s_open}, d, -1e-8, ">=")

@@ -10,6 +10,10 @@ does all of this.  Its transforms call scipy's pocketfft extension,
 scipy.fft._pocketfft.pypocketfft, which this module loads from its file and
 registers under that name, as scipy.fft's dst, idst and dct call it: the
 package never imports scipy.fft (0.15-0.25 s and some 22 MB per process).
+Importing this module, and so any bosonstar module, frees one untouched 4 MiB
+block, which raises glibc's dynamic mmap threshold to 4 MiB (and its trim
+threshold to 8 MiB) for the rest of the process: a step then takes no fresh
+pages, in a command and in any other importer alike.
 
 Grid convention: n_points samples at r_j = j*dr (j = 1..n), r_max = n*dr,
 frequencies k_m = m*pi/r_max.  The sine basis vanishes at r = 0 and r = r_max,
@@ -179,13 +183,10 @@ def _load_pocketfft():
 
 
 _pocketfft = _load_pocketfft()
-
-
-# the longest complex transform taken on the interleaved view: measured on a
-# 2-vCPU AVX-512 box, the view is 25-35 % faster than scipy's complex path up
-# to length 8191 and 40-75 % slower from 12287 on, where pocketfft's buffer of
-# SIMD-interleaved columns outgrows the cache
-_INTERLEAVED_MAX = 8191
+# freeing an mmapped block raises glibc's mmap threshold to its size (mallopt(3)), so the
+# n-sized temporaries of each step, pocketfft's scratch and the lab's arrays reuse heap pages
+# instead of mapping fresh ones; the block's pages are never touched, so this takes no page faults
+np.empty(1 << 22, np.uint8)
 
 
 # OpenBLAS (0.3.31, as numpy ships it) splits ddot across its threads above this
@@ -211,21 +212,17 @@ def _type_one(transform, x: np.ndarray, inorm: int, overwrite_x: bool = False) -
     is norm="ortho", under which type I is its own inverse (idst is the same call), and 0 is
     the plain forward transform.
 
-    A complex128 x of length up to _INTERLEAVED_MAX is transformed in one call on its
-    interleaved (re, im) view, a longer one as its real and imaginary halves; either gives
-    the bits of scipy's complex call.  Pass overwrite_x only for an array the caller has just
-    allocated: the result is written into it.
+    A complex128 x is transformed in one call on its interleaved (n, 2) view of (re, im)
+    pairs, which gives the bits of scipy's complex call.  Under the raised mmap threshold the
+    view beats two calls on the real and imaginary halves up to length 32767; from 65535 on
+    the halves are 16-26 % faster, so grids that long would want them back.  Pass
+    overwrite_x only for an array the caller has just allocated: the result is written into it.
     """
     if x.dtype != np.complex128:
         return transform(x, 1, (0,), inorm, x if overwrite_x else None, 1)
-    if len(x) <= _INTERLEAVED_MAX:
-        pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
-        out = transform(pairs, 1, (0,), inorm, pairs if overwrite_x else None, 1)
-        return out.view(np.complex128).reshape(-1)
-    out = x if overwrite_x else np.empty_like(x)
-    transform(x.real, 1, (0,), inorm, out.real, 1)
-    transform(x.imag, 1, (0,), inorm, out.imag, 1)
-    return out
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    out = transform(pairs, 1, (0,), inorm, pairs if overwrite_x else None, 1)
+    return out.view(np.complex128).reshape(-1)
 
 
 def _sine(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:

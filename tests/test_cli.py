@@ -848,8 +848,8 @@ class TestTolerancesTable:
 # and prints the steps taken and the minor page faults of the stepping process and of the
 # reaped record worker during evolve
 FAULT_PROBE = """
-import resource, sys
-import bosonstar.cli
+import importlib, resource, sys
+importlib.import_module(sys.argv[2])
 from bosonstar.evolution import EvolutionControls, evolve
 from bosonstar.spectral import Field, ModelParams, RadialGrid, gaussian_field, mass
 grid = RadialGrid(16384, 16.0)
@@ -879,13 +879,15 @@ class TestProcessEntry:
         run = python("-c", "import gc, bosonstar.cli; print(gc.get_freeze_count())")
         assert run.returncode == 0 and int(run.stdout) > 10_000
 
-    def test_steps_take_no_fresh_pages(self):
+    @pytest.mark.parametrize("module", ["bosonstar.cli", "bosonstar.evolution"])
+    def test_steps_take_no_fresh_pages(self, module):
         # 20 more steps of the blowup datum at n = 16384 take under 10 minor page faults per
-        # step in the stepping process and in the record worker.  Each run is a fresh process,
-        # so both pay the same start-up (about 1,900 and 1,000 faults); a second evolve in one
-        # process would reuse the first one's kernel and heap, and so understate the steps.
+        # step in the stepping process and in the record worker, whether the process imports
+        # the commands or only the library.  Each run is a fresh process, so both pay the same
+        # start-up (about 2,150 and 1,150 faults); a second evolve in one process would reuse
+        # the first one's kernel and heap, and so understate the steps.
         def faults(t_end):
-            run = python("-c", FAULT_PROBE, repr(t_end))
+            run = python("-c", FAULT_PROBE, repr(t_end), module)
             assert run.returncode == 0, run.stderr
             return tuple(map(int, run.stdout.split()))
 

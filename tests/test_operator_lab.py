@@ -232,17 +232,21 @@ class TestLocalization:
         ref = dense_localization(g, s, chi, n_nodes=48)
         assert np.max(np.abs(lchi - ref)) <= 1e-13 * np.max(np.abs(lchi))
 
-    def test_working_set(self):
+    @pytest.mark.parametrize("run", [
+        lambda g, chi: localization_defect(g, 0.5, chi),
+        lambda g, chi: run_suite("all", g, 0.5, Tolerances(), 0),
+    ], ids=["lone_call", "suite"])
+    def test_working_set(self, run):
         # L_chi and the double-commutator phase's three n x n arrays: four
         # n x n float64s, plus band arrays and vectors; numpy's arrays are
         # traced, LAPACK's workspace is not.  A fifth n x n array would exceed
-        # the bound.
+        # the bound, as would an L_chi that the suite kept through its ims phase.
         g = PeriodicGrid1D(256, 32.0)
         chi = random_smooth_chi(g, np.random.default_rng(3))
-        localization_defect(GRID, 0.5, chi[::2])  # the first call's lazy imports stay untraced
+        run(GRID, chi[::2])  # the first call's lazy imports stay untraced
         tracemalloc.start()
         try:
-            localization_defect(g, 0.5, chi)
+            run(g, chi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

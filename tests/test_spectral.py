@@ -200,7 +200,7 @@ class TestKernel:
         theta = np.random.default_rng(6).uniform(-50.0, 50.0, 4096)
         assert np.allclose(_rotation(theta), np.exp(1j * theta), rtol=0.0, atol=2.0**-52)
 
-    @pytest.mark.parametrize("length", [511, 4095, 8191, 16383])  # the interleaved view up to 8191
+    @pytest.mark.parametrize("length", [511, 4095, 8191, 16383, 32767])
     def test_complex_transform_matches_scipy_complex_call(self, length):
         # the bits of scipy.fft's dst, idst and of virial_weight's type-I dct, on complex and
         # real inputs, signed zeros included
