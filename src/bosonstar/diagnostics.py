@@ -217,8 +217,6 @@ def tightness_check(traj, eps: float) -> float:
     for s in traj.snapshots:
         ext = np.cumsum((abs2(s.field.values) * mass_weight)[::-1])[::-1]  # mass in r >= r_j
         sup_ext = ext if sup_ext is None else np.maximum(sup_ext, ext)
-    if sup_ext is None:
-        raise InsufficientSnapshots("no snapshots")
     idx = np.nonzero(sup_ext <= eps)[0]
     if len(idx) == 0:
         raise NotTightOnGrid(f"no grid radius confines mass to eps={eps}")
@@ -309,20 +307,18 @@ def minimal_concentration_check(traj, gs, mass_fraction: float,
 
 # --- blowup measure -----------------------------------------------------------
 
-def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
-                   c_cal: float | None = None, pad: float = 1e-6) -> tuple[dict, list[CheckRecord]]:
+def blowup_measure(traj, bins: int, cutoffs: list[Cutoff], c_cal: float,
+                   pad: float = 1e-6) -> tuple[dict, list[CheckRecord]]:
     """Radial mass histograms over time plus the Cauchy oscillation report.
 
     The histogram sequence is the grid approximant of the limiting measure of
     |u(t)|^2; for each bank cutoff the oscillation of M_chi over the last TAIL
     snapshots must be controlled by the propagation constant times the
     window length, plus the additive pad (Tolerances.cauchy_pad).  Raises
-    InsufficientSnapshots when cutoffs are given and the run has fewer than 2
-    snapshots.
+    InsufficientSnapshots when the run has fewer than 2 snapshots.
     """
     g = traj.grid
-    cauchy = bool(cutoffs) and c_cal is not None
-    if cauchy and len(traj.snapshots) < 2:
+    if len(traj.snapshots) < 2:
         raise InsufficientSnapshots("need at least 2 snapshots for a Cauchy window")
     kern = kernel(g, traj.params)
     bin_idx = np.minimum((g.r / (g.r_max / bins)).astype(int), bins - 1)
@@ -331,21 +327,18 @@ def blowup_measure(traj, bins: int, cutoffs: list[Cutoff] | None = None,
     for i, s in enumerate(traj.snapshots):  # each row's density gives its histogram and tail M_chi
         rho = abs2(s.field.values)
         hists.append(np.bincount(bin_idx, weights=rho * kern.mass_weight, minlength=bins))
-        if cauchy and i >= len(traj.snapshots) - len(tail):
+        if i >= len(traj.snapshots) - len(tail):
             tail_masses.append(_localized_masses(kern, cutoffs, rho))
     histogram = {
         "bin_edges": [float(e) for e in np.linspace(0.0, g.r_max, bins + 1)],
         "times": [float(s.t) for s in traj.snapshots],
         "masses": [[float(x) for x in h] for h in hists],
     }
-    records = []
-    if cauchy:
-        span = tail[-1].t - tail[0].t
-        for chi, ms in zip(cutoffs, np.array(tail_masses).T):
-            records.append(CheckRecord(
-                "measure_cauchy", {"kind": chi.kind, "radius": chi.radius, "window": span},
-                float(np.max(ms) - np.min(ms)), c_cal * chi.grad_inf * span + pad))
-    return histogram, records
+    span = tail[-1].t - tail[0].t
+    return histogram, [
+        CheckRecord("measure_cauchy", {"kind": chi.kind, "radius": chi.radius, "window": span},
+                    float(np.max(ms) - np.min(ms)), c_cal * chi.grad_inf * span + pad)
+        for chi, ms in zip(cutoffs, np.array(tail_masses).T)]
 
 
 # --- exterior convergence ------------------------------------------------------

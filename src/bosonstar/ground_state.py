@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM = 1e12
+GAMMA = 1.5  # the sweep's stabilizing exponent gamma
 
 
 class GroundStateError(Exception):
@@ -75,7 +76,7 @@ class GroundState:
 
 
 def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 2000,
-                       gamma: float = 1.5, seed: Field | str = "gaussian") -> GroundState:
+                       seed: Field | str = "gaussian") -> GroundState:
     """Run the normalized fixed-point iteration until the H^{1/2} update stalls below tol.
 
     seed may be a Field or a name in spectral.PROFILES.  Raises NonConvergence when
@@ -99,7 +100,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10, max_iter: int = 200
         den = float(np.real(np.sum(np.conj(coeffs) * nl_coeffs)))
         if den <= 0:
             raise DivergentIterate(f"nonlinear pairing lost positivity in sweep {it}")
-        new_coeffs = (num / den) ** gamma * nl_coeffs / (k + 1.0)
+        new_coeffs = (num / den) ** GAMMA * nl_coeffs / (k + 1.0)
         wold = np.sqrt(np.sum(kern.h_half_weight * abs2(coeffs)))
         wdiff = np.sqrt(np.sum(kern.h_half_weight * abs2(new_coeffs - coeffs)))
         update = wdiff / wold

@@ -19,8 +19,8 @@ A = 1 - Delta, where every (A + t)^{-1} is a diagonal divide and [chi, A] is a
 band as wide as chi's spectrum: the node sum is a band sum, and only L_chi
 itself is a dense n x n array.  Multiplication by chi is otherwise applied
 elementwise, never as a dense diagonal matrix.  The working set stays near
-four n x n arrays; memory grows as n^2.  `run_suite` runs the checks as the
-`operator-check` suite.
+four n x n arrays (`ims_defect`'s; `localization_defect` needs three); memory
+grows as n^2.  `run_suite` runs the checks as the `operator-check` suite.
 """
 
 from __future__ import annotations
@@ -269,6 +269,14 @@ def _from_fourier_band(lb: np.ndarray, band: np.ndarray) -> np.ndarray:
     return out
 
 
+def _l_chi(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> np.ndarray:
+    """L_chi as `localization_defect` sums it: the Fourier band, transformed back, symmetrised."""
+    lchi = _from_fourier_band(*_fourier_band(grid, s, chi))
+    lchi += lchi.T
+    lchi *= 0.5
+    return lchi
+
+
 def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict:
     """Assemble the localization defect L_chi of (1-Delta)^s and report its spectrum.
 
@@ -302,17 +310,14 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict
 
     Beside L_chi, only the band arrays (O(n b)), the node table d_k (O(n)
     per node) and row or column blocks of at most about n^2 / 2 values live
-    while it is built, and they are gone before the projector and
-    double-commutator phase, which holds L_chi and three n x n arrays.
+    while it is built.  L_chi is freed once its `eigvalsh` returns, so the
+    projector and double-commutator phase holds three n x n arrays.
     """
     if not (0 < s < 1):
         raise ValueError("s must lie in (0, 1)")
     chi = np.asarray(chi, dtype=np.float64)
     grad_inf = float(np.max(np.abs(spectral_gradient(grid, chi))))
-    lchi = _from_fourier_band(*_fourier_band(grid, s, chi))
-    lchi += lchi.T
-    lchi *= 0.5
-    evals = np.linalg.eigvalsh(lchi)
+    evals = np.linalg.eigvalsh(_l_chi(grid, s, chi))
     # the continuum double-commutator bound concerns the operator below the
     # aliasing edge; project out the wrapped top band before taking the norm
     double = _chi_commutator(chi, _chi_commutator(chi, build_fractional(grid, s, 1.0)))
@@ -321,7 +326,6 @@ def localization_defect(grid: PeriodicGrid1D, s: float, chi: np.ndarray) -> dict
     np.matmul(pd, proj, out=double)
     del pd, proj
     return {
-        "l_chi": lchi,
         "eig_min": float(evals[0]),
         "eig_max": float(evals[-1]),
         "upper_bound": 4.0 * s * grad_inf**2,
@@ -561,7 +565,6 @@ def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> lis
         add("localization_spectrum_high", {"s": s_open}, out["eig_max"], high)
         add("double_commutator", {"s": s_open}, out["double_commutator_norm"],
             out["double_commutator_bound"])
-        del out  # its n x n l_chi would otherwise live on through the ims phase
     if ims:
         d = ims_defect(grid, s_open, partition_pair(grid, length / 4.0, length / 24.0))
         add("ims_defect", {"s": s_open}, d, -1e-8, ">=")

@@ -226,14 +226,18 @@ class TestConcentration:
 
 
 class TestBlowupMeasure:
+    @staticmethod
+    def histogram(traj, bins):
+        return blowup_measure(traj, bins, cutoff_bank(traj.grid, (2.0,)), c_cal=8.0)[0]
+
     def test_histograms_conserve_mass(self, blowup_traj):
-        hist, _ = blowup_measure(blowup_traj, 64)
+        hist = self.histogram(blowup_traj, 64)
         m0 = blowup_traj.initial_mass
         for row in hist["masses"]:
             assert abs(sum(row) - m0) < 1e-9 * m0
 
     def test_innermost_bin_nondecreasing_late(self, blowup_traj):
-        hist, _ = blowup_measure(blowup_traj, 64)
+        hist = self.histogram(blowup_traj, 64)
         resolved_idx = [i for i, s in enumerate(blowup_traj.snapshots) if s.resolved][-5:]
         inner = [hist["masses"][i][0] for i in resolved_idx]
         assert np.all(np.diff(inner) >= 0)

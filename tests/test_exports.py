@@ -1,6 +1,6 @@
-"""Every name the package exports resolves and is used by the package itself, and
+"""Every name the package exports resolves and is used by the package itself,
 every package name the benchmark's traced pass reads still exists and takes the
-arguments that pass gives it."""
+arguments that pass gives it, and every parameter of a package function is read."""
 
 import ast
 import importlib
@@ -202,3 +202,47 @@ def test_only_evolution_reads_the_step_floor():
     # asks the trajectory, so a new blowup reason goes into that one predicate
     sites = {path.name: _step_floor_sites(path) for path in SRC.glob("*.py")}
     assert sites.pop("evolution.py") and {name: lines for name, lines in sites.items() if lines} == {}
+
+
+# parameters that their function's body never reads, each kept for a caller that passes it
+UNREAD = {
+    ("evolution.SnapshotRows.__exit__", "exc"): "the context-manager protocol passes it",
+    ("evolution.SnapshotRows.__exit__", "tb"): "the context-manager protocol passes it",
+    ("cli.run_diagnose", "quiet"): "run calls every _REPORTS runner as runner(cfg, quiet)",
+    ("cli.run_operator_check", "quiet"): "run calls every _REPORTS runner as runner(cfg, quiet)",
+    ("operator_lab.profile_decompose", "s"): "perfbench's traced pass passes it (ROADMAP item 2)",
+}
+
+
+def _unread_parameters(src) -> set:
+    # (module.qualified_name, parameter) for each parameter of a function, method or
+    # nested function in src that no statement of the function's body loads
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            scoped = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            name = f"{prefix}.{child.name}" if scoped else prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                loads = {n.id for stmt in child.body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.update((name, p.arg) for p in args.posonlyargs + args.args + args.kwonlyargs
+                             + [args.vararg, args.kwarg] if p is not None and p.arg not in loads)
+            visit(child, name)
+
+    for path in pathlib.Path(src).glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_every_parameter_is_read(tmp_path):
+    # a parameter no body reads is an option no caller can use; a copy in which
+    # diagnostics gains one fails the guard
+    assert _unread_parameters(SRC) == set(UNREAD)
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        if path.name == "diagnostics.py":
+            text += "\n\ndef _scaled(x, scale=1.0):\n    return x\n"
+        (tmp_path / path.name).write_text(text)
+    assert _unread_parameters(tmp_path) - set(UNREAD) == {("diagnostics._scaled", "scale")}

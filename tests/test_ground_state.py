@@ -69,10 +69,11 @@ class TestSolver:
         with pytest.raises(DivergentIterate, match=r"positivity in sweep 1$"):
             solve_ground_state(GRID, tol=1e-10, max_iter=50)
 
-    def test_divergent_iterate_error(self):
+    def test_divergent_iterate_error(self, monkeypatch):
         # a destabilizing normalization exponent amplifies the scaling mode
+        monkeypatch.setattr("bosonstar.ground_state.GAMMA", 8.0)
         with pytest.raises((DivergentIterate, NonConvergence)):
-            solve_ground_state(GRID, tol=1e-12, max_iter=400, gamma=8.0)
+            solve_ground_state(GRID, tol=1e-12, max_iter=400)
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
