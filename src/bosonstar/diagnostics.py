@@ -6,7 +6,7 @@ tightness radius, Levy concentration functions and the minimal-mass ball at
 the blowup point, radial histograms of |u|^2 with their Cauchy-in-time
 oscillation, strong exterior convergence with its Duhamel ingredients, and
 the quadratic virial envelope.  `run_checks` runs them as the `diagnose`
-suite.
+suite, the checks that transform u in a forked worker beside the others.
 
 Limits t -> T^- are replaced by windows over the last TAIL snapshots, resolved
 ones where a check says so; "resolved" excludes records whose concentration
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import _forked
 from .spectral import (
     ModelParams,
     RadialGrid,
@@ -426,6 +427,11 @@ CHECKS = {"propagation": "propagation_bound", "tightness": "tightness",
           "concentration": "minimal_concentration", "measure": "measure_cauchy",
           "exterior": "exterior_cauchy", "newton": "newton_bound", "virial": "virial_envelope"}
 
+# the CHECKS that transform u themselves: virial a DST and a DCT per resolved row,
+# concentration a DST per row for lambda(t), exterior DST pairs; run_checks runs them in a
+# forked worker while it runs the checks that read only |u|^2
+_TRANSFORMING = ("concentration", "exterior", "virial")
+
 
 def parse_checks(checks="all") -> set:
     """The CHECKS named by "all", a comma-separated string or a list; ValueError for others."""
@@ -437,19 +443,25 @@ def parse_checks(checks="all") -> set:
 
 def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | None]:
     """Run the named CHECKS (see parse_checks) on a stored trajectory against
-    the ground state gs, with config.Tolerances tol.  Returns the records and
-    the radial histogram of `measure` (None when measure did not run).
+    the ground state gs, with config.Tolerances tol.  Returns the records, in
+    CHECKS order, and the radial histogram of `measure` (None when measure did
+    not run).
 
     A check that lacks the snapshots or the cutoff bank it needs reports one
     failed record that carries the error.  Exterior convergence is a statement
     about blowup solutions: on a run that is not Trajectory.blowup_suspected it
     reports one passed, not-applicable record.
+
+    When the wanted checks include _TRANSFORMING ones and others, the
+    _TRANSFORMING ones run in a forked worker (evolution._forked) on a second
+    CPU while this process runs the others, and an exception that is not
+    CheckCannotRun, raised on either side, is raised here once the worker is
+    reaped; when all of them fall on one side, they run here and nothing forks.
     """
     wanted = parse_checks(checks)
     grid = traj.grid
     m0 = traj.initial_mass
     nan = float("nan")
-    records = []
     histogram = None
     radii = [r for r in tol.bank_radii if r < grid.boundary_radius]
 
@@ -496,10 +508,22 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
                "propagation": propagation,
                "virial": lambda: [virial_check(traj, traj.params, tol.virial_envelope_slack,
                                                tol.virial_residual)]}
-    for name, record_name in CHECKS.items():
-        if name in wanted:
+
+    def run(names) -> dict:
+        done = {}
+        for name in names:
             try:
-                records.extend(runners[name]())
+                done[name] = runners[name]()
             except CheckCannotRun as exc:
-                records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan))
-    return records, histogram
+                done[name] = [CheckRecord(CHECKS[name], {"error": str(exc)}, nan, nan)]
+        return done
+
+    local = [name for name in CHECKS if name in wanted and name not in _TRANSFORMING]
+    forked = [name for name in CHECKS if name in wanted and name in _TRANSFORMING]
+    if local and forked:
+        with _forked(lambda: run(forked)) as returned:
+            done = run(local)
+        done.update(returned[0])
+    else:
+        done = run(local + forked)
+    return [record for name in CHECKS if name in done for record in done[name]], histogram

@@ -31,6 +31,10 @@ memory is the larger of the two processes' (the worker starts as a copy of the
 caller): 40.3-40.4 MB on the benchmark's blowup run, the stepping process's;
 the worker peaks at 29.7-29.9 MB.  From Python 3.12 on, os.fork in a process with
 threads (OpenBLAS starts some) emits a DeprecationWarning.
+
+One helper, _forked, forks, pins, reaps and unpickles for both of the package's
+workers: this record worker, and the one in which diagnostics.run_checks runs
+the checks that transform u.
 """
 
 from __future__ import annotations
@@ -380,38 +384,40 @@ def _take_records(kern: RadialKernel, controls: EvolutionControls, cols: dict, s
 
 
 @contextlib.contextmanager
-def _record_worker(kern: RadialKernel, controls: EvolutionControls, cols: dict, snap_idx: list,
-                   fields: SnapshotRows):
-    """Fork a worker that runs _take_records, and yield the function that sends it one
-    accepted step (t, dt, c).  On leaving, reap the worker and take what it returned into
-    cols, snap_idx and fields, or raise the exception it raised; an exception of the block
-    itself passes as it is.  While the worker lives, it is pinned to the highest CPU of this
-    thread's mask and this thread to the others (unpinned, the pipe's wake-ups put both on
-    one CPU); with one CPU in the mask, neither is pinned."""
+def _forked(work, worker_fds=(), caller_fds=()):
+    """Fork a worker that runs work(), and yield a list that holds, once the block has left,
+    what work returned.  On leaving, reap the worker and raise the exception work raised,
+    pickled back through a pipe; an exception of the block itself passes as it is, once the
+    worker is reaped.  Of the caller's pipes, the worker's ends worker_fds close in this
+    process after the fork, and this process's ends caller_fds close in the worker and, on
+    leaving, here, before the worker is reaped; all of them close if the fork fails.
+
+    While the worker lives, it is pinned to the highest CPU of this thread's mask and this
+    thread to the others (unpinned, a pipe's wake-ups put both on one CPU); with one CPU in
+    the mask, neither is pinned.  So work calls no threaded BLAS: after the caller has used
+    OpenBLAS, a worker pinned to one CPU took 8 ms for an np.dot of 16384 entries and 16 ms
+    for a 384^2 matmul, against microseconds and about 1 ms in the caller.  spectral.dot
+    gives np.dot at most _DOT_SERIAL_MAX entries a call, which OpenBLAS runs on one thread.
+    """
     cpus = os.sched_getaffinity(0)
     worker_cpu = max(cpus) if len(cpus) > 1 else None
-    step = np.empty(kern.grid.n_points + 1, np.complex128)  # (t + i dt, c)
-    steps_r, steps_w = os.pipe()
     results_r, results_w = os.pipe()
-    with contextlib.suppress(OSError):  # the default 64 KiB holds less than one n=4096 step
-        fcntl.fcntl(steps_w, fcntl.F_SETPIPE_SZ, 1 << 20)
     try:
         pid = os.fork()
     except OSError:
-        for fd in (steps_r, steps_w, results_r, results_w):
+        for fd in (results_r, results_w, *worker_fds, *caller_fds):
             os.close(fd)
         raise
     if pid == 0:
         status = 1
         try:
-            os.close(steps_w)
-            os.close(results_r)
+            for fd in (results_r, *caller_fds):
+                os.close(fd)
             if worker_cpu is not None:
                 os.sched_setaffinity(0, {worker_cpu})
             try:
-                with open(steps_r, "rb") as steps:  # closed on any exit: the parent's write breaks
-                    outcome = _take_records(kern, controls, cols, snap_idx, fields, steps)
-            except BaseException as exc:  # the parent raises it
+                outcome = work()
+            except BaseException as exc:  # the caller raises it
                 outcome = exc
             payload = pickle.dumps(outcome)  # before the write: a failure here sends nothing
             with open(results_w, "wb") as results:
@@ -419,8 +425,43 @@ def _record_worker(kern: RadialKernel, controls: EvolutionControls, cols: dict, 
             status = 0
         finally:
             os._exit(status)
-    os.close(steps_r)
-    os.close(results_w)
+    for fd in (results_w, *worker_fds):
+        os.close(fd)
+    returned = []
+    try:
+        if worker_cpu is not None:
+            os.sched_setaffinity(0, cpus - {worker_cpu})
+        yield returned
+    finally:
+        for fd in caller_fds:
+            os.close(fd)
+        with open(results_r, "rb") as results:
+            payload = results.read()
+        _, status = os.waitpid(pid, 0)
+        if worker_cpu is not None:
+            os.sched_setaffinity(0, cpus)
+    outcome = pickle.loads(payload) if payload else ChildProcessError(
+        f"the worker exited with code {os.waitstatus_to_exitcode(status)} and no result")
+    if isinstance(outcome, BaseException):
+        raise outcome
+    returned.append(outcome)
+
+
+@contextlib.contextmanager
+def _record_worker(kern: RadialKernel, controls: EvolutionControls, cols: dict, snap_idx: list,
+                   fields: SnapshotRows):
+    """Fork a worker (_forked) that runs _take_records, and yield the function that sends it
+    one accepted step (t, dt, c).  On leaving, take what the worker returned into cols,
+    snap_idx and fields, or raise the exception it raised; an exception of the block itself
+    passes as it is."""
+    step = np.empty(kern.grid.n_points + 1, np.complex128)  # (t + i dt, c)
+    steps_r, steps_w = os.pipe()
+    with contextlib.suppress(OSError):  # the default 64 KiB holds less than one n=4096 step
+        fcntl.fcntl(steps_w, fcntl.F_SETPIPE_SZ, 1 << 20)
+
+    def take():
+        with open(steps_r, "rb") as steps:  # closed on any exit: the caller's write breaks
+            return _take_records(kern, controls, cols, snap_idx, fields, steps)
 
     def send(t: float, dt: float, c: np.ndarray) -> None:
         step[0], step[1:] = complex(t, dt), c
@@ -428,24 +469,11 @@ def _record_worker(kern: RadialKernel, controls: EvolutionControls, cols: dict, 
         while len(data):
             data = data[os.write(steps_w, data):]
 
-    try:
-        if worker_cpu is not None:
-            os.sched_setaffinity(0, cpus - {worker_cpu})
-        yield send
-    except BrokenPipeError:
-        pass  # the worker stopped reading because it raised: its exception is raised below
-    finally:
-        os.close(steps_w)
-        with open(results_r, "rb") as results:
-            payload = results.read()
-        _, status = os.waitpid(pid, 0)
-        if worker_cpu is not None:
-            os.sched_setaffinity(0, cpus)
-    outcome = pickle.loads(payload) if payload else ChildProcessError(
-        f"the record worker exited with code {os.waitstatus_to_exitcode(status)} and no result")
-    if isinstance(outcome, BaseException):
-        raise outcome
-    records, snap_idx[:], fields.rows = outcome
+    with _forked(take, worker_fds=[steps_r], caller_fds=[steps_w]) as returned:
+        # a write breaks when the worker has raised and stopped reading; _forked raises its exception
+        with contextlib.suppress(BrokenPipeError):
+            yield send
+    records, snap_idx[:], fields.rows = returned[0]
     cols.update(records)
 
 

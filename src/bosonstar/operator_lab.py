@@ -343,14 +343,16 @@ def ims_defect(grid: PeriodicGrid1D, s: float, partition: list[np.ndarray]) -> f
     if np.max(np.abs(total - 1.0)) > 1e-10:
         raise NotAPartition("sum chi_k^2 must equal 1 pointwise to 1e-10")
     As = build_fractional(grid, s, 1.0)
-    acc = As.copy()
+    acc, tmp = As.copy(), np.empty_like(As)
     grad_sq = np.zeros(grid.n)
     for chi in partition:
         chi = np.asarray(chi, dtype=np.float64)
-        acc -= chi[:, None] * As * chi[None, :]
+        np.multiply(chi[:, None], As, out=tmp)
+        tmp *= chi[None, :]
+        acc -= tmp
         g = spectral_gradient(grid, chi)
         grad_sq += g * g
-    del As
+    del As, tmp
     acc += acc.T
     acc *= 0.5
     lam_min = float(np.linalg.eigvalsh(acc)[0])

@@ -1,14 +1,19 @@
 """Reference oracles the tests check the package against; no command calls them.
 
 Random and rescaled radial fields, the inhomogeneous Sobolev norm, the exact
-free flow, evolve in one process, the sharp energy lower bound, Newton's shell
-formula by trapezoid sums, the resolvent-quadrature route to (a - Delta)^s, the
-index-gather circulant and the hermiticity defect of a matrix.
+free flow, evolve and run_checks in one process, the sharp energy lower bound,
+Newton's shell formula by trapezoid sums, the resolvent-quadrature route to
+(a - Delta)^s, the index-gather circulant and the hermiticity defect of a matrix.
 """
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from bosonstar.diagnostics import (CHECKS, CheckCannotRun, CheckRecord, NotTightOnGrid,
+                                   _not_applicable, blowup_measure, cutoff_bank,
+                                   exterior_convergence_check, localized_mass_series,
+                                   minimal_concentration_check, parse_checks,
+                                   propagation_bound_check, tightness_check, virial_check)
 from bosonstar.evolution import (HORIZON_REACHED, NORM_CAP, RECORD_COLUMNS, STEP_FLOOR,
                                  EvolutionControls, SnapshotRows, Trajectory, _push_record,
                                  _trajectory, require_resolved)
@@ -112,6 +117,69 @@ def reference_evolve(u0: Field, params: ModelParams, controls: EvolutionControls
         if snap_idx[-1] < steps_accepted:
             push_snapshot(u)
     return _trajectory(grid, params, controls, cols, snap_idx, fields, termination)
+
+
+def reference_run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | None]:
+    """run_checks in one process: the serial loop that runs each wanted check in CHECKS
+    order and returns (records, histogram) as run_checks does."""
+    wanted = parse_checks(checks)
+    grid = traj.grid
+    m0 = traj.initial_mass
+    nan = float("nan")
+    records = []
+    histogram = None
+    radii = [r for r in tol.bank_radii if r < grid.boundary_radius]
+
+    def banked():
+        if not radii:
+            raise CheckCannotRun(f"no bank_radii entry lies below 0.9 r_max = {grid.boundary_radius:g}")
+        return cutoff_bank(grid, radii)  # built per check, so no other check holds it
+
+    def tightness():
+        try:
+            r_star = tightness_check(traj, 0.01 * m0)
+        except NotTightOnGrid:
+            r_star = float("inf")
+        return [CheckRecord("tightness", {"eps_fraction": 0.01}, r_star, grid.r_max, relation="<")]
+
+    def measure():
+        nonlocal histogram
+        histogram, cauchy = blowup_measure(
+            traj, tol.histogram_bins, cutoffs=banked(), c_cal=tol.c_cal_propagation,
+            pad=tol.cauchy_pad)
+        return cauchy
+
+    def exterior():
+        if not traj.blowup_suspected:
+            return _not_applicable("exterior_cauchy", traj, nan, "<=")
+        return exterior_convergence_check(traj, tol.exterior_radius, traj.params,
+                                          final_frac=tol.exterior_final_frac)
+
+    def propagation():
+        bank = banked()
+        _, masses = localized_mass_series(traj, bank)
+        return [propagation_bound_check(traj, chi, tol.c_cal_propagation, ms)
+                for chi, ms in zip(bank, masses)]
+
+    def newton():
+        kern = kernel(grid, traj.params)
+        worst = max(float(np.max(kern.r * kern.potential(abs2(s.field.values))))
+                    for s in traj.snapshots)
+        return [CheckRecord("newton_bound", {}, worst, m0 * (1.0 + tol.newton_slack))]
+
+    runners = {"tightness": tightness, "measure": measure, "exterior": exterior, "newton": newton,
+               "concentration": lambda: minimal_concentration_check(
+                   traj, gs, tol.conc_mass_fraction, center_cells=tol.conc_center_cells),
+               "propagation": propagation,
+               "virial": lambda: [virial_check(traj, traj.params, tol.virial_envelope_slack,
+                                               tol.virial_residual)]}
+    for name, record_name in CHECKS.items():
+        if name in wanted:
+            try:
+                records.extend(runners[name]())
+            except CheckCannotRun as exc:
+                records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan))
+    return records, histogram
 
 
 def trajectory_bytes(traj: Trajectory) -> tuple:

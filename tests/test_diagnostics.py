@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import operator
+import os
 import tracemalloc
 import warnings
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bosonstar import diagnostics
 from bosonstar.diagnostics import (
+    _TRANSFORMING,
     CHECKS,
     TAIL,
     CheckRecord,
@@ -36,6 +40,7 @@ from bosonstar.evolution import (
     NORM_CAP,
     STEP_FLOOR,
     SnapshotRows,
+    evolve,
     trajectory_from_snapshots,
 )
 from bosonstar.spectral import (
@@ -43,12 +48,14 @@ from bosonstar.spectral import (
     ModelParams,
     RadialGrid,
     RadialKernel,
+    _DOT_SERIAL_MAX,
     field_from_profile,
     gaussian_field,
     kernel,
     mass,
 )
-from oracles import free_evolution
+from conftest import BLOWUP_CONTROLS, make_blowup_u0
+from oracles import free_evolution, reference_run_checks
 
 GRID = RadialGrid(1024, 64.0)
 TOL = Tolerances()
@@ -58,6 +65,10 @@ P1 = ModelParams(1.0)
 
 def density(f):
     return np.abs(f.values) ** 2
+
+
+# the checks that run_checks runs in this process, and those it runs in its forked worker
+SIDES = [",".join(name for name in CHECKS if name not in _TRANSFORMING), ",".join(_TRANSFORMING)]
 
 
 def stationary_traj(grid=GRID, omega=2.0, n_snaps=8, width=1.5, params=P1,
@@ -443,25 +454,30 @@ class TestReportPlumbing:
         assert all("no bank_radii entry" in r.params["error"] for r in records)
 
     def test_run_checks_holds_no_all_rows_density(self, blowup_traj, acceptance_gs):
+        # one side of the split at a time, so that it runs here, where tracemalloc sees it
         traj = dataclasses.replace(blowup_traj)  # a fresh Trajectory over the same fields
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            records, _ = run_checks(traj, acceptance_gs, TOL, "all")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records = []
+        for checks in SIDES:
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                records += run_checks(traj, acceptance_gs, TOL, checks)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # O(n): a dozen rows at most, whatever the snapshot count (85 rows here)
+            assert len(traj.snapshots) > 12 and peak - held < 12 * 16 * traj.grid.n_points
         assert len(records) > len(CHECKS)
-        # O(n): a dozen rows at most, whatever the snapshot count (85 rows here)
-        assert len(traj.snapshots) > 12 and peak - held < 12 * 16 * traj.grid.n_points
 
     def test_run_checks_builds_one_kernel(self, blowup_traj, acceptance_gs):
-        # every check reads the run's (grid, params) kernel: no m = 0 kernel beside it
-        kernel.cache_clear()
-        run_checks(blowup_traj, acceptance_gs, Tolerances(), "all")
-        assert kernel.cache_info().currsize == 1
-        kernel(blowup_traj.grid, P1)  # the one entry is the run's m = 1 kernel
-        assert kernel.cache_info().currsize == 1
+        # every check reads the run's (grid, params) kernel: no m = 0 kernel beside it; one
+        # side of the split at a time, so that its kernels are built here
+        for checks in SIDES:
+            kernel.cache_clear()
+            run_checks(blowup_traj, acceptance_gs, Tolerances(), checks)
+            assert kernel.cache_info().currsize == 1
+            kernel(blowup_traj.grid, P1)  # the one entry is the run's m = 1 kernel
+            assert kernel.cache_info().currsize == 1
 
     def test_run_checks_propagation_matches_one_cutoff_at_a_time(self, subcritical_traj):
         bank = cutoff_bank(subcritical_traj.grid, TOL.bank_radii)
@@ -490,3 +506,91 @@ class TestReportPlumbing:
                   and np.isfinite(r.statistic) and np.isfinite(r.bound)]
         assert {r.relation for r in judged} == set(ops)
         assert [r.check for r in judged if r.passed != ops[r.relation](r.statistic, r.bound)] == []
+
+
+def raising(exc):
+    def check(*args, **kwargs):
+        raise exc
+    return check
+
+
+def counted_forks(monkeypatch) -> list:
+    """A list that gains an entry each time this process calls os.fork."""
+    fork, calls = os.fork, []
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def report(records, histogram) -> list:
+    """The report.json text of each record and of the histogram, as diagnose writes them."""
+    return [json.dumps(r.to_dict()) for r in records] + [json.dumps(histogram)]
+
+
+class TestDiagnoseWorker:
+    """run_checks runs the _TRANSFORMING checks in a forked worker beside the others; the
+    serial loop of oracles.reference_run_checks is the reference it must match exactly."""
+
+    @pytest.mark.parametrize("checks, forks", [("all", 1), (SIDES[0], 0), (SIDES[1], 0)],
+                             ids=["all", "local", "forked"])
+    @pytest.mark.parametrize("run", ["blowup_traj", "subcritical_traj"])
+    def test_matches_the_serial_reference(self, run, checks, forks, request, monkeypatch,
+                                          acceptance_gs):
+        traj = request.getfixturevalue(run)
+        calls = counted_forks(monkeypatch)
+        got = run_checks(traj, acceptance_gs, TOL, checks)
+        assert len(calls) == forks  # a one-sided choice runs here and forks nothing
+        want = reference_run_checks(traj, acceptance_gs, TOL, checks)
+        assert [r.passed for r in got[0]] == [r.passed for r in want[0]]
+        assert report(*got) == report(*want)
+
+    @pytest.mark.parametrize("patched, checks, error", [
+        ("virial_check", "tightness,virial", ZeroDivisionError("probe")),
+        ("tightness_check", "tightness,virial", ZeroDivisionError("parent probe")),
+        ("minimal_concentration_check", "tightness,concentration,newton",
+         InsufficientSnapshots("probe")),
+    ], ids=["worker_raises", "caller_raises", "worker_cannot_run"])
+    def test_a_failure_on_either_side_reaps_the_worker(self, patched, checks, error,
+                                                       monkeypatch, acceptance_gs):
+        monkeypatch.setattr(diagnostics, patched, raising(error))
+        calls, mask = counted_forks(monkeypatch), os.sched_getaffinity(0)
+        traj = stationary_traj(termination=STEP_FLOOR)
+        if isinstance(error, InsufficientSnapshots):  # one failed record, in CHECKS order
+            records, _ = run_checks(traj, acceptance_gs, TOL, checks)
+            assert [(r.check, r.passed, r.params.get("error")) for r in records] == [
+                ("tightness", True, None), ("minimal_concentration", False, "probe"),
+                ("newton_bound", True, None)]
+        else:  # raised here with its type and message
+            with pytest.raises(type(error), match=f"^{error}$"):
+                run_checks(traj, acceptance_gs, TOL, checks)
+        assert len(calls) == 1
+        with pytest.raises(ChildProcessError):  # the worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_no_worker_calls_threaded_blas(self, tmp_path, monkeypatch, acceptance_gs,
+                                           blowup_traj):
+        # OpenBLAS threads an np.dot above _DOT_SERIAL_MAX entries, and threaded BLAS crawls
+        # in a worker pinned to one CPU (see evolution._forked); each np.dot call, in any
+        # process, appends "pid entries" to one O_APPEND file
+        fd = os.open(tmp_path / "dots", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def recorded(a, b, *args, _dot=np.dot):
+            os.write(fd, f"{os.getpid()} {max(np.size(a), np.size(b))}\n".encode())
+            return _dot(a, b, *args)
+        monkeypatch.setattr(np, "dot", recorded)
+        try:
+            short = evolve(make_blowup_u0(acceptance_gs), P1,
+                           dataclasses.replace(BLOWUP_CONTROLS, t_end=0.2, snapshot_stride=1))
+            for traj in (short, blowup_traj):  # the second one has every check applicable
+                run_checks(traj, acceptance_gs, TOL, "all")
+        finally:
+            os.close(fd)
+        calls = [line.split() for line in (tmp_path / "dots").read_text().splitlines()]
+        assert short.grid.n_points == 16384 and len(short.snapshots) > 4
+        # this process, evolve's record worker and each run_checks' diagnose worker
+        assert len({pid for pid, _ in calls}) == 4
+        assert max(int(entries) for _, entries in calls) <= _DOT_SERIAL_MAX

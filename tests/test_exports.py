@@ -160,13 +160,18 @@ def test_only_the_cli_touches_the_garbage_collector():
 PROCESS_CALLS = {"fork", "_exit", "sched_setaffinity"}
 
 
-def _process_sites(path) -> list[int]:
+def _process_sites(path, calls=PROCESS_CALLS) -> list[int]:
     # a read of os.fork, os._exit or os.sched_setaffinity, or an import of one from os
     return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+            if isinstance(node, ast.Attribute) and node.attr in calls
             and getattr(node.value, "id", None) == "os"
             or isinstance(node, ast.ImportFrom) and node.module == "os"
-            and any(a.name in PROCESS_CALLS for a in node.names)]
+            and any(a.name in calls for a in node.names)]
+
+
+def _fork_count(src) -> int:
+    # the reads of os.fork (and imports of it) in all modules of src
+    return sum(len(_process_sites(path, {"fork"})) for path in pathlib.Path(src).glob("*.py"))
 
 
 def _stray_process_sites(src) -> dict:
@@ -177,15 +182,21 @@ def _stray_process_sites(src) -> dict:
 
 
 def test_only_evolution_forks_or_pins(tmp_path):
-    # evolve forks its record worker, which leaves by os._exit, and pins both processes
-    # until it reaps the worker; no other module may fork, exit a process or pin a thread
-    assert _stray_process_sites(SRC) == {}
-    for path in SRC.glob("*.py"):  # a copy in which diagnostics forks too fails the guard
-        text = path.read_text()
-        if path.name == "diagnostics.py":
-            text += "\n\ndef _fork():\n    return os.fork()\n"
-        (tmp_path / path.name).write_text(text)
-    assert list(_stray_process_sites(tmp_path)) == ["diagnostics.py"]
+    # one helper, evolution._forked, forks evolve's and diagnose's workers, which leave by
+    # os._exit, and pins both processes until it reaps the worker; no other module may fork,
+    # exit a process or pin a thread, and evolution.py reads os.fork once
+    assert _stray_process_sites(SRC) == {} and _fork_count(SRC) == 1
+    for forking in ("diagnostics.py", "evolution.py"):  # a copy in which it forks again fails
+        copy = tmp_path / forking
+        copy.mkdir()
+        for path in SRC.glob("*.py"):
+            text = path.read_text()
+            if path.name == forking:
+                text += "\n\ndef _fork():\n    return os.fork()\n"
+            (copy / path.name).write_text(text)
+        assert _fork_count(copy) == 2
+    assert list(_stray_process_sites(tmp_path / "diagnostics.py")) == ["diagnostics.py"]
+    assert _stray_process_sites(tmp_path / "evolution.py") == {}
 
 
 def _step_floor_sites(path) -> list[int]:

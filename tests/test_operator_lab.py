@@ -233,15 +233,16 @@ class TestLocalization:
 
     @pytest.mark.parametrize("run, bound", [
         (lambda g, chi: localization_defect(g, 0.5, chi), 3.2),
-        (lambda g, chi: run_suite("all", g, 0.5, Tolerances(), 0), 4.2),
+        (lambda g, chi: run_suite("all", g, 0.5, Tolerances(), 0), 3.2),
     ], ids=["lone_call", "suite"])
     def test_working_set(self, run, bound):
         # peaks in n x n float64s, plus band arrays and vectors; numpy's arrays
         # are traced, LAPACK's workspace is not.  The lone call peaks at the
         # double-commutator phase's three arrays (L_chi's build reaches 2.6):
-        # an L_chi held into that phase would exceed 3.2.  The suite peaks at
-        # the ims phase's four arrays: an L_chi or a fifth array kept through
-        # it would exceed 4.2.
+        # an L_chi held into that phase would exceed 3.2.  The suite's
+        # commutator, localization and ims phases each peak at three arrays
+        # (3.14-3.16 alone): an L_chi or a fourth array kept through any of
+        # them would exceed 3.2.
         g = PeriodicGrid1D(256, 32.0)
         chi = random_smooth_chi(g, np.random.default_rng(3))
         run(GRID, chi[::2])  # the first call's lazy imports stay untraced
