@@ -13,14 +13,18 @@ that does not match its manifest or was written by another artifact version, an
 unresolved datum, an out_dir that cannot be made (it is made before any compute)
 or written into, or an --out that cannot be written; 3 numerical failure
 (non-convergence, a non-finite record), one line on stderr with --quiet too;
-4 a check failed.
+4 a check failed; 5 a worker (evolve's record worker or diagnose's check
+worker) died without a result, say by the OOM killer's SIGKILL, one line on
+stderr.  --quiet silences stdout only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import sys
@@ -72,6 +76,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
+EXIT_WORKER_FAILED = 5
 
 # the GroundState fields stored in ground_state.json next to its profile
 _GS_SCALARS = tuple(f.name for f in dataclasses.fields(GroundState) if f.name != "q")
@@ -79,11 +84,6 @@ _GS_SCALARS = tuple(f.name for f in dataclasses.fields(GroundState) if f.name !=
 
 class InputError(ValueError):
     """An input named by the config cannot be read or cannot be run from."""
-
-
-def _say(quiet, *args):
-    if not quiet:
-        print(*args)
 
 
 def _write_json(path, obj):
@@ -117,15 +117,15 @@ def _make_u0(cfg: RunConfig, grid: RadialGrid) -> Field:
     return u0
 
 
-def run_ground_state(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
+def run_ground_state(cfg: RunConfig) -> tuple[dict, list]:
     grid = RadialGrid(**cfg.grid)
     seed = cfg.ground_state["seed_profile"]
     if seed.startswith("file:"):
         seed = _load_field(seed[len("file:"):], grid)
     gs = solve_ground_state(grid, tol=cfg.ground_state["tol"],
                             max_iter=cfg.ground_state["max_iter"], seed=seed)
-    _say(quiet, f"converged in {gs.iterations} sweeps: M_c = {gs.critical_mass:.12g}, "
-                f"residual = {gs.equation_residual:.3g}, pohozaev = {gs.pohozaev_residual:.3g}")
+    print(f"converged in {gs.iterations} sweeps: M_c = {gs.critical_mass:.12g}, "
+          f"residual = {gs.equation_residual:.3g}, pohozaev = {gs.pohozaev_residual:.3g}")
     return {**{name: getattr(gs, name) for name in _GS_SCALARS},
             "gn_ratio": gn_ratio(gs.q), "profile": field_to_json(gs.q)}, []
 
@@ -140,7 +140,7 @@ def load_ground_state_json(path) -> GroundState:
                        **{name: data[name] for name in _GS_SCALARS})
 
 
-def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
+def run_evolve(cfg: RunConfig, out_dir) -> list:
     """Evolve, save the trajectory into out_dir and return its file paths."""
     controls = EvolutionControls(**cfg.controls,
                                  resolved_width_cells=cfg.tolerances.resolved_width_cells)
@@ -154,14 +154,14 @@ def run_evolve(cfg: RunConfig, out_dir, quiet=False) -> list:
     rec = traj.records
     mass_drift, energy_drift = (np.max(np.abs(c - c[0])) / max(abs(c[0]), 1e-300)  # 0 at u0 = 0
                                 for c in (rec["mass"], rec["energy"]))
-    _say(quiet, f"termination {traj.termination} after {len(rec['t']) - 1} steps, "
-                f"t = {rec['t'][-1]:.6g}, mass drift = {mass_drift:.3g}, "
-                f"energy drift = {energy_drift:.3g}, "
-                f"boundary mass = {rec['boundary_mass'][-1]:.3g}")
+    print(f"termination {traj.termination} after {len(rec['t']) - 1} steps, "
+          f"t = {rec['t'][-1]:.6g}, mass drift = {mass_drift:.3g}, "
+          f"energy drift = {energy_drift:.3g}, "
+          f"boundary mass = {rec['boundary_mass'][-1]:.3g}")
     return list(files.values())
 
 
-def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
+def run_diagnose(cfg: RunConfig) -> tuple[dict, list]:
     try:
         traj_dir = cfg.diagnose["trajectory"]
         with open(os.path.join(traj_dir, "manifest.json")) as fh:
@@ -184,7 +184,7 @@ def run_diagnose(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
     return report, records
 
 
-def run_operator_check(cfg: RunConfig, quiet=False) -> tuple[dict, list]:
+def run_operator_check(cfg: RunConfig) -> tuple[dict, list]:
     op = cfg.operator_check
     records = lab.run_suite(op["suite"], lab.PeriodicGrid1D(op["n"]), op["s"],
                             cfg.tolerances, cfg.seed)
@@ -199,7 +199,7 @@ _REPORTS = {"ground-state": ("ground_state.json", run_ground_state),
             "operator-check": ("report.json", run_operator_check)}
 
 
-def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
+def run(cfg: RunConfig) -> tuple[int, str]:
     """Dispatch a validated config; returns (exit_code, out_dir).  Only a run that
     exits 0 or 4 leaves a manifest.json in out_dir."""
     out_dir = cfg.out_dir
@@ -212,10 +212,10 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
         if os.path.exists(manifest):
             os.remove(manifest)
         if cfg.command == "evolve":
-            outputs, records = run_evolve(cfg, out_dir, quiet), []
+            outputs, records = run_evolve(cfg, out_dir), []
         else:
             name, runner = _REPORTS[cfg.command]
-            result, records = runner(cfg, quiet)
+            result, records = runner(cfg)
             outputs = [os.path.join(out_dir, name)]
             _write_json(outputs[0], result)
         write_manifest(cfg, out_dir, time.time() - t0, outputs)
@@ -225,11 +225,14 @@ def run(cfg: RunConfig, quiet: bool = False) -> tuple[int, str]:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, out_dir
+    except ChildProcessError as exc:  # an OSError, but no output error
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER_FAILED, out_dir
     except OSError as exc:  # an input that cannot be read raises InputError instead
         print(f"output error: cannot write into {out_dir}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION, out_dir
     for rec in records:
-        _say(quiet, rec.line())
+        print(rec.line())
     return (EXIT_OK if all(r.passed for r in records) else EXIT_CHECK_FAILED), out_dir
 
 
@@ -307,7 +310,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    code, run_dir = run(cfg, quiet=quiet)
+    with contextlib.redirect_stdout(io.StringIO()) if quiet else contextlib.nullcontext():
+        code, run_dir = run(cfg)
     if out_override and code in (EXIT_OK, EXIT_CHECK_FAILED):  # this run wrote the report
         src = os.path.join(run_dir, _REPORTS[command][0])
         if os.path.abspath(src) != os.path.abspath(out_override):

@@ -45,7 +45,6 @@ __all__ = [
     "cutoff_bank",
     "localized_mass_series",
     "propagation_bound_check",
-    "dilation_decay_check",
     "tightness_check",
     "ball_mass",
     "concentration_function",
@@ -158,12 +157,12 @@ def _localized_masses(kern: RadialKernel, cutoffs, rho: np.ndarray) -> list:
     return [kern.mass(chi.samples * rho) for chi in cutoffs]
 
 
-def localized_mass_series(traj, cutoffs) -> tuple[np.ndarray, np.ndarray]:
-    """Times of the snapshots, and M_chi at each of them, one row per cutoff;
-    each snapshot's density is computed once for all the cutoffs."""
+def localized_mass_series(traj, cutoffs) -> np.ndarray:
+    """M_chi at each snapshot, one row per cutoff; each snapshot's density is computed
+    once for all the cutoffs."""
     kern = kernel(traj.grid, traj.params)
-    ms = np.array([_localized_masses(kern, cutoffs, abs2(s.field.values)) for s in traj.snapshots])
-    return np.array([s.t for s in traj.snapshots]), ms.T
+    return np.array([_localized_masses(kern, cutoffs, abs2(s.field.values))
+                     for s in traj.snapshots]).T
 
 
 def _max_rate(ts: np.ndarray, ms: np.ndarray) -> float:
@@ -182,30 +181,12 @@ def propagation_bound_check(traj, chi: Cutoff, c_cal: float,
     if len(traj.snapshots) < 3:
         raise InsufficientSnapshots("need at least 3 snapshots for a rate estimate")
     if masses is None:
-        _, (masses,) = localized_mass_series(traj, [chi])
+        (masses,) = localized_mass_series(traj, [chi])
     c_hat = _max_rate(np.array([s.t for s in traj.snapshots]), masses) / chi.grad_inf
     return CheckRecord(
         check="propagation_bound",
         params={"kind": chi.kind, "radius": chi.radius, "grad_inf": chi.grad_inf},
         statistic=c_hat, bound=c_cal)
-
-
-def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:
-    """Max flux through shape-dilated bumps chi_R must decay like 1/R.
-
-    Checks that R * max|dM_{chi_R}/dt| stays within `factor` of its geometric
-    mean across the dilation family.
-    """
-    if len(traj.snapshots) < 3:
-        raise InsufficientSnapshots("need at least 3 snapshots for a rate estimate")
-    ts, masses = localized_mass_series(traj, [smooth_bump(traj.grid, rr) for rr in radii])
-    q = np.array([rr * _max_rate(ts, ms) for rr, ms in zip(radii, masses)])
-    gmean = float(np.exp(np.mean(np.log(q))))
-    spread = float(max(q.max() / gmean, gmean / q.min()))
-    return CheckRecord(
-        check="dilation_decay",
-        params={"radii": list(radii), "scaled_rates": [float(x) for x in q]},
-        statistic=spread, bound=factor)
 
 
 # --- tightness and concentration ---------------------------------------------
@@ -492,7 +473,7 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
 
     def propagation():
         bank = banked()
-        _, masses = localized_mass_series(traj, bank)
+        masses = localized_mass_series(traj, bank)
         return [propagation_bound_check(traj, chi, tol.c_cal_propagation, ms)
                 for chi, ms in zip(bank, masses)]
 
@@ -521,7 +502,7 @@ def run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord], dict | N
     local = [name for name in CHECKS if name in wanted and name not in _TRANSFORMING]
     forked = [name for name in CHECKS if name in wanted and name in _TRANSFORMING]
     if local and forked:
-        with _forked(lambda: run(forked)) as returned:
+        with _forked(lambda: run(forked), "diagnose's check worker") as returned:
             done = run(local)
         done.update(returned[0])
     else:

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from bosonstar.evolution import EvolutionControls, evolve, trajectory_from_snapshots
+from bosonstar.evolution import EvolutionControls, evolve
 from bosonstar.ground_state import solve_ground_state
 from bosonstar.spectral import Field, ModelParams, RadialGrid, gaussian_field, mass
-from oracles import free_evolution
+from oracles import free_evolution, trajectory_from_snapshots
 
 ACCEPTANCE_GRID = RadialGrid(4096, 128.0)
 BLOWUP_GRID = RadialGrid(16384, 16.0)

@@ -1,7 +1,8 @@
 """Reference oracles the tests check the package against; no command calls them.
 
 Random and rescaled radial fields, the inhomogeneous Sobolev norm, the exact
-free flow, evolve and run_checks in one process, the sharp energy lower bound,
+free flow, trajectories packaged from given fields, evolve and run_checks in one
+process, the dilation decay of the propagation rate, the sharp energy lower bound,
 Newton's shell formula by trapezoid sums, the resolvent-quadrature route to
 (a - Delta)^s, the index-gather circulant and the hermiticity defect of a matrix.
 """
@@ -9,11 +10,12 @@ Newton's shell formula by trapezoid sums, the resolvent-quadrature route to
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from bosonstar.diagnostics import (CHECKS, CheckCannotRun, CheckRecord, NotTightOnGrid,
-                                   _not_applicable, blowup_measure, cutoff_bank,
-                                   exterior_convergence_check, localized_mass_series,
-                                   minimal_concentration_check, parse_checks,
-                                   propagation_bound_check, tightness_check, virial_check)
+from bosonstar.diagnostics import (CHECKS, CheckCannotRun, CheckRecord, InsufficientSnapshots,
+                                   NotTightOnGrid, _max_rate, _not_applicable, blowup_measure,
+                                   cutoff_bank, exterior_convergence_check,
+                                   localized_mass_series, minimal_concentration_check,
+                                   parse_checks, propagation_bound_check, smooth_bump,
+                                   tightness_check, virial_check)
 from bosonstar.evolution import (HORIZON_REACHED, NORM_CAP, RECORD_COLUMNS, STEP_FLOOR,
                                  EvolutionControls, SnapshotRows, Trajectory, _push_record,
                                  _trajectory, require_resolved)
@@ -62,6 +64,26 @@ def free_evolution(u0: Field, params: ModelParams, t: float) -> Field:
     """Exact free flow exp(-i t sqrt(-Delta+m^2)) u0 via a single multiplier."""
     kern = kernel(u0.grid, params)
     return Field(u0.grid, kern.inverse(kern.forward(u0.values) * np.exp(-1j * t * kern.omega)))
+
+
+def trajectory_from_snapshots(fields, times, params: ModelParams,
+                              termination: str = HORIZON_REACHED,
+                              controls: EvolutionControls | None = None) -> Trajectory:
+    """Package explicitly constructed fields as a Trajectory (synthetic runs,
+    exact free flows); records are computed from the snapshots as evolve computes them."""
+    if len(fields) != len(times) or len(fields) < 1:
+        raise ValueError("need matching, nonempty fields and times")
+    grid = fields[0].grid
+    if controls is None:
+        controls = EvolutionControls(dt0=1.0, t_end=float(times[-1]) if times[-1] > 0 else 1.0)
+    kern = kernel(grid, params)
+    cols = {name: [] for name in RECORD_COLUMNS}
+    with SnapshotRows.create(grid) as rows:
+        for t, prev_t, f in zip(times, [0.0, *times[:-1]], fields):
+            _push_record(cols, kern, float(t), float(t - prev_t), f.values,
+                         kern.forward(f.values))
+            rows.append(f.values)
+    return _trajectory(grid, params, controls, cols, list(range(len(fields))), rows, termination)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -157,7 +179,7 @@ def reference_run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord]
 
     def propagation():
         bank = banked()
-        _, masses = localized_mass_series(traj, bank)
+        masses = localized_mass_series(traj, bank)
         return [propagation_bound_check(traj, chi, tol.c_cal_propagation, ms)
                 for chi, ms in zip(bank, masses)]
 
@@ -180,6 +202,25 @@ def reference_run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord]
             except CheckCannotRun as exc:
                 records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan))
     return records, histogram
+
+
+def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:
+    """Max flux through shape-dilated bumps chi_R must decay like 1/R.
+
+    Checks that R * max|dM_{chi_R}/dt| stays within `factor` of its geometric
+    mean across the dilation family.
+    """
+    if len(traj.snapshots) < 3:
+        raise InsufficientSnapshots("need at least 3 snapshots for a rate estimate")
+    ts = np.array([s.t for s in traj.snapshots])
+    masses = localized_mass_series(traj, [smooth_bump(traj.grid, rr) for rr in radii])
+    q = np.array([rr * _max_rate(ts, ms) for rr, ms in zip(radii, masses)])
+    gmean = float(np.exp(np.mean(np.log(q))))
+    spread = float(max(q.max() / gmean, gmean / q.min()))
+    return CheckRecord(
+        check="dilation_decay",
+        params={"radii": list(radii), "scaled_rates": [float(x) for x in q]},
+        statistic=spread, bound=factor)
 
 
 def trajectory_bytes(traj: Trajectory) -> tuple:

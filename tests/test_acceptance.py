@@ -14,7 +14,6 @@ import numpy as np
 from bosonstar.config import Tolerances
 from bosonstar.diagnostics import (
     cutoff_bank,
-    dilation_decay_check,
     exterior_convergence_check,
     minimal_concentration_check,
     propagation_bound_check,
@@ -51,7 +50,8 @@ from bosonstar.spectral import (
 )
 
 from conftest import ACCEPTANCE_GRID, make_subcritical_u0
-from oracles import hermiticity_defect, random_smooth_field, scalar_power_quadrature
+from oracles import (dilation_decay_check, hermiticity_defect, random_smooth_field,
+                     scalar_power_quadrature)
 
 TOL = Tolerances()
 

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 import bosonstar
+from bosonstar import diagnostics, evolution
 from bosonstar.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    EXIT_WORKER_FAILED,
     load_ground_state_json,
     main,
     run,
@@ -134,7 +137,7 @@ class TestRunDispatch:
             "ground_state": {"tol": 1e-9, "max_iter": 500},
             "out_dir": str(tmp_path / "gs"),
         })
-        code, out_dir = run(cfg, quiet=True)
+        code, out_dir = run(cfg)
         assert code == EXIT_OK
         assert verify_manifest(out_dir)
         gs = load_ground_state_json(os.path.join(out_dir, "ground_state.json"))
@@ -153,7 +156,7 @@ class TestRunDispatch:
                 "out_dir": str(tmp_path / name),
                 "seed": 7,
             })
-            code, out_dir = run(cfg, quiet=True)
+            code, out_dir = run(cfg)
             assert code == EXIT_OK
             digests.append(tuple(file_digest(os.path.join(out_dir, name)) for name in
                                  ("records.csv", "snapshots.json", "snapshots.npy")))
@@ -171,7 +174,7 @@ class TestRunDispatch:
             "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
             "out_dir": str(tmp_path / "degen"),
         })
-        code, out_dir = run(cfg, quiet=True)
+        code, out_dir = run(cfg)
         assert code == EXIT_OK
         traj = load_trajectory(out_dir)
         assert traj.termination == "HorizonReached"
@@ -184,7 +187,7 @@ class TestRunDispatch:
             "ground_state": {"tol": 1e-9, "max_iter": 500},
             "out_dir": str(tmp_path / "gs"),
         })
-        code, gs_dir = run(gs_cfg, quiet=True)
+        code, gs_dir = run(gs_cfg)
         assert code == EXIT_OK
         ev_cfg = config_from_dict({
             "command": "evolve",
@@ -195,7 +198,7 @@ class TestRunDispatch:
             "u0": {"kind": "gaussian", "amplitude": 1.0, "width": 1.5, "mass": 1.0},
             "out_dir": str(tmp_path / "traj"),
         })
-        code, traj_dir = run(ev_cfg, quiet=True)
+        code, traj_dir = run(ev_cfg)
         assert code == EXIT_OK
         dg_cfg = config_from_dict({
             "command": "diagnose",
@@ -205,7 +208,7 @@ class TestRunDispatch:
                          "checks": "propagation,tightness,measure,newton"},
             "out_dir": str(tmp_path / "report"),
         })
-        code, rep_dir = run(dg_cfg, quiet=True)
+        code, rep_dir = run(dg_cfg)
         assert code == EXIT_OK
         with open(os.path.join(rep_dir, "report.json")) as fh:
             report = json.load(fh)
@@ -221,7 +224,7 @@ class TestRunDispatch:
             "out_dir": str(tmp_path / "op"),
             "seed": 1,
         })
-        code, out_dir = run(cfg, quiet=True)
+        code, out_dir = run(cfg)
         assert code == EXIT_OK
         assert verify_manifest(out_dir)
 
@@ -266,6 +269,25 @@ class TestMainEntry:
         assert rec["check"] == "exterior_cauchy" and rec["pass"]
         assert rec["params"] == {"applicable": False, "termination": "HorizonReached"}
 
+    @pytest.mark.parametrize("command", ["ground-state", "evolve", "diagnose", "operator-check"])
+    def test_quiet_leaves_stdout_empty(self, tmp_path, capsys, small_run, command):
+        # main reads --quiet once, for the whole run; each command prints without it
+        gs_json, traj_dir = small_run
+        ev_config = write_config(tmp_path / "ev.json", {
+            "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
+            "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10},
+            "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5}})
+        args = {"ground-state": ["--n", "256", "--rmax", "32", "--tol", "1e-8"],
+                "evolve": ["--config", ev_config],
+                "diagnose": ["--trajectory", traj_dir, "--ground-state", gs_json,
+                             "--checks", "tightness,newton"],
+                "operator-check": ["--suite", "ims", "--n", "8"]}[command]
+        for quiet in ([], ["--quiet"]):
+            out_dir = str(tmp_path / f"run{len(quiet)}")
+            assert main([*quiet, "--out-dir", out_dir, command, *args]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert (out == "") == bool(quiet) and err == ""
+
     def test_operator_check_cli(self, tmp_path, capsys):
         code = main(["--out-dir", str(tmp_path / "oc"), "--seed", "2",
                      "operator-check", "--suite", "ims", "--n", "64", "--s", "0.5"])
@@ -300,7 +322,7 @@ class TestMainEntry:
                 "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
                 "controls": {"dt0": 1e-2, "t_end": 0.0, "dt_floor": 1e-10},
                 "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
-                "out_dir": str(traj_dir)}), quiet=True)
+                "out_dir": str(traj_dir)}))
             assert code == EXIT_OK
             fields = traj_dir / "snapshots.npy"
             if damage == "missing_fields":
@@ -600,7 +622,7 @@ class TestMainEntry:
                 "diagnose": {"trajectory": str(tmp_path / "ev"), "ground_state": str(gs_json),
                              "checks": "measure"},
                 "out_dir": str(tmp_path / f"dg{pad}")})
-            code, out_dir = run(cfg, quiet=True)
+            code, out_dir = run(cfg)
             assert code == EXIT_OK
             with open(os.path.join(out_dir, "report.json")) as fh:
                 bounds[pad] = [r["bound"] for r in json.load(fh)["checks"]
@@ -650,7 +672,7 @@ class TestMainEntry:
             "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
             "controls": {"dt0": 1e-2, "t_end": 0.0, "dt_floor": 1e-10},
             "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
-            "out_dir": str(traj_dir)}), quiet=True)
+            "out_dir": str(traj_dir)}))
         assert code == EXIT_OK
         manifest_path = traj_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -676,7 +698,7 @@ class TestMainEntry:
             "command": "diagnose", "tolerances": {"histogram_bins": 16},
             "diagnose": {"trajectory": traj_dir, "ground_state": gs_json, "checks": "measure"},
             "out_dir": str(tmp_path)})
-        code, out_dir = run(cfg, quiet=True)
+        code, out_dir = run(cfg)
         assert code == EXIT_OK
         with open(os.path.join(out_dir, "report.json")) as fh:
             assert len(json.load(fh)["measure_histogram"]["bin_edges"]) == 17
@@ -697,7 +719,7 @@ class TestMainEntry:
             "command": "evolve", "grid": {"n_points": 256, "r_max": 32.0},
             "controls": {"dt0": 1e-2, "t_end": 0.0, "dt_floor": 1e-10},
             "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5},
-            "out_dir": str(traj_dir)}), quiet=True)
+            "out_dir": str(traj_dir)}))
         assert code == EXIT_OK
         out_dir = traj_dir
         if same == "symlink":
@@ -737,7 +759,7 @@ class TestSchemaStability:
             "command": "ground-state", "grid": {"n_points": 256, "r_max": 32.0},
             "ground_state": {"tol": 1e-8, "max_iter": 500},
             "out_dir": str(tmp_path / "gs")})
-        _, gs_dir = run(gs_cfg, quiet=True)
+        _, gs_dir = run(gs_cfg)
         gs_data = json.loads(pathlib.Path(gs_dir, "ground_state.json").read_text())
         assert set(schema["ground_state.json"]) <= set(gs_data)
         assert set(schema["field"]) <= set(gs_data["profile"])
@@ -747,7 +769,7 @@ class TestSchemaStability:
                          "snapshot_stride": 2},
             "u0": {"kind": "gaussian", "amplitude": 0.4, "width": 1.5},
             "out_dir": str(tmp_path / "ev")})
-        _, ev_dir = run(ev_cfg, quiet=True)
+        _, ev_dir = run(ev_cfg)
         snap = json.loads(pathlib.Path(ev_dir, "snapshots.json").read_text())
         assert set(schema["snapshots.json"]) == set(snap)  # nothing that records.csv derives
         fields = np.load(os.path.join(ev_dir, "snapshots.npy"), allow_pickle=False)
@@ -764,14 +786,12 @@ class TestNumericalFailureExit:
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "manifest.json").write_text("{}")  # an earlier run's
-        cfg = config_from_dict({
-            "command": "ground-state",
-            "grid": {"n_points": 256, "r_max": 32.0},
-            "ground_state": {"tol": 1e-14, "max_iter": 2},
-            "out_dir": str(tmp_path / "bad")})
-        code, _ = run(cfg, quiet=True)
+        code = main(["--quiet", "--out-dir", str(tmp_path / "bad"), "ground-state",
+                     "--n", "256", "--rmax", "32", "--tol", "1e-14", "--max-iter", "2"])
         assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err.strip()  # printed with quiet too
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip()  # printed with --quiet too
         assert err.startswith("numerical failure:") and "\n" not in err
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
@@ -798,6 +818,36 @@ class TestNumericalFailureExit:
             "out_dir": str(out_dir)})
         assert main(["--quiet", "evolve", "--config", config]) == EXIT_NUMERICAL
         assert os.listdir(out_dir) == []
+
+
+def _killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerFailureExit:
+    @pytest.mark.parametrize("command, worker", [
+        ("evolve", "evolve's record worker"), ("diagnose", "diagnose's check worker")])
+    def test_a_killed_worker_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch, small_run,
+                                                   command, worker):
+        # the OOM killer's way to end a worker: no result and no exception, only a signal
+        out_dir = tmp_path / "run"
+        if command == "evolve":
+            monkeypatch.setattr(evolution, "_take_records", _killed)
+            args = ["--config", write_config(tmp_path / "ev.json", {
+                "command": "evolve", "grid": {"n_points": 512, "r_max": 32.0},
+                "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10},
+                "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5}})]
+        else:  # --checks all runs virial in the worker
+            monkeypatch.setattr(diagnostics, "virial_check", _killed)
+            args = ["--trajectory", small_run[1], "--ground-state", small_run[0],
+                    "--checks", "all"]
+        code = main(["--quiet", "--out-dir", str(out_dir), command, *args])
+        assert code == EXIT_WORKER_FAILED
+        assert capsys.readouterr().err == \
+            f"worker failure: {worker} was killed by SIGKILL and returned no result\n"
+        assert os.listdir(out_dir) == []  # no manifest, and no snapshots.npy(.partial)
+        with pytest.raises(ChildProcessError):  # the worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTolerancesTable:

@@ -23,7 +23,6 @@ from bosonstar.evolution import (
     half_max_width,
     load_trajectory,
     save_trajectory,
-    trajectory_from_snapshots,
 )
 from bosonstar.spectral import (
     Field,
@@ -40,6 +39,7 @@ from oracles import (
     random_smooth_field,
     reference_evolve,
     trajectory_bytes,
+    trajectory_from_snapshots,
     zero_field,
 )
 

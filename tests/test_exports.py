@@ -15,17 +15,13 @@ import bosonstar
 MODULES = [name for _, name, _ in pkgutil.iter_modules(bosonstar.__path__) if name != "__main__"]
 SRC = pathlib.Path(bosonstar.__file__).parent
 
-# exported but called by no command, each kept for a reader outside src/bosonstar
+# exactly the exports that src/bosonstar never reads, each kept for a reader outside it
 UNREFERENCED = {
-    "SpectralField": "perfbench's traced pass times the transform pair through it",
     "radial_transform": "perfbench's traced pass times the forward transform through it",
     "inverse_radial_transform": "perfbench's traced pass times the inverse transform through it",
     "coulomb_potential_density": "perfbench's traced pass times the Poisson solve and its newton "
                                  "check through it, with its (rho, grid) signature",
-    "trajectory_from_snapshots": "builds test trajectories through evolve's private record code",
-    "dilation_decay_check": "acceptance criterion 6 reads it",
-    "h_minus1_rhs_bound": "tests read it; its diagnose check needs no Tolerances field, not built yet",
-    "energy": "the conserved energy of a Field, public through bosonstar/__init__",
+    "h_minus1_rhs_bound": "tests read it; its diagnose check (ROADMAP item 5a) is not built yet",
 }
 
 
@@ -55,8 +51,7 @@ def test_every_export_is_used_by_the_package():
                     used.add(name)
     exported = {name for module in MODULES
                 for name in getattr(importlib.import_module(f"bosonstar.{module}"), "__all__", ())}
-    assert sorted(exported - used - set(UNREFERENCED)) == []
-    assert sorted(set(UNREFERENCED) - exported) == []
+    assert sorted(exported - used) == sorted(UNREFERENCED)  # so a stale entry fails too
 
 
 # perfbench/layers.py's helpers that call their argument at this index with the arguments after it
@@ -219,8 +214,6 @@ def test_only_evolution_reads_the_step_floor():
 UNREAD = {
     ("evolution.SnapshotRows.__exit__", "exc"): "the context-manager protocol passes it",
     ("evolution.SnapshotRows.__exit__", "tb"): "the context-manager protocol passes it",
-    ("cli.run_diagnose", "quiet"): "run calls every _REPORTS runner as runner(cfg, quiet)",
-    ("cli.run_operator_check", "quiet"): "run calls every _REPORTS runner as runner(cfg, quiet)",
     ("operator_lab.profile_decompose", "s"): "perfbench's traced pass passes it (ROADMAP item 2)",
 }
 

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import bosonstar
-from bosonstar.evolution import trajectory_from_snapshots
 from bosonstar.spectral import (
     Field,
     ModelParams,
@@ -29,7 +28,8 @@ from bosonstar.spectral import (
     mass,
     radial_transform,
 )
-from oracles import hs_norm, newton_shell_potential, random_smooth_field, zero_field
+from oracles import (hs_norm, newton_shell_potential, random_smooth_field,
+                     trajectory_from_snapshots, zero_field)
 
 GRID = RadialGrid(2048, 64.0)
 
@@ -425,8 +425,8 @@ class TestKernelMass:
 # prints the record row of an n = 16384 state and dot at lengths past two 10,000-entry blocks
 THREAD_PROBE = """
 import numpy as np
-from bosonstar.evolution import trajectory_from_snapshots
 from bosonstar.spectral import ModelParams, RadialGrid, dot, sech_field
+from oracles import trajectory_from_snapshots
 f = sech_field(RadialGrid(16384, 16.0))
 records = trajectory_from_snapshots([f], [0.0], ModelParams(1.0)).records
 print(*(float(records[c][0]).hex() for c in sorted(records)))
@@ -438,10 +438,11 @@ print(*(dot(rng.standard_normal(n), rng.standard_normal(n)).hex() for n in (2000
 @pytest.fixture(scope="module")
 def thread_probe():
     """THREAD_PROBE's output lines with OpenBLAS pinned to 1 thread and to 2 threads."""
-    src = str(pathlib.Path(bosonstar.__file__).parents[1])
+    path = os.pathsep.join([str(pathlib.Path(bosonstar.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent)])  # the package and oracles
     out = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         out[threads] = run.stdout.splitlines()
