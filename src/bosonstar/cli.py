@@ -13,9 +13,9 @@ that does not match its manifest or was written by another artifact version, an
 unresolved datum, an out_dir that cannot be made (it is made before any compute)
 or written into, or an --out that cannot be written; 3 numerical failure
 (non-convergence, a non-finite record), one line on stderr with --quiet too;
-4 a check failed; 5 a worker (evolve's record worker or diagnose's check
-worker) died without a result, say by the OOM killer's SIGKILL, one line on
-stderr.  --quiet silences stdout only.
+4 a check failed; 5 a worker (evolve's record worker, diagnose's check worker
+or operator-check's suite worker) died without a result, say by the OOM killer's
+SIGKILL, one line on stderr.  --quiet silences stdout only.
 """
 
 from __future__ import annotations

@@ -30,11 +30,13 @@ one CPU in the mask, neither is pinned and the two share it.  The peak resident
 memory is the larger of the two processes' (the worker starts as a copy of the
 caller): 40.3-40.4 MB on the benchmark's blowup run, the stepping process's;
 the worker peaks at 29.7-29.9 MB.  From Python 3.12 on, os.fork in a process with
-threads (OpenBLAS starts some) emits a DeprecationWarning.
+threads emits a DeprecationWarning; a command has one thread (spectral.ONE_BLAS_THREAD),
+but an importer that loaded numpy first has OpenBLAS's pool.
 
-One helper, _forked, forks, pins, reaps and unpickles for both of the package's
-workers: this record worker, and the one in which diagnostics.run_checks runs
-the checks that transform u.
+One helper, _forked, forks, pins, reaps and unpickles for the package's three
+workers: this record worker, the one in which diagnostics.run_checks runs the
+checks that transform u, and the one in which operator_lab.run_suite runs the
+commutator suite.
 """
 
 from __future__ import annotations
@@ -396,9 +398,13 @@ def _forked(work, name: str, worker_fds=(), caller_fds=()):
     While the worker lives, it is pinned to the highest CPU of this thread's mask and this
     thread to the others (unpinned, a pipe's wake-ups put both on one CPU); with one CPU in
     the mask, neither is pinned.  So work calls no threaded BLAS: after the caller has used
-    OpenBLAS, a worker pinned to one CPU took 8 ms for an np.dot of 16384 entries and 16 ms
-    for a 384^2 matmul, against microseconds and about 1 ms in the caller.  spectral.dot
-    gives np.dot at most _DOT_SERIAL_MAX entries a call, which OpenBLAS runs on one thread.
+    OpenBLAS's pool, a worker pinned to one CPU took 8 ms for an np.dot of 16384 entries and
+    16 ms for a 384^2 matmul, against microseconds and about 1 ms unpinned, and a 384^2
+    eigvalsh took 1.6 s in the pinned caller and worker alike, against 7 ms.  With one
+    OpenBLAS thread, the pinned pair took 9 ms and 2.4 ms for the eigvalsh and the matmul.
+    So work may call BLAS only where OpenBLAS runs one thread: on at most _DOT_SERIAL_MAX
+    entries a call (spectral.dot), or on any size when spectral.ONE_BLAS_THREAD holds, as
+    operator_lab.run_suite checks before it forks.
     """
     cpus = os.sched_getaffinity(0)
     worker_cpu = max(cpus) if len(cpus) > 1 else None

@@ -31,6 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .diagnostics import CheckRecord
+from .evolution import _forked
+from .spectral import ONE_BLAS_THREAD
 
 __all__ = [
     "PeriodicGrid1D",
@@ -537,51 +539,77 @@ SUITES = ("commutator", "localization", "ims", "subcritical", "profiles")  # in 
 
 def run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol, seed: int) -> list[CheckRecord]:
     """The `operator-check` suite at order s: "all" or one of SUITES, as check
-    records; ValueError for any other name.
+    records in SUITES order; ValueError for any other name.
 
     tol (config.Tolerances) supplies c_cal_commutator and c_cal_subcritical;
-    seed draws the random cutoffs of the commutator and localization checks.
-    The localization and ims checks need s < 1: they run, and record, order
-    min(s, 0.99).  The lower bounds -1e-8 and the relative pads 1e-6 are rounding slack.
+    seed draws the random cutoffs, the five of the commutator checks first, then
+    the localization one, before any check runs.  The localization and ims checks
+    need s < 1: they run, and record, order min(s, 0.99).  The lower bounds -1e-8
+    and the relative pads 1e-6 are rounding slack.
+
+    When OpenBLAS runs on one thread (spectral.ONE_BLAS_THREAD) and the commutator
+    suite is wanted with another, it runs in a forked worker (evolution._forked) on
+    a second CPU while this process runs the others, and an exception raised on
+    either side is raised here once the worker is reaped; otherwise everything runs
+    here and nothing forks.  A worker's threaded BLAS would crawl on its one CPU.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"suite must be all or one of {', '.join(SUITES)}")
-    commutator, localization, ims, subcritical, profiles = (suite in (n, "all") for n in SUITES)
+    wanted = [name for name in SUITES if suite in (name, "all")]
     rng = np.random.default_rng(seed)
+    chis = [random_smooth_chi(grid, rng) for _ in range(5)] if "commutator" in wanted else []
+    loc_chi = random_smooth_chi(grid, rng) if "localization" in wanted else None
     length, s_open = grid.length, min(s, 0.99)
-    records = []
 
-    def add(check, params, stat, bound, relation="<="):
-        records.append(CheckRecord(check, params, stat, bound, relation=relation))
-
-    if commutator:
-        for _ in range(5):
-            chi = random_smooth_chi(grid, rng)
+    def commutator():
+        records = []
+        for chi in chis:
             cn = commutator_norm(grid, s, 1.0, chi)
             bound = tol.c_cal_commutator * float(np.max(np.abs(spectral_gradient(grid, chi))))
-            add("commutator_norm", {"s": s}, cn, bound)
-    if localization:
-        out = localization_defect(grid, s_open, random_smooth_chi(grid, rng))
+            records.append(CheckRecord("commutator_norm", {"s": s}, cn, bound))
+        return records
+
+    def localization():
+        out = localization_defect(grid, s_open, loc_chi)
         high = out["upper_bound"] * (1 + 1e-6)
-        add("localization_spectrum_low", {"s": s_open}, out["eig_min"], -1e-8, ">=")
-        add("localization_spectrum_high", {"s": s_open}, out["eig_max"], high)
-        add("double_commutator", {"s": s_open}, out["double_commutator_norm"],
-            out["double_commutator_bound"])
-    if ims:
+        return [CheckRecord("localization_spectrum_low", {"s": s_open}, out["eig_min"], -1e-8,
+                            relation=">="),
+                CheckRecord("localization_spectrum_high", {"s": s_open}, out["eig_max"], high),
+                CheckRecord("double_commutator", {"s": s_open}, out["double_commutator_norm"],
+                            out["double_commutator_bound"])]
+
+    def ims():
         d = ims_defect(grid, s_open, partition_pair(grid, length / 4.0, length / 24.0))
-        add("ims_defect", {"s": s_open}, d, -1e-8, ">=")
-    if subcritical:
+        return [CheckRecord("ims_defect", {"s": s_open}, d, -1e-8, relation=">=")]
+
+    def subcritical():
         fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
                               for k in range(8)])
         out = subcritical_check(grid, fam, s, length / 8.0, tol.c_cal_subcritical)
-        add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"])
-    if profiles:
+        return [CheckRecord("subcritical_ratio", {"s": s}, out["ratio"], out["bound"])]
+
+    def profiles():
         wdt, sep = length / 200.0, length / 60.0
         members = [_gaussian_bump(grid, length / 2 - sep * k, wdt)
                    + _gaussian_bump(grid, length / 2 + sep * k, wdt, 1.0 / np.sqrt(2.0))
                    for k in range(2, 14)]
         m1 = l2_norm(grid, members[-1]) ** 2
         out = profile_decompose(grid, SequenceFamily(members), s, eps=0.02 * m1, r0=length / 64.0)
-        add("profile_count", {}, len(out["profiles"]), 2, "==")
-        add("profile_mass_budget", {}, out["profile_mass_sum"], out["mass_budget"] * (1 + 1e-6))
-    return records
+        return [CheckRecord("profile_count", {}, len(out["profiles"]), 2, relation="=="),
+                CheckRecord("profile_mass_budget", {}, out["profile_mass_sum"],
+                            out["mass_budget"] * (1 + 1e-6))]
+
+    runners = {"commutator": commutator, "localization": localization, "ims": ims,
+               "subcritical": subcritical, "profiles": profiles}
+
+    def run(names) -> dict:
+        return {name: runners[name]() for name in names}
+
+    local = [name for name in wanted if name != "commutator"]
+    if ONE_BLAS_THREAD and local and "commutator" in wanted:
+        with _forked(lambda: run(["commutator"]), "operator-check's suite worker") as returned:
+            done = run(local)
+        done.update(returned[0])
+    else:
+        done = run(wanted)
+    return [record for name in SUITES if name in done for record in done[name]]

@@ -13,7 +13,9 @@ package never imports scipy.fft (0.15-0.25 s and some 22 MB per process).
 Importing this module, and so any bosonstar module, frees one untouched 4 MiB
 block, which raises glibc's dynamic mmap threshold to 4 MiB (and its trim
 threshold to 8 MiB) for the rest of the process: a step then takes no fresh
-pages, in a command and in any other importer alike.
+pages, in a command and in any other importer alike.  Imported before numpy, it also sets
+OPENBLAS_NUM_THREADS to 1 unless that is set (ONE_BLAS_THREAD), so the process, and any
+process it starts, runs OpenBLAS on one thread.
 
 Grid convention: n_points samples at r_j = j*dr (j = 1..n), r_max = n*dr,
 frequencies k_m = m*pi/r_max.  The sine basis vanishes at r = 0 and r = r_max,
@@ -32,7 +34,16 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+# OpenBLAS reads its thread count once, when numpy loads it.  No command needs its pool: the
+# radial code gives np.dot at most _DOT_SERIAL_MAX entries a call, and operator_lab.run_suite
+# runs a suite in a forked worker, where threaded BLAS crawls (evolution._forked).  So a
+# process that loads numpy through this module gets one thread, unless OPENBLAS_NUM_THREADS
+# is set; ONE_BLAS_THREAD says that the count is 1.  An importer that loaded numpy first keeps
+# its pool, and its environment is left as it is.
+ONE_BLAS_THREAD = ("numpy" not in sys.modules
+                   and os.environ.setdefault("OPENBLAS_NUM_THREADS", "1") == "1")
+
+import numpy as np  # noqa: E402
 
 __all__ = [
     "RadialGrid",

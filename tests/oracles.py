@@ -1,8 +1,8 @@
 """Reference oracles the tests check the package against; no command calls them.
 
 Random and rescaled radial fields, the inhomogeneous Sobolev norm, the exact
-free flow, trajectories packaged from given fields, evolve and run_checks in one
-process, the dilation decay of the propagation rate, the sharp energy lower bound,
+free flow, trajectories packaged from given fields, evolve, run_checks and run_suite in
+one process, the dilation decay of the propagation rate, the sharp energy lower bound,
 Newton's shell formula by trapezoid sums, the resolvent-quadrature route to
 (a - Delta)^s, the index-gather circulant and the hermiticity defect of a matrix.
 """
@@ -19,8 +19,11 @@ from bosonstar.diagnostics import (CHECKS, CheckCannotRun, CheckRecord, Insuffic
 from bosonstar.evolution import (HORIZON_REACHED, NORM_CAP, RECORD_COLUMNS, STEP_FLOOR,
                                  EvolutionControls, SnapshotRows, Trajectory, _push_record,
                                  _trajectory, require_resolved)
-from bosonstar.operator_lab import (PeriodicGrid1D, _composite_t_nodes,
-                                    build_fractional, operator_norm_matrix)
+from bosonstar.operator_lab import (SUITES, PeriodicGrid1D, SequenceFamily, _composite_t_nodes,
+                                    _gaussian_bump, build_fractional, commutator_norm,
+                                    ims_defect, l2_norm, localization_defect,
+                                    operator_norm_matrix, partition_pair, profile_decompose,
+                                    random_smooth_chi, spectral_gradient, subcritical_check)
 from bosonstar.spectral import Field, ModelParams, RadialGrid, abs2, energy, kernel, mass
 
 
@@ -202,6 +205,53 @@ def reference_run_checks(traj, gs, tol, checks="all") -> tuple[list[CheckRecord]
             except CheckCannotRun as exc:
                 records.append(CheckRecord(record_name, {"error": str(exc)}, nan, nan))
     return records, histogram
+
+
+def reference_run_suite(suite: str, grid: PeriodicGrid1D, s: float, tol,
+                        seed: int) -> list[CheckRecord]:
+    """run_suite in one process: the serial body that draws each cutoff as its suite
+    comes up and runs the suites in SUITES order."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"suite must be all or one of {', '.join(SUITES)}")
+    commutator, localization, ims, subcritical, profiles = (suite in (n, "all") for n in SUITES)
+    rng = np.random.default_rng(seed)
+    length, s_open = grid.length, min(s, 0.99)
+    records = []
+
+    def add(check, params, stat, bound, relation="<="):
+        records.append(CheckRecord(check, params, stat, bound, relation=relation))
+
+    if commutator:
+        for _ in range(5):
+            chi = random_smooth_chi(grid, rng)
+            cn = commutator_norm(grid, s, 1.0, chi)
+            bound = tol.c_cal_commutator * float(np.max(np.abs(spectral_gradient(grid, chi))))
+            add("commutator_norm", {"s": s}, cn, bound)
+    if localization:
+        out = localization_defect(grid, s_open, random_smooth_chi(grid, rng))
+        high = out["upper_bound"] * (1 + 1e-6)
+        add("localization_spectrum_low", {"s": s_open}, out["eig_min"], -1e-8, ">=")
+        add("localization_spectrum_high", {"s": s_open}, out["eig_max"], high)
+        add("double_commutator", {"s": s_open}, out["double_commutator_norm"],
+            out["double_commutator_bound"])
+    if ims:
+        d = ims_defect(grid, s_open, partition_pair(grid, length / 4.0, length / 24.0))
+        add("ims_defect", {"s": s_open}, d, -1e-8, ">=")
+    if subcritical:
+        fam = SequenceFamily([_gaussian_bump(grid, length / 2 + 0.5 * k, length / 24.0)
+                              for k in range(8)])
+        out = subcritical_check(grid, fam, s, length / 8.0, tol.c_cal_subcritical)
+        add("subcritical_ratio", {"s": s}, out["ratio"], out["bound"])
+    if profiles:
+        wdt, sep = length / 200.0, length / 60.0
+        members = [_gaussian_bump(grid, length / 2 - sep * k, wdt)
+                   + _gaussian_bump(grid, length / 2 + sep * k, wdt, 1.0 / np.sqrt(2.0))
+                   for k in range(2, 14)]
+        m1 = l2_norm(grid, members[-1]) ** 2
+        out = profile_decompose(grid, SequenceFamily(members), s, eps=0.02 * m1, r0=length / 64.0)
+        add("profile_count", {}, len(out["profiles"]), 2, "==")
+        add("profile_mass_budget", {}, out["profile_mass_sum"], out["mass_budget"] * (1 + 1e-6))
+    return records
 
 
 def dilation_decay_check(traj, radii, factor: float) -> CheckRecord:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bosonstar
-from bosonstar import diagnostics, evolution
+from bosonstar import diagnostics, evolution, operator_lab
 from bosonstar.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -826,7 +826,8 @@ def _killed(*args, **kwargs):
 
 class TestWorkerFailureExit:
     @pytest.mark.parametrize("command, worker", [
-        ("evolve", "evolve's record worker"), ("diagnose", "diagnose's check worker")])
+        ("evolve", "evolve's record worker"), ("diagnose", "diagnose's check worker"),
+        ("operator-check", "operator-check's suite worker")])
     def test_a_killed_worker_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch, small_run,
                                                    command, worker):
         # the OOM killer's way to end a worker: no result and no exception, only a signal
@@ -837,10 +838,14 @@ class TestWorkerFailureExit:
                 "command": "evolve", "grid": {"n_points": 512, "r_max": 32.0},
                 "controls": {"dt0": 1e-2, "t_end": 0.2, "dt_floor": 1e-10},
                 "u0": {"kind": "gaussian", "amplitude": 0.5, "width": 1.5}})]
-        else:  # --checks all runs virial in the worker
+        elif command == "diagnose":  # --checks all runs virial in the worker
             monkeypatch.setattr(diagnostics, "virial_check", _killed)
             args = ["--trajectory", small_run[1], "--ground-state", small_run[0],
                     "--checks", "all"]
+        else:  # --suite all runs the commutator suite in the worker, given one BLAS thread
+            monkeypatch.setattr(operator_lab, "ONE_BLAS_THREAD", True)
+            monkeypatch.setattr(operator_lab, "commutator_norm", _killed)
+            args = ["--suite", "all", "--n", "64"]
         code = main(["--quiet", "--out-dir", str(out_dir), command, *args])
         assert code == EXIT_WORKER_FAILED
         assert capsys.readouterr().err == \

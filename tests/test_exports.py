@@ -151,6 +151,51 @@ def test_only_the_cli_touches_the_garbage_collector():
     assert sites.pop("cli.py") and {name: lines for name, lines in sites.items() if lines} == {}
 
 
+# the calls on os.environ that change it, and the os functions that do
+ENVIRON_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__",
+                  "__delitem__"}
+
+
+def _is_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and getattr(node.value, "id", None) == "os")
+
+
+def _environ_sites(path) -> list[int]:
+    # the string OPENBLAS_NUM_THREADS, an assignment to or deletion of an os.environ item,
+    # a call of a changing os.environ method, or a read of os.putenv or os.unsetenv
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and node.value == "OPENBLAS_NUM_THREADS"
+            or isinstance(node, ast.Subscript) and _is_environ(node.value)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            or isinstance(node, ast.Attribute) and node.attr in ENVIRON_WRITES
+            and _is_environ(node.value)
+            or isinstance(node, ast.Attribute) and node.attr in ("putenv", "unsetenv")
+            and getattr(node.value, "id", None) == "os"]
+
+
+def _stray_environ_sites(src) -> dict:
+    # the modules of src other than spectral.py that name the BLAS thread count or write
+    # the environment
+    sites = {path.name: _environ_sites(path) for path in pathlib.Path(src).glob("*.py")}
+    assert sites.pop("spectral.py")
+    return {name: lines for name, lines in sites.items() if lines}
+
+
+def test_only_spectral_sets_the_blas_threads(tmp_path):
+    # spectral.py sets OpenBLAS's thread count before it imports numpy, the first module to
+    # load it, and records the outcome in ONE_BLAS_THREAD; a second site would set it after
+    # numpy loaded, where OpenBLAS no longer reads it, or set it behind that constant's back.
+    # A copy in which cli.py sets the count fails the guard
+    assert _stray_environ_sites(SRC) == {}
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        if path.name == "cli.py":
+            text += '\n\nos.environ["OPENBLAS_NUM_THREADS"] = "2"\n'
+        (tmp_path / path.name).write_text(text)
+    assert list(_stray_environ_sites(tmp_path)) == ["cli.py"]
+
+
 # the calls that make or leave a process, or move a thread between CPUs
 PROCESS_CALLS = {"fork", "_exit", "sched_setaffinity"}
 
@@ -177,9 +222,9 @@ def _stray_process_sites(src) -> dict:
 
 
 def test_only_evolution_forks_or_pins(tmp_path):
-    # one helper, evolution._forked, forks evolve's and diagnose's workers, which leave by
-    # os._exit, and pins both processes until it reaps the worker; no other module may fork,
-    # exit a process or pin a thread, and evolution.py reads os.fork once
+    # one helper, evolution._forked, forks the workers of evolve, diagnose and operator-check,
+    # which leave by os._exit, and pins both processes until it reaps the worker; no other
+    # module may fork, exit a process or pin a thread, and evolution.py reads os.fork once
     assert _stray_process_sites(SRC) == {} and _fork_count(SRC) == 1
     for forking in ("diagnostics.py", "evolution.py"):  # a copy in which it forks again fails
         copy = tmp_path / forking

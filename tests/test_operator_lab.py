@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -12,6 +13,8 @@ import bosonstar
 
 from bosonstar.config import Tolerances
 from bosonstar.operator_lab import (
+    ONE_BLAS_THREAD,
+    SUITES,
     MaxProfilesExceeded,
     NotAPartition,
     PeriodicGrid1D,
@@ -36,7 +39,7 @@ from bosonstar.operator_lab import (
 from bosonstar.operator_lab import (_T_NODES, _composite_t_nodes, _jacobi01, _l_chi,
                                     _symbol_operator, band_projector, bandwidth_cells)
 from oracles import (fractional_via_quadrature, gather_circulant, hermiticity_defect,
-                     scalar_power_quadrature)
+                     reference_run_suite, scalar_power_quadrature)
 
 GRID = PeriodicGrid1D(128, 32.0)
 
@@ -313,6 +316,111 @@ class TestSuiteRecords:
         orders = {r.check: r.params["s"] for r in records if "s" in r.params}
         assert orders == {"commutator_norm": 1.0, "subcritical_ratio": 1.0,
                           **dict.fromkeys(below_one, 0.99)}
+
+
+def report(records) -> list:
+    """The report.json text of each record, as operator-check writes them."""
+    return [json.dumps(r.to_dict()) for r in records]
+
+
+# in a process that loads numpy through bosonstar, so that OpenBLAS runs one thread: for
+# "all" and each suite on three seeds, whether run_suite's report is the serial oracle's and
+# how many forks it made; then, for a failure in the worker and one in the caller, what was
+# raised, the forks, whether the worker is reaped and whether the CPU mask is restored
+SUITE_WORKER_PROBE = """
+import json, os
+import bosonstar.operator_lab as lab
+from bosonstar.config import Tolerances
+from oracles import reference_run_suite
+
+fork, forks = os.fork, []
+def counted():
+    forks.append(os.getpid())
+    return fork()
+os.fork = counted
+mask, tol, out = os.sched_getaffinity(0), Tolerances(), {"one_thread": lab.ONE_BLAS_THREAD}
+def report(records):
+    return [json.dumps(r.to_dict()) for r in records]
+for n, seed in ((128, 0), (128, 11), (384, 7)):
+    grid = lab.PeriodicGrid1D(n)
+    for suite in ("all", *lab.SUITES):
+        forks.clear()
+        got = report(lab.run_suite(suite, grid, 0.5, tol, seed))
+        out[f"{n} {seed} {suite}"] = [
+            got == report(reference_run_suite(suite, grid, 0.5, tol, seed)), len(forks)]
+for name, exc in (("commutator_norm", ZeroDivisionError("worker probe")),
+                  ("ims_defect", KeyError("caller probe"))):
+    def raising(*args, exc=exc):
+        raise exc
+    kept = getattr(lab, name)
+    setattr(lab, name, raising)
+    forks.clear()
+    try:
+        lab.run_suite("all", lab.PeriodicGrid1D(64), 0.5, tol, 0)
+        raised = None
+    except Exception as caught:
+        raised = [type(caught).__name__, str(caught)]
+    finally:
+        setattr(lab, name, kept)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        reaped = False
+    except ChildProcessError:
+        reaped = True
+    out[name] = [raised, len(forks), reaped, os.sched_getaffinity(0) == mask]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def suite_worker_probe() -> dict:
+    """SUITE_WORKER_PROBE's output, from a fresh process without OPENBLAS_NUM_THREADS."""
+    path = os.pathsep.join([str(pathlib.Path(bosonstar.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent)])  # the package and oracles
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    run = subprocess.run([sys.executable, "-c", SUITE_WORKER_PROBE],
+                         env=dict(env, PYTHONPATH=path), capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+class TestSuiteWorker:
+    """With one OpenBLAS thread, run_suite runs the commutator suite in a forked worker
+    beside the others; the serial body of oracles.reference_run_suite is the reference its
+    report must match byte for byte."""
+
+    @pytest.mark.parametrize("key", [f"{n} {seed} {suite}" for n, seed in
+                                     ((128, 0), (128, 11), (384, 7)) for suite in ("all", *SUITES)])
+    def test_matches_the_serial_reference(self, suite_worker_probe, key):
+        assert suite_worker_probe["one_thread"] is True
+        # "all" forks once; a single suite runs here and forks nothing
+        assert suite_worker_probe[key] == [True, 1 if key.endswith(" all") else 0]
+
+    @pytest.mark.parametrize("patched, raised", [
+        ("commutator_norm", ["ZeroDivisionError", "worker probe"]),
+        ("ims_defect", ["KeyError", "'caller probe'"]),
+    ], ids=["worker_raises", "caller_raises"])
+    def test_a_failure_on_either_side_reaps_the_worker(self, suite_worker_probe, patched,
+                                                       raised):
+        # raised here with its type and message, after one fork, with the worker reaped
+        # and the caller's CPU mask restored
+        assert suite_worker_probe[patched] == [raised, 1, True, True]
+
+    def test_a_threaded_process_forks_nothing(self, monkeypatch):
+        # this test process loaded numpy before bosonstar, so OpenBLAS kept its pool, and a
+        # worker's threaded BLAS would crawl on its one CPU
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return fork()
+        monkeypatch.setattr(os, "fork", counted)
+        assert ONE_BLAS_THREAD is False
+        got = run_suite("all", GRID, 0.5, Tolerances(), 3)
+        assert calls == []
+        assert report(got) == report(reference_run_suite("all", GRID, 0.5, Tolerances(), 3))
 
 
 class TestSequenceFamilies:

@@ -471,6 +471,42 @@ class TestDot:
         assert thread_probe["1"][1] == thread_probe["2"][1]
 
 
+def fresh_python(code: str, **env) -> list:
+    """The output lines of `code` run in a fresh interpreter whose environment lacks
+    OPENBLAS_NUM_THREADS, gains env and finds the package."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True, env=dict(
+                             base, PYTHONPATH=str(pathlib.Path(bosonstar.__file__).parents[1]),
+                             **env))
+    return run.stdout.splitlines()
+
+
+# the thread count of the process, the package's view of it and the variable itself
+BLAS_THREAD_PROBE = """
+import os
+import bosonstar.spectral as sp
+print(len(os.listdir("/proc/self/task")), sp.ONE_BLAS_THREAD,
+      os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestBlasThreadSetting:
+    """Imported before numpy, the package gives OpenBLAS one thread unless a count is set."""
+
+    def test_importing_the_package_gives_one_thread(self):
+        assert fresh_python("import bosonstar\n" + BLAS_THREAD_PROBE) == ["1 True 1"]
+
+    def test_an_explicit_count_is_kept(self):
+        assert fresh_python(BLAS_THREAD_PROBE, OPENBLAS_NUM_THREADS="2")[0].split()[1:] == [
+            "False", "2"]
+
+    def test_an_importer_that_loaded_numpy_first_is_left_alone(self):
+        assert fresh_python("import numpy\n" + BLAS_THREAD_PROBE)[0].split()[1:] == [
+            "False", "None"]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rng = np.random.default_rng(8)
